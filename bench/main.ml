@@ -944,6 +944,9 @@ let serve_churn () =
           record_value (Printf.sprintf "serve.churn.s%d.full_ops_s" s)
             full_ops_s;
           record_value (Printf.sprintf "serve.churn.s%d.speedup" s) speedup;
+          record_value
+            (Printf.sprintf "serve.churn.s%d.identical" s)
+            (if identical then 1. else 0.);
           Table.add_row tbl
             [
               string_of_int s;

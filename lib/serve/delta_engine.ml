@@ -22,7 +22,17 @@
 
    Rollback of a rejected admit is a teardown of the candidate over the
    same cone: recomputing the old flow population from unchanged
-   outside-cone inputs reproduces the previous state bit-for-bit. *)
+   outside-cone inputs reproduces the previous state bit-for-bit.
+
+   An operation's cost scales with the cone, not the network, because
+   nothing it does visits servers outside the cone:
+   Network.add_flow/remove_flow update the index entries of the route's
+   servers only, the cone walk and its topological order read the
+   successor lists of cone servers, and only the flows at cone servers
+   have their feasibility re-checked.  Two whole-population steps
+   remain, both small next to one server's recompute: the flow list's
+   append/filter inside Network (pointer copying) and the scan of the
+   poison marks (empty while every server is stable). *)
 
 let c_cone = Metrics.counter "serve.delta.cone_nodes"
 let c_reused = Metrics.counter "serve.delta.reused_nodes"
@@ -155,37 +165,27 @@ let refresh_violation t (f : Flow.t) =
   | None -> Hashtbl.remove t.violated f.id
   | Some reason -> Hashtbl.replace t.violated f.id reason
 
-(* Successor map of the routing DAG, built once per operation. *)
-let successors net =
-  let succs = Hashtbl.create 64 in
-  List.iter
-    (fun (a, b) ->
-      let cur = try Hashtbl.find succs a with Not_found -> [] in
-      Hashtbl.replace succs a (b :: cur))
-    (Network.edges net);
-  succs
-
-let succs_of succs sid = try Hashtbl.find succs sid with Not_found -> []
-
-(* Forward closure of [seeds]. *)
-let cone_of ~succs ~seeds =
+(* Forward closure of [seeds] in the routing DAG of [net]. *)
+let cone_of net ~seeds =
   let cone = Hashtbl.create 64 in
   let rec visit sid =
     if not (Hashtbl.mem cone sid) then begin
       Hashtbl.add cone sid ();
-      List.iter visit (succs_of succs sid)
+      List.iter visit (Network.successors net sid)
     end
   in
   List.iter visit seeds;
   cone
 
-(* Topological order of the cone subgraph (Kahn, ties by ascending id).
-   Only in-cone predecessors count: inputs from outside the cone are
-   already final.  Raises Network.Cyclic when the subgraph has a cycle
-   — and any cycle a new flow can create passes through its route
-   servers, which are all cone seeds, so checking the cone suffices.
-   Per-operation cost scales with the cone, not the network. *)
-let cone_topo_order ~succs cone =
+(* Topological order of the cone subgraph of [net] (Kahn, ties by
+   ascending id).  Only in-cone predecessors count: inputs from outside
+   the cone are already final.  Raises Network.Cyclic when the subgraph
+   has a cycle — and any cycle a new flow can create passes through its
+   route servers, which are all cone seeds, so checking the cone
+   suffices.  Like [cone_of], it reads only the successor lists of cone
+   servers, which the network keeps indexed. *)
+let cone_topo_order net cone =
+  let succs = Network.successors net in
   let indeg = Hashtbl.create 64 in
   Hashtbl.iter (fun sid () -> Hashtbl.replace indeg sid 0) cone;
   Hashtbl.iter
@@ -194,7 +194,7 @@ let cone_topo_order ~succs cone =
         (fun b ->
           if Hashtbl.mem cone b then
             Hashtbl.replace indeg b (Hashtbl.find indeg b + 1))
-        (succs_of succs sid))
+        (succs sid))
     cone;
   let ready =
     Hashtbl.fold
@@ -214,7 +214,7 @@ let cone_topo_order ~succs cone =
                 if d = 0 then b :: acc else acc
               end
               else acc)
-            [] (succs_of succs sid)
+            [] (succs sid)
         in
         kahn (sid :: order) (List.sort compare next @ rest)
   in
@@ -222,11 +222,9 @@ let cone_topo_order ~succs cone =
   if List.length order <> Hashtbl.length cone then raise Network.Cyclic
   else order
 
-(* Re-run the topological sweep restricted to the cone.  Raises
-   Network.Cyclic before any mutation when the cone subgraph has a
-   cycle (the caller rolls back the flow-list change). *)
-let recompute t ~succs ~cone =
-  let order = cone_topo_order ~succs cone in
+(* Re-run the topological sweep over [cone] in [order], a
+   [cone_topo_order] of it. *)
+let recompute t ~cone order =
   (* Poison marks originating inside the cone are about to be
      re-derived; marks inherited from untouched upstream servers stay. *)
   Hashtbl.fold
@@ -281,12 +279,19 @@ let recompute t ~succs ~cone =
         end
       end)
     order;
-  (* Bounds can only have changed for flows that touch the cone. *)
+  (* Bounds can only have changed for flows that cross the cone: the
+     ones at its servers.  Refresh each once. *)
+  let seen = Hashtbl.create 64 in
   List.iter
-    (fun (f : Flow.t) ->
-      if List.exists (fun s -> Hashtbl.mem cone s) f.route then
-        refresh_violation t f)
-    (Network.flows t.net)
+    (fun sid ->
+      List.iter
+        (fun (f : Flow.t) ->
+          if not (Hashtbl.mem seen f.id) then begin
+            Hashtbl.add seen f.id ();
+            refresh_violation t f
+          end)
+        (Network.flows_at t.net sid))
+    order
 
 let create ?(options = Options.default) ~servers ~flows () =
   let net = Network.make ~servers ~flows in
@@ -307,7 +312,7 @@ let create ?(options = Options.default) ~servers ~flows () =
   in
   let cone = Hashtbl.create 64 in
   List.iter (fun (s : Server.t) -> Hashtbl.replace cone s.id ()) servers;
-  recompute t ~succs:(successors net) ~cone;
+  recompute t ~cone (cone_topo_order net cone);
   t
 
 type op_stats = { cone_nodes : int; reused_nodes : int }
@@ -365,23 +370,18 @@ let admit t (cand : Flow.t) =
       let old_net = t.net in
       (* Raises Invalid_argument on a duplicate id or unknown server
          before any state is touched. *)
-      let new_net =
-        Network.with_flows old_net (Network.flows old_net @ [ cand ])
-      in
-      t.net <- new_net;
-      Propagation.install_source t.envs cand;
-      let succs = successors new_net in
-      let cone = cone_of ~succs ~seeds:cand.route in
-      match recompute t ~succs ~cone with
+      let new_net = Network.add_flow old_net cand in
+      let cone = cone_of new_net ~seeds:cand.route in
+      match cone_topo_order new_net cone with
       | exception Network.Cyclic ->
-          (* Nothing was recomputed (the cycle check precedes all
-             mutation): undo the flow-list splice and reject. *)
-          Propagation.remove t.envs ~flow:cand.id ~server:(Flow.first_hop cand);
-          t.net <- old_net;
+          (* The cycle check precedes all mutation: nothing to undo. *)
           t.rejects <- t.rejects + 1;
           Metrics.incr c_rejected;
           Rejected { reason = Admission.Cyclic_route; stats = note_skip t }
-      | () ->
+      | order ->
+          t.net <- new_net;
+          Propagation.install_source t.envs cand;
+          recompute t ~cone order;
           let stats = note_delta t cone in
           if Hashtbl.length t.violated = 0 then begin
             t.admits <- t.admits + 1;
@@ -394,12 +394,12 @@ let admit t (cand : Flow.t) =
               | Some r -> r
               | None -> assert false
             in
-            (* Roll back: tear the candidate out over the same cone.
-               Outside-cone state never moved, so this reproduces the
-               pre-admit state bit-for-bit. *)
+            (* Roll back: tear the candidate out over the same cone, in
+               the same order.  Outside-cone state never moved, so this
+               reproduces the pre-admit state bit-for-bit. *)
             forget_flow t cand;
             t.net <- old_net;
-            recompute t ~succs ~cone;
+            recompute t ~cone order;
             t.rejects <- t.rejects + 1;
             Metrics.incr c_rejected;
             Rejected { reason; stats }
@@ -409,14 +409,10 @@ let teardown t id =
   match Network.flow_opt t.net id with
   | None -> Error `Unknown_flow
   | Some f ->
-      let flows' =
-        List.filter (fun (g : Flow.t) -> g.id <> id) (Network.flows t.net)
-      in
       forget_flow t f;
-      t.net <- Network.with_flows t.net flows';
-      let succs = successors t.net in
-      let cone = cone_of ~succs ~seeds:f.route in
-      recompute t ~succs ~cone;
+      t.net <- Network.remove_flow t.net id;
+      let cone = cone_of t.net ~seeds:f.route in
+      recompute t ~cone (cone_topo_order t.net cone);
       t.teardowns <- t.teardowns + 1;
       Metrics.incr c_teardown;
       Ok (note_delta t cone)

@@ -20,6 +20,11 @@
     A rejected admit rolls back by tearing the candidate out over the
     same cone, restoring the previous state bit-for-bit.
 
+    An admit or teardown costs O(cone + route) analysis and bookkeeping
+    — the network is updated by {!Network.add_flow} and
+    {!Network.remove_flow}, not rebuilt — plus an O(flows) pointer copy
+    of the flow list.
+
     Cone sizes are published through [netcalc.obs] as the
     [serve.delta.cone_nodes] / [serve.delta.reused_nodes] counters. *)
 

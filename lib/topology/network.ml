@@ -2,6 +2,7 @@ module Int_map = Map.Make (Int)
 
 type t = {
   servers : Server.t Int_map.t;
+  size : int;  (* cardinal of [servers], which no update changes *)
   flow_list : Flow.t list;
   flow_map : Flow.t Int_map.t;
   (* Eager incidence index, built once in [make]: the analyses query
@@ -15,6 +16,21 @@ type t = {
 
 exception Cyclic
 
+(* The checks a flow passes on its way into a network, shared by the
+   bulk constructor and [add_flow] so the two paths cannot drift.  The
+   messages keep their [Network.make] prefix on both paths: the serve
+   protocol reports them verbatim as an admit's bad_request detail. *)
+let check_flow servers flow_map (f : Flow.t) =
+  List.iter
+    (fun sid ->
+      if not (Int_map.mem sid servers) then
+        invalid_arg
+          (Printf.sprintf "Network.make: flow %s routes via unknown server %d"
+             f.name sid))
+    f.route;
+  if Int_map.mem f.id flow_map then
+    invalid_arg (Printf.sprintf "Network.make: duplicate flow id %d" f.id)
+
 let make ~servers ~flows =
   let server_map =
     List.fold_left
@@ -25,29 +41,19 @@ let make ~servers ~flows =
         else Int_map.add s.id s acc)
       Int_map.empty servers
   in
-  List.iter
-    (fun (f : Flow.t) ->
-      List.iter
-        (fun sid ->
-          if not (Int_map.mem sid server_map) then
-            invalid_arg
-              (Printf.sprintf "Network.make: flow %s routes via unknown server %d"
-                 f.name sid))
-        f.route)
-    flows;
+  let size = Int_map.cardinal server_map in
   let flow_map =
     List.fold_left
       (fun acc (f : Flow.t) ->
-        if Int_map.mem f.id acc then
-          invalid_arg (Printf.sprintf "Network.make: duplicate flow id %d" f.id)
-        else Int_map.add f.id f acc)
+        check_flow server_map acc f;
+        Int_map.add f.id f acc)
       Int_map.empty flows
   in
   (* One pass over all routes builds both indices.  Accumulate reversed
      (cons is O(1)), then flip so [flows_at] preserves [flow_list]
      order and successors come out ascending and deduplicated. *)
-  let by_server_rev = Hashtbl.create (max 16 (Int_map.cardinal server_map)) in
-  let succ_sets = Hashtbl.create (max 16 (Int_map.cardinal server_map)) in
+  let by_server_rev = Hashtbl.create (max 16 size) in
+  let succ_sets = Hashtbl.create (max 16 size) in
   List.iter
     (fun (f : Flow.t) ->
       List.iter
@@ -71,7 +77,73 @@ let make ~servers ~flows =
       (fun sid ss acc -> Int_map.add sid (List.sort_uniq compare ss) acc)
       succ_sets Int_map.empty
   in
-  { servers = server_map; flow_list = flows; flow_map; by_server; succ_map }
+  { servers = server_map; size; flow_list = flows; flow_map; by_server;
+    succ_map }
+
+(* [make] never stores an empty list, so an update that empties one
+   drops its key instead. *)
+let set_list key = function
+  | [] -> Int_map.remove key
+  | l -> Int_map.add key l
+
+let find_list key m = Option.value ~default:[] (Int_map.find_opt key m)
+
+let rec insert_sorted (x : int) = function
+  | y :: rest when y < x -> y :: insert_sorted x rest
+  | y :: _ as l when y = x -> l
+  | l -> x :: l
+
+let add_flow net (f : Flow.t) =
+  check_flow net.servers net.flow_map f;
+  let by_server =
+    List.fold_left
+      (fun m sid -> Int_map.add sid (find_list sid m @ [ f ]) m)
+      net.by_server f.route
+  in
+  let succ_map =
+    List.fold_left
+      (fun m (a, b) -> Int_map.add a (insert_sorted b (find_list a m)) m)
+      net.succ_map (Flow.hop_pairs f)
+  in
+  {
+    net with
+    flow_list = net.flow_list @ [ f ];
+    flow_map = Int_map.add f.id f net.flow_map;
+    by_server;
+    succ_map;
+  }
+
+let remove_flow net id =
+  match Int_map.find_opt id net.flow_map with
+  | None ->
+      invalid_arg (Printf.sprintf "Network.remove_flow: unknown flow id %d" id)
+  | Some f ->
+      let other (g : Flow.t) = g.id <> id in
+      let by_server =
+        List.fold_left
+          (fun m sid -> set_list sid (List.filter other (find_list sid m)) m)
+          net.by_server f.route
+      in
+      (* Every flow using edge (a, b) crosses a, so the edge survives
+         iff a remaining flow at a continues to b. *)
+      let succ_map =
+        List.fold_left
+          (fun m (a, b) ->
+            if
+              List.exists
+                (fun g -> Flow.next_hop g a = Some b)
+                (find_list a by_server)
+            then m
+            else set_list a (List.filter (( <> ) b) (find_list a m)) m)
+          net.succ_map (Flow.hop_pairs f)
+      in
+      {
+        net with
+        flow_list = List.filter other net.flow_list;
+        flow_map = Int_map.remove id net.flow_map;
+        by_server;
+        succ_map;
+      }
 
 let server net id =
   match Int_map.find_opt id net.servers with
@@ -89,13 +161,10 @@ let flow net id =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Network.flow: unknown flow id %d" id)
 
-let size net = Int_map.cardinal net.servers
+let size net = net.size
 
-let flows_at net sid =
-  match Int_map.find_opt sid net.by_server with Some fs -> fs | None -> []
-
-let successors net sid =
-  match Int_map.find_opt sid net.succ_map with Some ss -> ss | None -> []
+let flows_at net sid = find_list sid net.by_server
+let successors net sid = find_list sid net.succ_map
 
 let edges net =
   (* succ_map iterates in ascending source order with ascending

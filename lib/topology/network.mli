@@ -11,8 +11,38 @@ exception Cyclic
 (** Raised by {!topological_order} when the routing graph has a cycle. *)
 
 val make : servers:Server.t list -> flows:Flow.t list -> t
-(** @raise Invalid_argument on duplicate server ids or a flow whose
-    route mentions an unknown server. *)
+(** The bulk constructor: every index in one pass over all routes.
+    @raise Invalid_argument on duplicate server or flow ids, or a flow
+    whose route mentions an unknown server. *)
+
+val add_flow : t -> Flow.t -> t
+(** [add_flow net f] appends [f] to the flow list.  The result is a
+    value no accessor can tell apart from
+    [make ~servers:(servers net) ~flows:(flows net @ [ f ])]: same
+    {!flows} and {!flows_at} order, same ascending deduplicated
+    {!successors} and {!edges}, same {!size}.  [net] is not modified
+    (the structure is persistent).
+
+    Cost: only the index entries of [f]'s route servers change, in
+    O(r * (k + log servers)) for a route of r servers carrying at most
+    k flows each, plus an O(flows) pointer copy of the flow list.  No
+    other server or edge is visited, which is what lets an online
+    admission engine pay for the affected cone rather than the whole
+    network.
+    @raise Invalid_argument before building anything, with the message
+    {!make} gives, on a duplicate flow id or a route through an
+    unknown server. *)
+
+val remove_flow : t -> int -> t
+(** [remove_flow net id] drops flow [id]: equal, in the same sense as
+    {!add_flow}, to {!make} over the flow list without it.  An edge
+    [(a, b)] of its route goes only when no remaining flow at [a]
+    continues to [b]; index entries the removal empties go too.
+
+    Cost: as {!add_flow}, except that the edge check walks the routes
+    of the flows at each route server (O(r * k * l) for routes of at
+    most l servers), and the flow list is filtered.
+    @raise Invalid_argument for an unknown id. *)
 
 val server : t -> int -> Server.t
 (** @raise Invalid_argument for an unknown id (a descriptive error
@@ -32,6 +62,7 @@ val flow_opt : t -> int -> Flow.t option
     (the serve teardown path) rather than as a usage error. *)
 
 val size : t -> int
+(** Number of servers; O(1). *)
 
 val flows_at : t -> int -> Flow.t list
 (** All flows whose route contains the server, in flow-list order.

@@ -252,6 +252,92 @@ let test_tail_admit_reuses () =
       check_matches_scratch "delta admit = from-scratch analysis" e
   | Delta_engine.Rejected _ -> Alcotest.fail "tail admit should fit"
 
+(* The tandem churn above reuses existing edges; on an edge-cloud
+   corpus network most routes own some edges outright, so admits create
+   routing-DAG edges and teardowns remove them.  Candidates come from a
+   held-back quarter of the generated flows; the oldest admitted flow
+   is torn down once more than 8 are live, and 1 admit in 4 carries a
+   deadline no queued flow meets, so rollback runs too. *)
+let test_corpus_churn_matches_scratch () =
+  let net = Corpus.generate ~family:Corpus.Edge_cloud ~target_servers:200 ~seed:5 in
+  let servers = Network.servers net in
+  let base = List.filteri (fun i _ -> i mod 4 <> 3) (Network.flows net) in
+  let held = List.filteri (fun i _ -> i mod 4 = 3) (Network.flows net) in
+  let e = Delta_engine.create ~servers ~flows:base () in
+  let rng = Random.State.make [| 17 |] in
+  let free = ref held and live = Queue.create () in
+  let ops = ref 0 and rejects = ref 0 in
+  let edges_added = ref 0 and edges_removed = ref 0 in
+  let edge_count () = List.length (Network.edges (Delta_engine.network e)) in
+  let op f =
+    let before = edge_count () in
+    f ();
+    let after = edge_count () in
+    if after > before then incr edges_added;
+    if after < before then incr edges_removed;
+    incr ops;
+    if !ops mod 25 = 0 then
+      check_matches_scratch (Printf.sprintf "corpus churn, op %d" !ops) e
+  in
+  while !ops < 100 do
+    let (f : Flow.t) = List.nth !free (Random.State.int rng (List.length !free)) in
+    let deadline = if Random.State.int rng 4 = 0 then 1e-6 else 1e9 in
+    let cand =
+      Flow.make ~id:f.id ~name:f.name ~arrival:f.arrival ~route:f.route
+        ~deadline ~priority:f.priority ~weight:f.weight ?buffer:f.buffer ()
+    in
+    op (fun () ->
+        match Delta_engine.admit e cand with
+        | Delta_engine.Admitted _ ->
+            free := List.filter (fun (g : Flow.t) -> g.id <> f.id) !free;
+            Queue.add f live
+        | Delta_engine.Rejected _ -> incr rejects);
+    if Queue.length live > 8 then
+      op (fun () ->
+          let (old : Flow.t) = Queue.pop live in
+          match Delta_engine.teardown e old.id with
+          | Ok _ -> free := old :: !free
+          | Error `Unknown_flow -> Alcotest.fail "teardown of admitted flow")
+  done;
+  check_matches_scratch "corpus churn, end" e;
+  check_bool "some admits rolled back" true (!rejects > 0);
+  check_bool "admits created edges" true (!edges_added > 0);
+  check_bool "teardowns removed edges" true (!edges_removed > 0)
+
+(* A write must cost O(cone), not O(network): the same tail admit and
+   teardown (cone 7) on an 8-hop and a 64-hop tandem must allocate
+   about the same.  Whole-network bookkeeping per write (rebuilding
+   the network, its successor map, scanning every flow) made the
+   64-hop write allocate several times more.  Past 64 hops the
+   tandem's decomposed bound outgrows the deadline and the admit is
+   rejected, so this stays at 64. *)
+let test_write_allocation_is_cone_bound () =
+  let write_words n =
+    let servers, base = tandem_parts n in
+    let e = Delta_engine.create ~servers ~flows:base () in
+    let cand =
+      Flow.make ~id:5000
+        ~arrival:(tb ~sigma:1. ~rho:0.01 ~peak:1. ())
+        ~route:[ n - 2; n - 1 ] ~deadline:1e9 ()
+    in
+    let w0 = Gc.minor_words () in
+    let cone =
+      match Delta_engine.admit e cand with
+      | Delta_engine.Admitted { stats; _ } -> stats.cone_nodes
+      | Delta_engine.Rejected _ -> Alcotest.failf "tail admit at n = %d" n
+    in
+    (match Delta_engine.teardown e cand.id with
+    | Ok _ -> ()
+    | Error `Unknown_flow -> Alcotest.fail "teardown of the admitted flow");
+    (cone, Gc.minor_words () -. w0)
+  in
+  let cone8, small = write_words 8 in
+  let cone64, large = write_words 64 in
+  Alcotest.(check int) "same cone at both sizes" cone8 cone64;
+  if large >= 1.5 *. small then
+    Alcotest.failf "n = 64 write allocates %.0f words, n = 8 %.0f (%.1fx)"
+      large small (large /. small)
+
 (* ------------------------------------------------------------------ *)
 (* Sjson                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -361,6 +447,18 @@ let golden_transcript =
     );
     ( {|{"op":"query","flow":10}|},
       {|{"ok":true,"op":"query","flow":10,"bound":2,"backlog":1.1111111111111112,"deadline":50,"buffer":2,"route":[0]}|}
+    );
+    (* A route through an unknown server is a bad request naming the
+       flow and the server, raised before the engine changes: the
+       stats on either side of it are identical. *)
+    ( {|{"op":"stats"}|},
+      {|{"ok":true,"op":"stats","engine":"delta","curve_backend":"pwl","servers":1,"flows":2,"admitted_rate":0.2,"admits":3,"rejects":3,"teardowns":1,"cone_nodes":6,"reused_nodes":1}|}
+    );
+    ( {|{"op":"admit","flow":{"id":12,"sigma":1,"rho":0.1,"route":[0,7],"deadline":5}}|},
+      {|{"ok":false,"error":"bad_request","detail":"Network.make: flow flow12 routes via unknown server 7"}|}
+    );
+    ( {|{"op":"stats"}|},
+      {|{"ok":true,"op":"stats","engine":"delta","curve_backend":"pwl","servers":1,"flows":2,"admitted_rate":0.2,"admits":3,"rejects":3,"teardowns":1,"cone_nodes":6,"reused_nodes":1}|}
     );
   ]
 
@@ -500,6 +598,10 @@ let suite =
       test "delta: rejected admit rolls back bit-exactly" test_rollback_bit_exact;
       test "delta: decisions match decide_one" test_delta_matches_decide_one;
       test "delta: tail admit reuses out-of-cone state" test_tail_admit_reuses;
+      test "delta: corpus churn matches from-scratch bits"
+        test_corpus_churn_matches_scratch;
+      test "delta: write allocation is bounded by the cone"
+        test_write_allocation_is_cone_bound;
       test "sjson: deterministic render and round-trip" test_sjson_roundtrip;
       test "sjson: float bit round-trip" test_sjson_float_bits;
       test "sjson: parse errors" test_sjson_errors;

@@ -103,6 +103,142 @@ let test_lookup_errors () =
   | Some f -> Alcotest.(check int) "flow_opt: present" 0 f.Flow.id
   | None -> Alcotest.fail "flow_opt lost an existing flow"
 
+(* ------------------------------------------------------------------ *)
+(* Persistent updates: add_flow / remove_flow = the bulk constructor  *)
+(* ------------------------------------------------------------------ *)
+
+let flow_ids = List.map (fun (f : Flow.t) -> f.id)
+
+(* Every accessor of [actual] must read the same as on [expected] — the
+   orders included (flows, flows_at, successors ascending, edges
+   sorted), since the analyses iterate them. *)
+let same_network msg ~ids expected actual =
+  let per_server get =
+    List.map
+      (fun (s : Server.t) -> (s.id, get s.id))
+      (Network.servers expected)
+  in
+  let at net sid = flow_ids (Network.flows_at net sid) in
+  let open Alcotest in
+  check (list int) (msg ^ ": flows") (flow_ids (Network.flows expected))
+    (flow_ids (Network.flows actual));
+  check (list (pair int (list int)))
+    (msg ^ ": flows_at") (per_server (at expected)) (per_server (at actual));
+  check (list (pair int (list int)))
+    (msg ^ ": successors")
+    (per_server (Network.successors expected))
+    (per_server (Network.successors actual));
+  check (list (pair int int)) (msg ^ ": edges") (Network.edges expected)
+    (Network.edges actual);
+  check (list int) (msg ^ ": topological order")
+    (Network.topological_order expected)
+    (Network.topological_order actual);
+  check (list (list int)) (msg ^ ": levels") (Network.levels expected)
+    (Network.levels actual);
+  check int (msg ^ ": size") (Network.size expected) (Network.size actual);
+  let lookups net =
+    List.map
+      (fun id -> Option.map (fun (f : Flow.t) -> f.id) (Network.flow_opt net id))
+      ids
+  in
+  check (list (option int)) (msg ^ ": flow_opt") (lookups expected)
+    (lookups actual)
+
+let rebuilt net = Network.make ~servers:(Network.servers net) ~flows:(Network.flows net)
+
+let expect_invalid_intact msg net f =
+  let before = rebuilt net in
+  (match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
+  | exception Invalid_argument _ -> ());
+  same_network (msg ^ " leaves the input intact") ~ids:(flow_ids (Network.flows before))
+    before net
+
+(* A seeded walk of updates over an edge-cloud corpus network: a
+   quarter of its flows is held back as the candidate pool, each step
+   adds a pool flow or removes a present one (base flows included, which
+   then join the pool), and after every step the updated value is
+   compared against Network.make over the same servers and flow list.
+   The routes share some edges and own others outright, so the walk
+   both drops edges (the removed flow was their only user) and keeps
+   them (another flow still continues along them). *)
+let test_updates_match_rebuild () =
+  let net0 = Corpus.generate ~family:Corpus.Edge_cloud ~target_servers:200 ~seed:3 in
+  let all = Network.flows net0 in
+  let ids = flow_ids all in
+  let held = List.filteri (fun i _ -> i mod 4 = 3) all in
+  let net =
+    ref
+      (List.fold_left
+         (fun net (f : Flow.t) -> Network.remove_flow net f.id)
+         net0 held)
+  in
+  same_network "after holding back a quarter" ~ids
+    (Network.make ~servers:(Network.servers net0)
+       ~flows:(List.filteri (fun i _ -> i mod 4 <> 3) all))
+    !net;
+  let pool = ref held in
+  let rng = Random.State.make [| 41 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let dropped = ref 0 and kept = ref 0 in
+  for step = 1 to 200 do
+    let present = Network.flows !net in
+    if !pool <> [] && (present = [] || Random.State.bool rng) then begin
+      let f = pick !pool in
+      pool := List.filter (fun (g : Flow.t) -> g.id <> f.id) !pool;
+      net := Network.add_flow !net f
+    end
+    else begin
+      let f = pick present in
+      net := Network.remove_flow !net f.id;
+      pool := f :: !pool;
+      List.iter
+        (fun (a, b) ->
+          if List.mem b (Network.successors !net a) then incr kept
+          else incr dropped)
+        (Flow.hop_pairs f)
+    end;
+    same_network (Printf.sprintf "step %d" step) ~ids (rebuilt !net) !net
+  done;
+  check_bool "some removal dropped its edge" true (!dropped > 0);
+  check_bool "some removal kept a shared edge" true (!kept > 0);
+  (* Bad updates raise before building anything. *)
+  let present = Network.flows !net in
+  let f = List.hd present in
+  expect_invalid_intact "unknown route server" !net (fun () ->
+      Network.add_flow !net
+        (Flow.make ~id:100_000 ~arrival:f.arrival ~route:[ Flow.first_hop f; 99_999 ] ()));
+  expect_invalid_intact "duplicate flow id" !net (fun () ->
+      Network.add_flow !net (Flow.make ~id:f.id ~arrival:f.arrival ~route:f.route ()));
+  expect_invalid_intact "remove an unknown id" !net (fun () ->
+      Network.remove_flow !net 100_000)
+
+(* The two edge cases by hand: removing the only flow on an edge drops
+   the edge (and the server's emptied index entries); removing one of
+   several users keeps it. *)
+let test_remove_flow_edges () =
+  let net =
+    Network.make ~servers:(servers 4)
+      ~flows:[ flow 0 [ 0; 1; 2 ]; flow 1 [ 1; 2 ]; flow 2 [ 2; 3 ] ]
+  in
+  let ids = [ 0; 1; 2 ] in
+  let net1 = Network.remove_flow net 0 in
+  Alcotest.(check (list (pair int int)))
+    "sole user's edge goes, shared edge stays"
+    [ (1, 2); (2, 3) ]
+    (Network.edges net1);
+  same_network "remove 0" ~ids (rebuilt net1) net1;
+  let net2 = Network.remove_flow net1 2 in
+  Alcotest.(check (list int)) "server 3 keeps no flows" [] (flow_ids (Network.flows_at net2 3));
+  same_network "remove 2" ~ids (rebuilt net2) net2;
+  same_network "re-add 0 appends" ~ids
+    (Network.make ~servers:(servers 4) ~flows:[ flow 1 [ 1; 2 ]; flow 0 [ 0; 1; 2 ] ])
+    (Network.add_flow net2 (flow 0 [ 0; 1; 2 ]));
+  same_network "the input survives its updates" ~ids
+    (Network.make ~servers:(servers 4)
+       ~flows:[ flow 0 [ 0; 1; 2 ]; flow 1 [ 1; 2 ]; flow 2 [ 2; 3 ] ])
+    net
+
 let test_tandem_structure () =
   let n = 5 in
   let t = Tandem.make ~n ~utilization:0.6 () in
@@ -206,6 +342,9 @@ let suite =
       test "cycle detection" test_network_cycle;
       test "network validation" test_network_validation;
       test "lookup errors are descriptive" test_lookup_errors;
+      test "add_flow/remove_flow = make (edge-cloud walk)"
+        test_updates_match_rebuild;
+      test "remove_flow drops only unused edges" test_remove_flow_edges;
       test "tandem structure (Fig. 3)" test_tandem_structure;
       test "tandem sources (Eq. 4)" test_tandem_sources;
       test "tandem validation" test_tandem_validation;
