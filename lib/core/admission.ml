@@ -37,57 +37,48 @@ let deadline_met bounds flows =
           | None -> false))
     flows
 
-(* Per-hop backlog bounds of one flow under a method.  Methods without
-   a backlog notion of their own (Service Curve, FIFO-theta) borrow the
-   decomposed engine's bounds, which are sound for any of them. *)
-let flow_hop_backlogs ?options ?strategy net method_ (f : Flow.t) =
+let violation ~bound ~backlog (f : Flow.t) =
+  let late =
+    match f.deadline with
+    | None -> None
+    | Some deadline ->
+        let bound = bound () in
+        if deadline_ok ~bound ~deadline then None
+        else Some (Deadline_violated { flow = f.id; bound; deadline })
+  in
+  match (late, f.buffer) with
+  | Some _, _ | None, None -> late
+  | None, Some buffer ->
+      let backlog = backlog () in
+      List.find_map
+        (fun server ->
+          let b = backlog server in
+          if buffer_ok ~backlog:b ~buffer then None
+          else
+            Some (Buffer_violated { flow = f.id; server; backlog = b; buffer }))
+        f.route
+
+(* A flow's backlog bound at each of its hops under a method.  Methods
+   without a backlog notion of their own (Service Curve, FIFO-theta)
+   borrow the decomposed engine's bounds, which are sound for any of
+   them. *)
+let hop_backlog ?options ?strategy net method_ flow =
   match (method_ : Engine.method_) with
   | Engine.Decomposed | Engine.Service_curve | Engine.Fifo_theta ->
       let t = Decomposed.analyze ?options net in
-      List.map
-        (fun s -> (s, Decomposed.local_backlog t ~flow:f.id ~server:s))
-        f.route
+      fun server -> Decomposed.local_backlog t ~flow ~server
   | Engine.Integrated ->
       let t = Integrated.analyze ?options ?strategy net in
-      List.map
-        (fun s -> (s, Integrated.local_backlog t ~flow:f.id ~server:s))
-        f.route
+      fun server -> Integrated.local_backlog t ~flow ~server
   | Engine.Integrated_sp ->
       let t = Integrated_sp.analyze ?options ?strategy net in
-      List.map
-        (fun s -> (s, Integrated_sp.local_backlog t ~flow:f.id ~server:s))
-        f.route
+      fun server -> Integrated_sp.local_backlog t ~flow ~server
 
-(* A single flow's violation: the deadline check first, then — only if
-   the flow carries a buffer budget — its per-hop backlog bounds, in
-   route order. *)
 let flow_violation ?options ?strategy net bounds method_ (f : Flow.t) =
-  let deadline_v =
-    match f.deadline with
-    | None -> None
-    | Some dl ->
-        let b =
-          match List.assoc_opt f.id bounds with
-          | Some b -> b
-          | None -> infinity
-        in
-        if deadline_ok ~bound:b ~deadline:dl then None
-        else Some (Deadline_violated { flow = f.id; bound = b; deadline = dl })
-  in
-  match deadline_v with
-  | Some _ -> deadline_v
-  | None -> (
-      match f.buffer with
-      | None -> None
-      | Some budget ->
-          List.find_map
-            (fun (s, b) ->
-              if buffer_ok ~backlog:b ~buffer:budget then None
-              else
-                Some
-                  (Buffer_violated
-                     { flow = f.id; server = s; backlog = b; buffer = budget }))
-            (flow_hop_backlogs ?options ?strategy net method_ f))
+  violation f
+    ~bound:(fun () ->
+      Option.value ~default:infinity (List.assoc_opt f.id bounds))
+    ~backlog:(fun () -> hop_backlog ?options ?strategy net method_ f.id)
 
 (* The violation a verdict reports: the lowest-id flow that fails a
    check (a flow with no bound in the list counts as unbounded), its

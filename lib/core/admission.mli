@@ -92,6 +92,19 @@ val buffer_ok : backlog:float -> buffer:float -> bool
     within tolerance of the budget.  Shared with the serve delta engine
     so both admission paths agree bit-for-bit. *)
 
+val violation :
+  bound:(unit -> float) ->
+  backlog:(unit -> int -> float) ->
+  Flow.t ->
+  reject_reason option
+(** The single feasibility rule, shared with the serve delta engine:
+    the flow's deadline check first ([bound ()] is its end-to-end
+    bound), then — only for a flow carrying a [buffer] budget — its
+    per-hop backlog bounds [backlog () server] in route order, the
+    first over-budget hop reported.  [bound] is forced only for a flow
+    with a deadline and [backlog] only for one with a budget, so flows
+    without them cost nothing. *)
+
 val bounds_for :
   ?options:Options.t ->
   ?strategy:Pairing.strategy ->

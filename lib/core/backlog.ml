@@ -1,13 +1,9 @@
-(* Per-server backlog bounds from the current envelope table.  Shared
-   by the decomposition engine and the serve delta engine so that both
-   run the identical code path (delta re-analysis must reproduce the
-   from-scratch bounds bit for bit). *)
+(* Per-flow backlog bounds from the current envelope table, read by
+   the Forward pass's accessors (so every driver of that pass — the
+   decomposition engine and the serve delta engine — runs the
+   identical code path). *)
 
 let beta_rate rate = Pwl.affine ~y0:0. ~slope:rate
-
-let server ~options net envs ~server:sid ~flows =
-  let agg = Propagation.aggregate_input ~options net envs ~server:sid ~flows in
-  Fifo.backlog ~rate:(Network.server net sid).Server.rate ~agg
 
 let per_flow ~options net envs ~server:sid ~flows ~targets ~local_delay =
   let srv = Network.server net sid in

@@ -1,20 +1,11 @@
-(** Per-server backlog bounds from an envelope table.
+(** Per-flow backlog bounds from an envelope table.
 
-    The single code path shared by {!Decomposed} and the serve delta
-    engine, so that delta re-analysis reproduces the from-scratch
-    bounds bit for bit. *)
-
-val server :
-  options:Options.t ->
-  Network.t ->
-  Propagation.env_table ->
-  server:int ->
-  flows:Flow.t list ->
-  float
-(** Aggregate backlog bound at the server: the vertical deviation of
-    the aggregate input from the constant-rate line — valid for any
-    work-conserving discipline.  The caller is responsible for the
-    poisoned (unbounded-envelope) case. *)
+    The single code path behind {!Forward}'s backlog accessors, so that
+    every driver of the forward pass ({!Decomposed}, the serve delta
+    engine) reproduces the same bounds bit for bit.  The aggregate
+    bound at a server is [Fifo.backlog] of its aggregate input: the
+    vertical deviation from the constant-rate line, valid for any
+    work-conserving discipline. *)
 
 val per_flow :
   options:Options.t ->
@@ -33,5 +24,4 @@ val per_flow :
     its leftover service; GPS uses the flow's deviation from its
     weighted share; EDF falls back to the discipline-agnostic
     [min (alpha_i d_i) B_agg] using the flow's local delay bound
-    [local_delay].  Every bound is capped by the aggregate bound of
-    {!server}. *)
+    [local_delay].  Every bound is capped by the aggregate bound. *)

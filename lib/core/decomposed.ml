@@ -1,66 +1,12 @@
-type t = {
-  net : Network.t;
-  options : Options.t;
-  envs : Propagation.env_table;
-  locals : (int * int, float) Hashtbl.t; (* (flow, server) -> local bound *)
-  poisoned : (int * int, unit) Hashtbl.t; (* hops with unbounded envelope *)
-}
-
-let network t = t.net
+type t = Forward.t
 
 let analyze_raw ~options net =
-  let order = Network.topological_order net in
-  let envs = Propagation.create net in
-  let locals = Hashtbl.create 64 in
-  let poisoned = Hashtbl.create 4 in
-  let poison_rest (f : Flow.t) ~from =
-    let rec mark = function
-      | s :: rest ->
-          if s = from then
-            List.iter (fun s' -> Hashtbl.replace poisoned (f.id, s') ()) rest
-          else mark rest
-      | [] -> ()
-    in
-    mark f.route
-  in
-  List.iter
-    (fun sid ->
-      let present = Network.flows_at net sid in
-      if present <> [] then begin
-        let unbounded =
-          List.exists (fun (f : Flow.t) -> Hashtbl.mem poisoned (f.id, sid))
-            present
-        in
-        if unbounded then
-          List.iter
-            (fun (f : Flow.t) ->
-              Hashtbl.replace locals (f.id, sid) infinity;
-              poison_rest f ~from:sid)
-            present
-        else begin
-          let with_envs =
-            List.map
-              (fun (f : Flow.t) ->
-                (f, Propagation.get envs ~flow:f.id ~server:sid))
-              present
-          in
-          let delays = Local_bounds.at_server ~options net envs ~server:sid in
-          List.iter2
-            (fun ((f : Flow.t), env) ((f' : Flow.t), d) ->
-              assert (f.id = f'.id);
-              Hashtbl.replace locals (f.id, sid) d;
-              if d = infinity then poison_rest f ~from:sid
-              else
-                Propagation.set_next envs f ~after:sid
-                  (Options.compact_envelope options (Pwl.shift_left env d)))
-            with_envs delays
-        end
-      end)
-    order;
-  { net; options; envs; locals; poisoned }
+  let t = Forward.create ~options net (Propagation.create net) in
+  Forward.run t (Network.topological_order net);
+  t
 
 (* The sweep-engine memo: one entry per structurally distinct
-   (network, options).  The result record is only mutated during
+   (network, options).  The result is only mutated during
    [analyze_raw], so sharing it between callers is safe. *)
 let memo : t Incremental.table = Incremental.table ()
 
@@ -69,102 +15,14 @@ let analyze ?(options = Options.default) net =
     (Incremental.net_key ~options net)
     (fun () -> analyze_raw ~options net)
 
-let local_delay t ~flow ~server =
-  match Hashtbl.find_opt t.locals (flow, server) with
-  | Some d -> d
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Decomposed.local_delay: flow %d does not cross server %d" flow
-           server)
-
-let flow_delay t id =
-  let f = Network.flow t.net id in
-  List.fold_left (fun acc s -> acc +. local_delay t ~flow:id ~server:s) 0.
-    f.route
-
-let all_flow_delays t =
-  Network.flows t.net
-  |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort compare
-
-let envelope_at t ~flow ~server =
-  if Hashtbl.mem t.poisoned (flow, server) then
-    invalid_arg "Decomposed.envelope_at: unbounded envelope (unstable upstream)"
-  else Propagation.get t.envs ~flow ~server
-
-let server_delay t sid =
-  Network.flows_at t.net sid
-  |> List.map (fun (f : Flow.t) -> local_delay t ~flow:f.id ~server:sid)
-  |> List.fold_left Float.max 0.
-
-let server_aggregate t sid =
-  let present = Network.flows_at t.net sid in
-  if present = [] then None
-  else if
-    List.exists (fun (f : Flow.t) -> Hashtbl.mem t.poisoned (f.id, sid)) present
-  then Some None
-  else
-    Some
-      (Some
-         (Propagation.aggregate_input ~options:t.options t.net t.envs
-            ~server:sid ~flows:present))
-
-let server_backlog t sid =
-  match server_aggregate t sid with
-  | None -> 0.
-  | Some None -> infinity
-  | Some (Some agg) ->
-      Fifo.backlog ~rate:(Network.server t.net sid).Server.rate ~agg
-
-let poisoned_server t sid =
-  List.exists
-    (fun (f : Flow.t) -> Hashtbl.mem t.poisoned (f.id, sid))
-    (Network.flows_at t.net sid)
-
-let server_flow_backlogs t sid =
-  let present = Network.flows_at t.net sid in
-  if present = [] then []
-  else if poisoned_server t sid then
-    List.map (fun (f : Flow.t) -> (f.id, infinity)) present
-    |> List.sort compare
-  else
-    Backlog.per_flow ~options:t.options t.net t.envs ~server:sid
-      ~flows:present ~targets:present
-      ~local_delay:(fun ~flow -> local_delay t ~flow ~server:sid)
-    |> List.map (fun ((f : Flow.t), b) -> (f.id, b))
-    |> List.sort compare
-
-let local_backlog t ~flow ~server =
-  let present = Network.flows_at t.net server in
-  let target =
-    match List.find_opt (fun (f : Flow.t) -> f.id = flow) present with
-    | Some f -> f
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Decomposed.local_backlog: flow %d does not cross server %d" flow
-             server)
-  in
-  if poisoned_server t server then infinity
-  else
-    match
-      Backlog.per_flow ~options:t.options t.net t.envs ~server ~flows:present
-        ~targets:[ target ]
-        ~local_delay:(fun ~flow -> local_delay t ~flow ~server)
-    with
-    | [ (_, b) ] -> b
-    | _ -> assert false
-
-let flow_backlog t id =
-  let f = Network.flow t.net id in
-  List.fold_left
-    (fun acc s -> Float.max acc (local_backlog t ~flow:id ~server:s))
-    0. f.route
-
-let server_busy_period t sid =
-  match server_aggregate t sid with
-  | None -> 0.
-  | Some None -> infinity
-  | Some (Some agg) ->
-      Fifo.busy_period ~rate:(Network.server t.net sid).Server.rate ~agg
+let network = Forward.network
+let local_delay = Forward.local_delay
+let flow_delay = Forward.flow_delay
+let all_flow_delays = Forward.all_flow_delays
+let envelope_at = Forward.envelope_at
+let server_delay = Forward.server_delay
+let server_backlog = Forward.server_backlog
+let server_flow_backlogs = Forward.server_flow_backlogs
+let local_backlog = Forward.local_backlog
+let flow_backlog = Forward.flow_backlog
+let server_busy_period = Forward.server_busy_period

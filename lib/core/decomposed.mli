@@ -8,6 +8,10 @@
     sum of the local bounds along the route.  This over-estimates
     because it charges every flow the worst case at {e every} hop.
 
+    The per-server step and every accessor below are {!Forward}'s; this
+    engine is its full-topological-order driver plus a memo over
+    structurally equal (network, options) inputs.
+
     FIFO servers use the aggregate bound [sup (G t / C - t)]; static
     priority, EDF and GPS servers use the corresponding substrate
     bounds ({!Static_priority}, {!Edf}, {!Gps}), making this engine a

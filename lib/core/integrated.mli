@@ -66,3 +66,51 @@ val local_backlog : t -> flow:int -> server:int -> float
 val flow_backlog : t -> int -> float
 (** The flow's buffer requirement: its worst per-hop backlog bound
     over its route. *)
+
+(** {1 Building blocks of the pass}
+
+    Exposed for {!Integrated_sp}, which runs the same pass once per
+    priority class and shares this engine's result type, its
+    per-subnet bookkeeping and every accessor above. *)
+
+val create : options:Options.t -> Network.t -> Pairing.t -> t
+(** An empty result: each flow's source envelope installed at its first
+    hop, no subnet analyzed yet. *)
+
+val poisoned : t -> int -> Flow.t list -> bool
+(** Whether one of the flows has an unbounded envelope at the server. *)
+
+val env_at : t -> Flow.t -> int -> Pwl.t
+(** A flow's envelope at the input of a server. *)
+
+val aggregate : t -> int -> Flow.t list -> Pwl.t
+(** The flows' aggregate envelope at the input of a server, honoring
+    the link-cap option ([Pwl.zero] for no flows). *)
+
+val split_pair :
+  Network.t -> int -> int -> Flow.t list * Flow.t list * Flow.t list
+(** The flows of a pair [(u, v)]: those crossing [u] then [v], those
+    crossing [u] only, and those entering at [v]. *)
+
+val single_step :
+  t -> int -> int -> Flow.t list -> (Pwl.t * Pwl.t * float) option -> unit
+(** [single_step t idx u flows queue] records subnet [idx = Single u]
+    for [flows], one queue at [u]: [Some (beta, agg, d)] when it is
+    served by [beta] with aggregate input [agg] and delay bound [d]
+    (the backlog bounds follow from [beta] and [agg]), [None] when its
+    input is unbounded.  Each flow's envelope is shifted by [d] (and
+    compacted per the options) onto its next hop, or the rest of its
+    route poisoned. *)
+
+val pair_step :
+  t ->
+  int ->
+  int * int ->
+  s12:Flow.t list ->
+  s1:Flow.t list ->
+  s2:Flow.t list ->
+  Pair_analysis.general_input option ->
+  Pair_analysis.result
+(** The same for subnet [idx = Pair (u, v)] and one class of flows
+    ({!split_pair}): {!Pair_analysis.analyze_general} of the input, or
+    {!Pair_analysis.unbounded} for [None]; returns the result. *)

@@ -1,15 +1,14 @@
-type t = {
-  net : Network.t;
-  pairing : Pairing.subnet array;
-  envs : Propagation.env_table;
-  contributions : (int * int, float) Hashtbl.t; (* (flow, subnet idx) *)
-  poisoned : (int * int, unit) Hashtbl.t;       (* (flow, server) *)
-  server_backlogs : (int, float) Hashtbl.t;     (* sum over classes *)
-  flow_backlogs : (int * int, float) Hashtbl.t; (* (flow, server) *)
-}
+type t = Integrated.t
 
-let network t = t.net
-let pairing t = Array.to_list t.pairing
+let network = Integrated.network
+let pairing = Integrated.pairing
+let flow_delay = Integrated.flow_delay
+let all_flow_delays = Integrated.all_flow_delays
+let envelope_at = Integrated.envelope_at
+let server_backlog = Integrated.server_backlog
+let server_flow_backlogs = Integrated.server_flow_backlogs
+let local_backlog = Integrated.local_backlog
+let flow_backlog = Integrated.flow_backlog
 
 let require_sp_or_fifo net =
   let kinds =
@@ -37,253 +36,120 @@ let class_of net sid (f : Flow.t) =
   | Discipline.Fifo -> 0
   | _ -> f.Flow.priority
 
-let poison_rest poisoned (f : Flow.t) ~from =
-  let rec mark = function
-    | s :: rest ->
-        if s = from then
-          List.iter (fun s' -> Hashtbl.replace poisoned (f.id, s') ()) rest
-        else mark rest
-    | [] -> ()
-  in
-  mark f.route
-
 let sorted_classes net sid flows =
   flows
   |> List.map (class_of net sid)
   |> List.sort_uniq compare
 
+(* Integrated's pass, one priority class at a time in urgency order:
+   each class queue is served by its leftover curve, and at a FIFO
+   server the single class sees the full rate line. *)
 let analyze_raw ~options ~strategy net =
   require_sp_or_fifo net;
-  let pairing_list = Pairing.build net strategy in
-  let pairing = Array.of_list pairing_list in
-  let envs = Propagation.create net in
-  let contributions = Hashtbl.create 64 in
-  let poisoned = Hashtbl.create 4 in
-  let server_backlogs = Hashtbl.create 16 in
-  let flow_backlogs = Hashtbl.create 64 in
-  let env_at (f : Flow.t) sid = Propagation.get envs ~flow:f.id ~server:sid in
-  (* Backlog bookkeeping, one class at a time: the class queue is
-     bounded by its vertical deviation from the class's leftover
-     service, the server by the sum over its classes, and each flow by
-     the minimal FIFO split within its class (service is FIFO inside a
-     priority class). *)
-  let add_server_backlog sid b =
-    let cur =
-      match Hashtbl.find_opt server_backlogs sid with Some x -> x | None -> 0.
-    in
-    Hashtbl.replace server_backlogs sid (cur +. b)
-  in
-  let record_class_backlogs sid ~beta ~agg ~alphas =
-    add_server_backlog sid (Deviation.vdev ~alpha:agg ~beta);
-    List.iter
-      (fun ((f : Flow.t), alpha_i) ->
-        Hashtbl.replace flow_backlogs (f.id, sid)
-          (match alpha_i with
-          | Some alpha_i -> Deviation.vdev_per_flow ~alpha_i ~agg ~beta
-          | None -> infinity))
-      alphas
-  in
-  let record_class_backlogs_bad sid flows =
-    add_server_backlog sid infinity;
-    List.iter
-      (fun (f : Flow.t) -> Hashtbl.replace flow_backlogs (f.id, sid) infinity)
-      flows
-  in
-  let agg sid flows =
-    if flows = [] then Pwl.zero
-    else Propagation.aggregate_input ~options net envs ~server:sid ~flows
-  in
-  let record idx (f : Flow.t) ~entry ~last d =
-    Hashtbl.replace contributions (f.id, idx) d;
-    if d = infinity then poison_rest poisoned f ~from:last
-    else
-      Propagation.set_next envs f ~after:last
-        (Pwl.shift_left (env_at f entry) d)
-  in
-  Array.iteri
+  let pairing = Pairing.build net strategy in
+  let t = Integrated.create ~options net pairing in
+  let agg = Integrated.aggregate t in
+  let blocking = options.Options.sp_blocking in
+  let rate sid = (Network.server net sid).Server.rate in
+  List.iteri
     (fun idx subnet ->
       match subnet with
       | Pairing.Single u ->
           let present = Network.flows_at net u in
-          let rate = (Network.server net u).Server.rate in
           List.iter
             (fun p ->
-              let mine =
-                List.filter (fun f -> class_of net u f = p) present
-              in
-              let higher =
+              let mine = List.filter (fun f -> class_of net u f = p) present
+              and higher =
                 List.filter (fun f -> class_of net u f < p) present
               in
-              let bad =
-                List.exists
-                  (fun (f : Flow.t) -> Hashtbl.mem poisoned (f.id, u))
-                  (mine @ higher)
-              in
-              let d =
-                if bad then begin
-                  record_class_backlogs_bad u mine;
-                  infinity
-                end
-                else begin
-                  let beta =
-                    Static_priority.class_service ~rate ~higher:(agg u higher)
-                      ~blocking:options.Options.sp_blocking ()
-                  in
-                  let own = agg u mine in
-                  record_class_backlogs u ~beta ~agg:own
-                    ~alphas:
-                      (List.map (fun f -> (f, Some (env_at f u))) mine);
-                  Pair_analysis.single_general ~beta ~agg:own
-                end
-              in
-              List.iter (fun f -> record idx f ~entry:u ~last:u d) mine)
+              Integrated.single_step t idx u mine
+                (if Integrated.poisoned t u (mine @ higher) then None
+                 else
+                   let beta =
+                     Static_priority.class_service ~rate:(rate u)
+                       ~higher:(agg u higher) ~blocking ()
+                   in
+                   let own = agg u mine in
+                   Some
+                     (beta, own, Pair_analysis.single_general ~beta ~agg:own)))
             (sorted_classes net u present)
       | Pairing.Pair (u, v) ->
-          let at_u = Network.flows_at net u and at_v = Network.flows_at net v in
-          let rate_u = (Network.server net u).Server.rate in
-          let rate_v = (Network.server net v).Server.rate in
-          let s12_all, s1_all =
-            List.partition (fun (f : Flow.t) -> Flow.next_hop f u = Some v) at_u
-          in
-          let s2_all =
-            List.filter
-              (fun (f : Flow.t) ->
-                not (List.exists (fun (g : Flow.t) -> g.id = f.id) s12_all))
-              at_v
-          in
+          let s12_all, s1_all, s2_all = Integrated.split_pair net u v in
+          let at_u = Network.flows_at net u in
           (* Per-class server-1 delays, filled in urgency order; used
              to build the transit part of the higher-priority envelope
              at server 2. *)
           let d1_by_class = Hashtbl.create 4 in
-          let classes =
-            sorted_classes net u (at_u @ at_v)
-            |> List.filter (fun p ->
-                   List.exists (fun f -> class_of net u f = p) (at_u @ at_v))
-          in
           List.iter
             (fun p ->
               let in_class f = class_of net u f = p in
               let s12 = List.filter in_class s12_all in
               let s1 = List.filter in_class s1_all in
               let s2 = List.filter in_class s2_all in
-              let higher_u =
-                List.filter (fun f -> class_of net u f < p) at_u
-              in
+              let higher_u = List.filter (fun f -> class_of net u f < p) at_u in
               let higher_s2 =
                 List.filter (fun (f : Flow.t) -> class_of net v f < p) s2_all
               in
               let higher_s12 =
                 List.filter (fun f -> class_of net u f < p) s12_all
               in
-              let bad =
-                List.exists
-                  (fun (f : Flow.t) -> Hashtbl.mem poisoned (f.id, u))
-                  (s12 @ s1 @ higher_u)
-                || List.exists
-                     (fun (f : Flow.t) -> Hashtbl.mem poisoned (f.id, v))
-                     (s2 @ higher_s2)
-              in
-              let record_bad () =
-                record_class_backlogs_bad u (s12 @ s1);
-                record_class_backlogs_bad v (s12 @ s2);
-                {
-                  Pair_analysis.d_pair = infinity;
-                  d1 = infinity;
-                  d2 = infinity;
-                  busy1 = infinity;
-                  busy2 = infinity;
-                  b1 = infinity;
-                  b2 = infinity;
-                }
+              let input () =
+                (* Higher-priority arrivals at server 2: fresh s2 flows
+                   with their propagated envelopes, plus the transit of
+                   higher classes through server 1 — delay-inflated per
+                   class and capped by the shared link as one group. *)
+                let link = Pwl.affine ~y0:0. ~slope:(rate u) in
+                let transit_higher =
+                  match higher_s12 with
+                  | [] -> Pwl.zero
+                  | flows ->
+                      let inflated =
+                        List.map
+                          (fun (f : Flow.t) ->
+                            match
+                              Hashtbl.find_opt d1_by_class (class_of net u f)
+                            with
+                            | Some dq when dq <> infinity ->
+                                Pwl.shift_left (Integrated.env_at t f u) dq
+                            | _ -> link)
+                          flows
+                      in
+                      Pwl.min_pw link (Pwl.sum inflated)
+                in
+                let h2 = Pwl.add (agg v higher_s2) transit_higher in
+                let beta1 =
+                  Static_priority.class_service ~rate:(rate u)
+                    ~higher:(agg u higher_u) ~blocking ()
+                in
+                let beta2 =
+                  Static_priority.class_service ~rate:(rate v) ~higher:h2
+                    ~blocking ()
+                in
+                if Pwl.final_slope beta1 <= 0. || Pwl.final_slope beta2 <= 0.
+                then None
+                else
+                  Some
+                    {
+                      Pair_analysis.link1 = rate u;
+                      beta1;
+                      beta2;
+                      g12 = agg u s12;
+                      g1 = agg u s1;
+                      g2 = agg v s2;
+                    }
               in
               let result =
-                if bad then record_bad ()
-                else begin
-                  (* Higher-priority arrivals at server 2: fresh s2
-                     flows with their propagated envelopes, plus the
-                     transit of higher classes through server 1 —
-                     delay-inflated per class and capped by the shared
-                     link as one group. *)
-                  let transit_higher =
-                    match higher_s12 with
-                    | [] -> Pwl.zero
-                    | flows ->
-                        let inflated =
-                          List.map
-                            (fun (f : Flow.t) ->
-                              let q = class_of net u f in
-                              let dq =
-                                match Hashtbl.find_opt d1_by_class q with
-                                | Some d -> d
-                                | None -> infinity
-                              in
-                              if dq = infinity then
-                                Pwl.affine ~y0:0. ~slope:rate_u
-                              else Pwl.shift_left (env_at f u) dq)
-                            flows
-                        in
-                        Pwl.min_pw
-                          (Pwl.affine ~y0:0. ~slope:rate_u)
-                          (Pwl.sum inflated)
-                  in
-                  let h2 = Pwl.add (agg v higher_s2) transit_higher in
-                  let blocking = options.Options.sp_blocking in
-                  let beta1 =
-                    Static_priority.class_service ~rate:rate_u
-                      ~higher:(agg u higher_u) ~blocking ()
-                  in
-                  let beta2 =
-                    Static_priority.class_service ~rate:rate_v ~higher:h2
-                      ~blocking ()
-                  in
-                  if
-                    Pwl.final_slope beta1 <= 0. || Pwl.final_slope beta2 <= 0.
-                  then record_bad ()
-                  else begin
-                    let g12 = agg u s12 in
-                    let g1 = agg u s1 in
-                    let g2 = agg v s2 in
-                    let result =
-                      Pair_analysis.analyze_general
-                        { link1 = rate_u; beta1; beta2; g12; g1; g2 }
-                    in
-                    record_class_backlogs u ~beta:beta1 ~agg:(Pwl.add g12 g1)
-                      ~alphas:
-                        (List.map (fun f -> (f, Some (env_at f u))) (s12 @ s1));
-                    let d1 = result.Pair_analysis.d1 in
-                    let link = Pwl.affine ~y0:0. ~slope:rate_u in
-                    let transit =
-                      if d1 = infinity then link
-                      else Pwl.min_pw link (Pwl.shift_left g12 d1)
-                    in
-                    record_class_backlogs v ~beta:beta2
-                      ~agg:(Pwl.add transit g2)
-                      ~alphas:
-                        (List.map
-                           (fun (f : Flow.t) ->
-                             if Float_ops.is_finite d1 then
-                               (f, Some (Pwl.shift_left (env_at f u) d1))
-                             else (f, None))
-                           s12
-                        @ List.map (fun f -> (f, Some (env_at f v))) s2);
-                    result
-                  end
-                end
+                Integrated.pair_step t idx (u, v) ~s12 ~s1 ~s2
+                  (if
+                     Integrated.poisoned t u (s12 @ s1 @ higher_u)
+                     || Integrated.poisoned t v (s2 @ higher_s2)
+                   then None
+                   else input ())
               in
-              Hashtbl.replace d1_by_class p result.Pair_analysis.d1;
-              List.iter
-                (fun f ->
-                  record idx f ~entry:u ~last:v result.Pair_analysis.d_pair)
-                s12;
-              List.iter
-                (fun f -> record idx f ~entry:u ~last:u result.Pair_analysis.d1)
-                s1;
-              List.iter
-                (fun f -> record idx f ~entry:v ~last:v result.Pair_analysis.d2)
-                s2)
-            classes)
+              Hashtbl.replace d1_by_class p result.Pair_analysis.d1)
+            (sorted_classes net u (at_u @ Network.flows_at net v)))
     pairing;
-  { net; pairing; envs; contributions; poisoned; server_backlogs; flow_backlogs }
+  t
 
 let memo : t Incremental.table = Incremental.table ()
 
@@ -291,47 +157,3 @@ let analyze ?(options = Options.default) ?(strategy = Pairing.Greedy) net =
   Incremental.memoize memo
     (Incremental.net_key ~options ~strategy net)
     (fun () -> analyze_raw ~options ~strategy net)
-
-let flow_delay t id =
-  let total = ref 0. in
-  Array.iteri
-    (fun idx _ ->
-      match Hashtbl.find_opt t.contributions (id, idx) with
-      | Some d -> total := !total +. d
-      | None -> ())
-    t.pairing;
-  !total
-
-let all_flow_delays t =
-  Network.flows t.net
-  |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort compare
-
-let envelope_at t ~flow ~server =
-  if Hashtbl.mem t.poisoned (flow, server) then
-    invalid_arg "Integrated_sp.envelope_at: unbounded envelope"
-  else Propagation.get t.envs ~flow ~server
-
-let server_backlog t sid =
-  match Hashtbl.find_opt t.server_backlogs sid with Some b -> b | None -> 0.
-
-let local_backlog t ~flow ~server =
-  match Hashtbl.find_opt t.flow_backlogs (flow, server) with
-  | Some b -> b
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Integrated_sp.local_backlog: flow %d does not cross server %d"
-           flow server)
-
-let server_flow_backlogs t sid =
-  Network.flows_at t.net sid
-  |> List.map (fun (f : Flow.t) ->
-         (f.id, local_backlog t ~flow:f.id ~server:sid))
-  |> List.sort compare
-
-let flow_backlog t id =
-  let f = Network.flow t.net id in
-  List.fold_left
-    (fun acc s -> Float.max acc (local_backlog t ~flow:id ~server:s))
-    0. f.route

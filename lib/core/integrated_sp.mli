@@ -14,10 +14,20 @@
     higher-priority envelopes entering the second server of a pair are
     available when a class needs them.
 
+    The pass itself is {!Integrated}'s, run once per class: the same
+    per-subnet bookkeeping (delay contributions, envelope shift with
+    the options' compaction, poison marks, backlog bounds) and the same
+    accessors.
+
     Every server must use [Discipline.Static_priority], or every
-    server [Discipline.Fifo] (then all flows form one class and this
-    engine coincides with {!Integrated}); mixing the two is rejected
-    because a flow's class would not be consistent across a pair. *)
+    server [Discipline.Fifo]; mixing the two is rejected because a
+    flow's class would not be consistent across a pair.  On an all-FIFO
+    network all flows form one class.  When every server has unit rate
+    (the paper's tandem grid, unit-rate random DAGs) the results are
+    then bit-identical to {!Integrated}'s (tested); with heterogeneous
+    rates they can differ in the last bits, because a lone FIFO server
+    is bounded here by [hdev] through a pseudo-inverse and there by
+    [sup (agg t - C t) / C]. *)
 
 type t
 

@@ -25,6 +25,17 @@ type result = {
   b2 : float;
 }
 
+let unbounded =
+  {
+    d_pair = infinity;
+    d1 = infinity;
+    d2 = infinity;
+    busy1 = infinity;
+    busy2 = infinity;
+    b1 = infinity;
+    b2 = infinity;
+  }
+
 let single ~rate ~envelopes = Fifo.local_delay ~rate ~agg:(Pwl.sum envelopes)
 let single_general ~beta ~agg = Deviation.hdev ~alpha:agg ~beta
 

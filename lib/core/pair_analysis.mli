@@ -61,6 +61,10 @@ type result = {
                        (rate-capped, delay-inflated) input window *)
 }
 
+val unbounded : result
+(** Every field [infinity]: the result for a pair whose input is
+    unbounded (an unstable server upstream, or no long-run service). *)
+
 val analyze : input -> result
 (** FIFO servers of constant rates [c1], [c2]. *)
 

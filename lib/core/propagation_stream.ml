@@ -6,7 +6,7 @@
    of a few hundred servers and fatal at 10^5-10^6: the envelopes are
    the memory.
 
-   This engine exploits the one-shot consumption structure of the
+   This driver exploits the one-shot consumption structure of the
    forward pass instead.  The envelope of flow f at the input of
    server s has exactly one consumer: the local analysis of s itself
    (aggregate + per-flow delay).  So the pass can run level by level
@@ -18,16 +18,13 @@
    flow population of two adjacent levels, never by the topology size.
 
    Within a level no server depends on another (every edge crosses
-   levels strictly upward), so the per-server work is sharded across
-   the netcalc.par domain pool: workers only read the shared tables
-   (envelope reads of already-written entries, poison marks written by
-   strictly earlier levels), and all writes — local delays, poison
-   marks, next-hop installs, evictions — happen in a sequential merge
-   in ascending server order.  Per-server arithmetic is identical to
-   Decomposed's (same Local_bounds.at_server, same shift + compaction),
-   and the merge order is deterministic, so the results are
-   bit-identical to the table-based path at any jobs count (pinned by
-   tests).
+   levels strictly upward), so each server's Forward.compute runs on
+   the netcalc.par domain pool: it only reads the shared state
+   (envelopes and poison marks written while applying strictly
+   earlier levels).  Every write happens in Forward.apply, run
+   sequentially in ascending server order.  The step is Decomposed's
+   own and the apply order is fixed, so the results are bit-identical
+   to the table-based path at any jobs count (pinned by tests).
 
    Frontier accounting is published as netcalc.obs metrics:
    [propagation.frontier.live] (resident-entry count observed at each
@@ -42,38 +39,22 @@ type frontier_stats = {
   levels : int;
 }
 
-type t = {
-  net : Network.t;
-  options : Options.t;
-  locals : (int * int, float) Hashtbl.t; (* (flow, server) -> local bound *)
-  stats : frontier_stats;
-}
+type t = { fw : Forward.t; stats : frontier_stats }
 
-let network t = t.net
+let network t = Forward.network t.fw
 let frontier_stats t = t.stats
+let local_delay t = Forward.local_delay t.fw
+let flow_delay t = Forward.flow_delay t.fw
+let all_flow_delays t = Forward.all_flow_delays t.fw
 
 let c_evicted = Metrics.counter "propagation.frontier.evicted"
 let d_live = Metrics.dist "propagation.frontier.live"
 let p_peak = Metrics.peak "propagation.frontier.peak"
 
-(* Outcome of one server's (read-only) local analysis, applied by the
-   sequential merge. *)
-type server_result = {
-  sid : int;
-  present : Flow.t list;
-  (* None: a flow present here was poisoned upstream — every present
-     flow gets an infinite local bound and poisons its remaining hops
-     (exactly Decomposed's rule).  Some: per-flow local delay plus the
-     shifted envelope to install at the next hop (None when the delay
-     is infinite or the hop is the flow's last). *)
-  bounds : (Flow.t * float * Pwl.t option) list option;
-}
-
 let analyze ?(options = Options.default) ?jobs net =
   let levels = Network.levels net in
-  let locals = Hashtbl.create 1024 in
-  let poisoned = Hashtbl.create 64 in
   let envs = Propagation.empty ~size_hint:1024 () in
+  let fw = Forward.create ~size_hint:1024 ~options net envs in
   (* Group the source installs by the level of each flow's first hop,
      so a curve only becomes resident when its consumer's antichain is
      next in line. *)
@@ -88,7 +69,6 @@ let analyze ?(options = Options.default) ?jobs net =
       let l = Hashtbl.find level_of (Flow.first_hop f) in
       installs.(l) <- f :: installs.(l))
     (Network.flows net);
-  Array.iteri (fun i fs -> installs.(i) <- List.rev fs) installs;
   let peak_live = ref 0 in
   let evicted = ref 0 in
   let observe_live () =
@@ -99,103 +79,17 @@ let analyze ?(options = Options.default) ?jobs net =
       Metrics.observe_peak p_peak live
     end
   in
-  let poison_rest (f : Flow.t) ~from =
-    let rec mark = function
-      | s :: rest ->
-          if s = from then
-            List.iter (fun s' -> Hashtbl.replace poisoned (f.id, s') ()) rest
-          else mark rest
-      | [] -> ()
-    in
-    mark f.route
-  in
-  (* Read-only per-server analysis, safe to run concurrently: [envs]
-     and [poisoned] were last written while merging a strictly earlier
-     level. *)
-  let analyze_server sid =
-    let present = Network.flows_at net sid in
-    if present = [] then { sid; present; bounds = None }
-    else if
-      List.exists (fun (f : Flow.t) -> Hashtbl.mem poisoned (f.id, sid)) present
-    then { sid; present; bounds = None }
-    else begin
-      let with_envs =
-        List.map
-          (fun (f : Flow.t) -> (f, Propagation.get envs ~flow:f.id ~server:sid))
-          present
-      in
-      let delays =
-        Local_bounds.at_server ~options net envs ~server:sid
-      in
-      let bounds =
-        List.map2
-          (fun ((f : Flow.t), env) ((f' : Flow.t), d) ->
-            assert (f.id = f'.id);
-            let next =
-              if d = infinity then None
-              else
-                match Flow.next_hop f sid with
-                | Some _ ->
-                    Some
-                      (Options.compact_envelope options (Pwl.shift_left env d))
-                | None -> None
-            in
-            (f, d, next))
-          with_envs delays
-      in
-      { sid; present; bounds = Some bounds }
-    end
-  in
   List.iteri
     (fun li sids ->
-      (* Phase 1: this level's source curves become resident. *)
-      List.iter
-        (fun (f : Flow.t) ->
-          Propagation.install_source envs f)
-        installs.(li);
+      List.iter (Propagation.install_source envs) (List.rev installs.(li));
       observe_live ();
-      (* Phase 2: shard the antichain across the pool.  Par.map returns
-         results in list order whatever the schedule, and [sids] is
-         sorted, so the merge below is deterministic. *)
-      let results = Par.map ?jobs analyze_server sids in
-      (* Phase 3: sequential merge in ascending server order — the only
-         writer of locals / poisons / next-hop installs. *)
-      List.iter
-        (fun r ->
-          match r.bounds with
-          | None ->
-              List.iter
-                (fun (f : Flow.t) ->
-                  if r.present <> [] then begin
-                    Hashtbl.replace locals (f.id, r.sid) infinity;
-                    poison_rest f ~from:r.sid
-                  end)
-                r.present
-          | Some bounds ->
-              List.iter
-                (fun ((f : Flow.t), d, next) ->
-                  Hashtbl.replace locals (f.id, r.sid) d;
-                  if d = infinity then poison_rest f ~from:r.sid
-                  else
-                    match (Flow.next_hop f r.sid, next) with
-                    | Some s', Some env ->
-                        Propagation.set envs ~flow:f.id ~server:s' env
-                    | _ -> ())
-                bounds)
-        results;
+      (* Par.map returns results in list order whatever the schedule,
+         and [sids] is sorted, so the apply order is deterministic. *)
+      let steps = Par.map ?jobs (Forward.compute fw) sids in
+      List.iter (Forward.apply fw) steps;
       observe_live ();
-      (* Phase 4: every (f, sid) of this level has been consumed. *)
-      List.iter
-        (fun r ->
-          List.iter
-            (fun (f : Flow.t) ->
-              match Propagation.find_opt envs ~flow:f.id ~server:r.sid with
-              | Some _ ->
-                  Propagation.remove envs ~flow:f.id ~server:r.sid;
-                  incr evicted
-              | None -> ())
-            r.present)
-        results)
+      (* Every (f, sid) of this level has been consumed. *)
+      List.iter (fun s -> evicted := !evicted + Forward.evict fw s) steps)
     levels;
   if Prof.enabled () then Metrics.add c_evicted !evicted;
   let stats =
@@ -208,23 +102,4 @@ let analyze ?(options = Options.default) ?jobs net =
       levels = n_levels;
     }
   in
-  { net; options; locals; stats }
-
-let local_delay t ~flow ~server =
-  match Hashtbl.find_opt t.locals (flow, server) with
-  | Some d -> d
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Propagation_stream.local_delay: flow %d does not cross server %d"
-           flow server)
-
-let flow_delay t id =
-  let f = Network.flow t.net id in
-  List.fold_left (fun acc s -> acc +. local_delay t ~flow:id ~server:s) 0.
-    f.route
-
-let all_flow_delays t =
-  Network.flows t.net
-  |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort compare
+  { fw; stats }

@@ -1,18 +1,18 @@
 (** Streaming frontier propagation — the memory-bounded path for
     massive feedforward topologies.
 
-    Runs the same forward pass as {!Decomposed} (identical per-server
-    arithmetic: {!Local_bounds.at_server}, then shift + optional
-    compaction), but level by level over the antichain decomposition of
-    the routing DAG ({!Network.levels}) instead of server by server over
-    a fully materialized envelope table:
+    The level driver of the {!Forward} pass that {!Decomposed} runs in
+    full topological order: the same per-server step, but level by
+    level over the antichain decomposition of the routing DAG
+    ({!Network.levels}) instead of server by server over a fully
+    materialized envelope table:
 
     - a flow's source curve becomes resident only when its first hop's
       level begins;
-    - each antichain is sharded across the netcalc.par domain pool
-      (workers are read-only; a sequential merge in ascending server
-      order applies all writes, so results are bit-identical at any
-      jobs count);
+    - each antichain's {!Forward.compute} steps are sharded across the
+      netcalc.par domain pool (they are read-only), then
+      {!Forward.apply} writes them back sequentially in ascending
+      server order, so results are bit-identical at any jobs count;
     - the envelope of flow [f] at server [s] is evicted as soon as [s]
       has been analyzed — its only consumer.
 

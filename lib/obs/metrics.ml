@@ -1,12 +1,17 @@
 type counter = { cname : string; mutable n : int }
 
-type dist = {
-  dname : string;
-  mutable count : int;
+(* The running sum and extremes live in an all-float record, which
+   OCaml stores unboxed: an update writes the value in place.  Kept in
+   [dist] itself they would be boxed, and a new extreme would keep the
+   caller's box alive, so what the next minor collection promotes would
+   depend on the observed values. *)
+type moments = {
   mutable sum : float;
   mutable vmin : float;
   mutable vmax : float;
 }
+
+type dist = { dname : string; mutable count : int; moments : moments }
 
 type peak = { pname : string; mutable pmax : int }
 
@@ -48,8 +53,8 @@ let dist name =
       | Some d -> d
       | None ->
           let d =
-            { dname = name; count = 0; sum = 0.; vmin = infinity;
-              vmax = neg_infinity }
+            { dname = name; count = 0;
+              moments = { sum = 0.; vmin = infinity; vmax = neg_infinity } }
           in
           Hashtbl.replace dists name d;
           d)
@@ -57,9 +62,9 @@ let dist name =
 let observe d v =
   Obs_sync.with_lock m (fun () ->
       d.count <- d.count + 1;
-      d.sum <- d.sum +. v;
-      if v < d.vmin then d.vmin <- v;
-      if v > d.vmax then d.vmax <- v)
+      d.moments.sum <- d.moments.sum +. v;
+      if v < d.moments.vmin then d.moments.vmin <- v;
+      if v > d.moments.vmax then d.moments.vmax <- v)
 
 let peak name =
   Obs_sync.with_lock m (fun () ->
@@ -88,10 +93,11 @@ type dist_stats = {
 let dist_stats_unlocked (d : dist) =
   {
     count = d.count;
-    sum = d.sum;
-    mean = (if d.count = 0 then nan else d.sum /. float_of_int d.count);
-    dmin = d.vmin;
-    dmax = d.vmax;
+    sum = d.moments.sum;
+    mean =
+      (if d.count = 0 then nan else d.moments.sum /. float_of_int d.count);
+    dmin = d.moments.vmin;
+    dmax = d.moments.vmax;
   }
 
 let dist_stats d = Obs_sync.with_lock m (fun () -> dist_stats_unlocked d)
@@ -103,9 +109,9 @@ let reset () =
       Hashtbl.iter
         (fun _ (d : dist) ->
           d.count <- 0;
-          d.sum <- 0.;
-          d.vmin <- infinity;
-          d.vmax <- neg_infinity)
+          d.moments.sum <- 0.;
+          d.moments.vmin <- infinity;
+          d.moments.vmax <- neg_infinity)
         dists;
       Hashtbl.iter (fun _ (p : peak) -> p.pmax <- 0) peaks)
 

@@ -39,10 +39,15 @@ let dropped_count =
    The recorded [depth] is likewise the domain-local nesting depth. *)
 let stack = Obs_sync.make_local (fun () -> ref [])
 
-(* Exact per-name aggregates, immune to ring eviction. *)
+(* Exact per-name aggregates, immune to ring eviction, updated in
+   place.  The durations live in an all-float record, which OCaml
+   stores unboxed, so recording a span never keeps a box alive
+   depending on whether it set a new maximum. *)
 type agg = { calls : int; total_us : float; max_us : float }
+type durations = { mutable total : float; mutable longest : float }
+type cell = { mutable n : int; d : durations }
 
-let aggs : (string, agg) Hashtbl.t = Hashtbl.create 32
+let aggs : (string, cell) Hashtbl.t = Hashtbl.create 32
 
 let clear () =
   Obs_sync.with_lock m (fun () ->
@@ -71,17 +76,17 @@ let record ev =
       else Stdlib.incr stored;
       r.(!write_idx) <- Some ev;
       write_idx := (!write_idx + 1) mod !cap;
-      let prev =
+      let c =
         match Hashtbl.find_opt aggs ev.name with
-        | Some a -> a
-        | None -> { calls = 0; total_us = 0.; max_us = 0. }
+        | Some c -> c
+        | None ->
+            let c = { n = 0; d = { total = 0.; longest = 0. } } in
+            Hashtbl.replace aggs ev.name c;
+            c
       in
-      Hashtbl.replace aggs ev.name
-        {
-          calls = prev.calls + 1;
-          total_us = prev.total_us +. ev.dur_us;
-          max_us = Float.max prev.max_us ev.dur_us;
-        })
+      c.n <- c.n + 1;
+      c.d.total <- c.d.total +. ev.dur_us;
+      if ev.dur_us > c.d.longest then c.d.longest <- ev.dur_us)
 
 let begin_span name =
   let st = Obs_sync.get_local stack in
@@ -132,7 +137,11 @@ let dropped () = Obs_sync.with_lock m (fun () -> !dropped_count)
 
 let aggregates () =
   Obs_sync.with_lock m (fun () ->
-      Hashtbl.fold (fun name a acc -> (name, a) :: acc) aggs [])
+      Hashtbl.fold
+        (fun name c acc ->
+          (name, { calls = c.n; total_us = c.d.total; max_us = c.d.longest })
+          :: acc)
+        aggs [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let summary_table () =

@@ -1,21 +1,22 @@
 (** Delta re-analysis engine for the admission-control service.
 
     Holds one network (fixed servers, evolving flow population) together
-    with the full state of a {!Decomposed}-style topological analysis —
-    per-hop input envelopes, per-hop local delay bounds, instability
-    poison marks — and updates it {e incrementally}: when a flow is
-    admitted or torn down, only the {e downstream cone} of its route
-    (the forward closure of the route's servers in the routing DAG) is
-    recomputed; every envelope and bound outside the cone is reused
-    unchanged.
+    with the state of a {!Forward} pass — the one {!Decomposed} runs in
+    full topological order: per-hop input envelopes, per-hop local
+    delay bounds, origin-tagged instability poison marks — and is that
+    pass's {e cone} driver: when a flow is admitted or torn down, only
+    the {e downstream cone} of its route (the forward closure of the
+    route's servers in the routing DAG) is re-run; every envelope and
+    bound outside the cone is reused unchanged.
 
     Correctness invariant, pinned by the determinism tests: after any
     sequence of operations, {!all_flow_delays} is {e byte-identical}
     (IEEE bit patterns) to a from-scratch [Decomposed.analyze] of the
     same servers and the same flow list in the same order.  This holds
     because envelopes at a server only depend on upstream state, the
-    cone is closed under DAG successors, and the per-server recompute
-    is the same code path over the same inputs.
+    cone is closed under DAG successors, and both engines run the same
+    {!Forward} step over the same inputs.  Feasibility is re-checked
+    with {!Admission.violation}, the rule the batch path uses.
 
     A rejected admit rolls back by tearing the candidate out over the
     same cone, restoring the previous state bit-for-bit.
@@ -68,8 +69,8 @@ val all_flow_delays : t -> (int * float) list
 
 val server_backlog : t -> int -> float
 (** Aggregate backlog bound at a server — bit-identical to
-    [Decomposed.server_backlog] of a from-scratch analysis (shared
-    {!Backlog} code path over the same envelope table). *)
+    [Decomposed.server_backlog] of a from-scratch analysis (the same
+    {!Forward} accessor over the same envelope table). *)
 
 val server_flow_backlogs : t -> int -> (int * float) list
 (** Per-flow backlog bounds at a server, [(flow id, bound)] in id order

@@ -181,42 +181,50 @@ let total_hop_count net =
     (fun acc (f : Flow.t) -> acc + List.length f.route)
     0 net.flow_list
 
-let indegrees net =
-  let indegree = Hashtbl.create (max 16 (size net)) in
-  Int_map.iter (fun id _ -> Hashtbl.replace indegree id 0) net.servers;
-  Int_map.iter
-    (fun _ succs ->
+(* Kahn's algorithm over the server set [ids], where edges from
+   outside the set do not count: the set's sources in ascending order,
+   and [release], which takes a server out and prepends to [acc] the
+   successors it leaves with no remaining predecessor in the set. *)
+let kahn_start net ids =
+  let indegree = Hashtbl.create (max 16 (List.length ids)) in
+  List.iter (fun id -> Hashtbl.replace indegree id 0) ids;
+  List.iter
+    (fun id ->
       List.iter
-        (fun dst -> Hashtbl.replace indegree dst (Hashtbl.find indegree dst + 1))
-        succs)
-    net.succ_map;
-  indegree
-
-let topological_order net =
-  let indegree = indegrees net in
+        (fun b ->
+          match Hashtbl.find_opt indegree b with
+          | Some d -> Hashtbl.replace indegree b (d + 1)
+          | None -> ())
+        (successors net id))
+    ids;
+  let release acc id =
+    List.fold_left
+      (fun acc b ->
+        match Hashtbl.find_opt indegree b with
+        | Some d ->
+            Hashtbl.replace indegree b (d - 1);
+            if d = 1 then b :: acc else acc
+        | None -> acc)
+      acc (successors net id)
+  in
   let ready =
-    Int_map.fold
-      (fun id _ acc -> if Hashtbl.find indegree id = 0 then id :: acc else acc)
-      net.servers []
+    List.filter (fun id -> Hashtbl.find indegree id = 0) ids
     |> List.sort compare
   in
-  let count = ref 0 in
+  (ready, release)
+
+let server_ids net = Int_map.fold (fun id _ acc -> id :: acc) net.servers []
+
+let topological_order ?servers net =
+  let ids = match servers with Some ids -> ids | None -> server_ids net in
+  let ready, release = kahn_start net ids in
   let rec kahn order = function
     | [] -> List.rev order
     | id :: rest ->
-        incr count;
-        let next =
-          List.fold_left
-            (fun acc succ ->
-              let d = Hashtbl.find indegree succ - 1 in
-              Hashtbl.replace indegree succ d;
-              if d = 0 then succ :: acc else acc)
-            [] (successors net id)
-        in
-        kahn (id :: order) (List.sort compare next @ rest)
+        kahn (id :: order) (List.sort compare (release [] id) @ rest)
   in
   let order = kahn [] ready in
-  if !count <> size net then raise Cyclic else order
+  if List.compare_lengths order ids <> 0 then raise Cyclic else order
 
 let levels net =
   (* Longest-path layering: level 0 is the sources, and every edge goes
@@ -224,31 +232,14 @@ let levels net =
      level is an antichain of the routing DAG.  A node becomes ready in
      the Kahn wave after its last predecessor's, so the waves are
      exactly the longest-path levels; one pass, O(V + E). *)
-  let indegree = indegrees net in
-  let ready =
-    Int_map.fold
-      (fun id _ acc -> if Hashtbl.find indegree id = 0 then id :: acc else acc)
-      net.servers []
-    |> List.sort compare
-  in
+  let ready, release = kahn_start net (server_ids net) in
   let count = ref 0 in
   let rec walk acc = function
     | [] -> List.rev acc
     | frontier ->
         count := !count + List.length frontier;
-        let next =
-          List.fold_left
-            (fun acc id ->
-              List.fold_left
-                (fun acc succ ->
-                  let d = Hashtbl.find indegree succ - 1 in
-                  Hashtbl.replace indegree succ d;
-                  if d = 0 then succ :: acc else acc)
-                acc (successors net id))
-            [] frontier
-          |> List.sort compare
-        in
-        walk (frontier :: acc) next
+        walk (frontier :: acc)
+          (List.fold_left release [] frontier |> List.sort compare)
   in
   let ls = walk [] ready in
   if !count <> size net then raise Cyclic else ls

@@ -81,9 +81,14 @@ val total_hop_count : t -> int
 (** Sum of route lengths over all flows — the number of
     [(flow, server)] pairs a table-based propagation materializes. *)
 
-val topological_order : t -> int list
-(** Every server id (including isolated ones), sources first.
-    @raise Cyclic when the routing graph is not feedforward. *)
+val topological_order : ?servers:int list -> t -> int list
+(** Every server id (including isolated ones), sources first, ties
+    broken by ascending id.  With [servers] (distinct ids), only those
+    servers, ordered by the edges among them: an online engine orders
+    the downstream cone of a change this way, reading only the
+    successor lists of the cone's servers.
+    @raise Cyclic when the routing graph (or the sub-graph) has a
+    cycle. *)
 
 val levels : t -> int list list
 (** Antichain decomposition of the routing DAG: level 0 is the

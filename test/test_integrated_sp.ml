@@ -7,24 +7,88 @@ let sp_tandem ?(peak = 1.) n u =
   Tandem.make ~n ~utilization:u ~peak
     ~discipline:Discipline.Static_priority ()
 
+(* On an all-FIFO network every flow forms one class and the SP engine
+   must reproduce the FIFO integrated engine bit for bit — delays,
+   per-hop and per-server backlogs — on the paper's tandem grid (both
+   option sets) and on unit-rate random DAGs.  The claim is limited to
+   unit-rate plants: the two engines bound a lone FIFO server by
+   different formulas (sup (agg - C t) / C against hdev through a
+   pseudo-inverse), which can differ in the last bits when the rates
+   are heterogeneous. *)
 let test_fifo_special_case () =
-  (* On an all-FIFO network the SP engine must coincide exactly with
-     the FIFO integrated engine. *)
+  let bits = Int64.bits_of_float in
+  let checks = ref 0 in
+  let same what a b =
+    incr checks;
+    if not (Int64.equal (bits a) (bits b)) then
+      Alcotest.failf "%s: Integrated %h, Integrated_sp %h" what a b
+  in
+  let compare_on label ?options ~strategy net =
+    let a = Integrated.analyze ?options ~strategy net in
+    let b = Integrated_sp.analyze ?options ~strategy net in
+    List.iter
+      (fun (f : Flow.t) ->
+        same
+          (Printf.sprintf "%s: %s delay" label f.name)
+          (Integrated.flow_delay a f.id)
+          (Integrated_sp.flow_delay b f.id);
+        List.iter
+          (fun s ->
+            same
+              (Printf.sprintf "%s: %s backlog at %d" label f.name s)
+              (Integrated.local_backlog a ~flow:f.id ~server:s)
+              (Integrated_sp.local_backlog b ~flow:f.id ~server:s))
+          f.route)
+      (Network.flows net);
+    List.iter
+      (fun (s : Server.t) ->
+        same
+          (Printf.sprintf "%s: server %d backlog" label s.id)
+          (Integrated.server_backlog a s.id)
+          (Integrated_sp.server_backlog b s.id))
+      (Network.servers net)
+  in
   List.iter
-    (fun (n, u) ->
-      let t = Tandem.make ~n ~utilization:u () in
-      let a = Integrated.analyze ~strategy:(Pairing.Along_route 0) t.network in
-      let b =
-        Integrated_sp.analyze ~strategy:(Pairing.Along_route 0) t.network
-      in
+    (fun (oname, options) ->
       List.iter
-        (fun (f : Flow.t) ->
-          approx
-            (Printf.sprintf "%s n=%d U=%g" f.name n u)
-            (Integrated.flow_delay a f.id)
-            (Integrated_sp.flow_delay b f.id))
-        (Network.flows t.network))
-    [ (2, 0.4); (4, 0.7); (5, 0.9) ]
+        (fun peak ->
+          List.iter
+            (fun sigma ->
+              for n = 2 to 8 do
+                for k = 1 to 9 do
+                  let u = float_of_int k /. 10. in
+                  let t = Tandem.make ~n ~utilization:u ~sigma ~peak () in
+                  compare_on
+                    (Printf.sprintf "tandem %s peak=%g sigma=%g n=%d U=%g"
+                       oname peak sigma n u)
+                    ~options ~strategy:(Pairing.Along_route 0) t.network
+                done
+              done)
+            [ 1.; 2.; 4.; 8. ])
+        [ 1.; infinity ])
+    [ ("default", Options.default); ("link-cap", Options.sharpened) ];
+  let tandem_checks = !checks in
+  for seed = 1 to 30 do
+    List.iter
+      (fun utilization ->
+        let net =
+          Randomnet.generate
+            {
+              Randomnet.default with
+              layers = 3 + (seed mod 3);
+              per_layer = 2 + (seed mod 3);
+              num_flows = 6 + (seed mod 11);
+              utilization;
+              seed;
+            }
+        in
+        compare_on
+          (Printf.sprintf "randomnet seed=%d U=%g" seed utilization)
+          ~strategy:Pairing.Greedy net)
+      [ 0.3; 0.6; 0.9 ]
+  done;
+  check_bool "tandem grid compared" true (tandem_checks > 0);
+  check_bool "random nets compared" true (!checks > tandem_checks)
 
 let test_sp_beats_decomposed () =
   List.iter
@@ -184,6 +248,42 @@ let test_priority_demotion_hurts () =
   check_bool "promotion helps" true (bound 0 <= bound 1 +. 1e-9)
 
 
+(* Compaction applies to this engine's intermediate envelopes as it
+   does to Integrated's: a 4-piece source through a pair leaves a
+   2-segment envelope at the next server under a 2-segment budget. *)
+let test_compaction_applies () =
+  let alpha =
+    Pwl.min_list
+      [
+        Pwl.affine ~y0:0.5 ~slope:2.;
+        Pwl.affine ~y0:1.5 ~slope:1.;
+        Pwl.affine ~y0:3. ~slope:0.5;
+        Pwl.affine ~y0:6. ~slope:0.1;
+      ]
+  in
+  let net =
+    Network.make
+      ~servers:(List.init 3 (fun id -> Server.make ~id ~rate:1. ()))
+      ~flows:
+        [
+          Flow.make ~id:0 ~arrival:(Arrival.of_curve alpha) ~route:[ 0; 1; 2 ]
+            ();
+        ]
+  in
+  let options = Options.with_compaction ~max_segs:2 infinity Options.default in
+  let strategy = Pairing.Along_route 0 in
+  let segs env = List.length (Pwl.segments env) in
+  Alcotest.(check int) "Integrated envelope at server 2" 2
+    (segs
+       (Integrated.envelope_at
+          (Integrated.analyze ~options ~strategy net)
+          ~flow:0 ~server:2));
+  Alcotest.(check int) "Integrated_sp envelope at server 2" 2
+    (segs
+       (Integrated_sp.envelope_at
+          (Integrated_sp.analyze ~options ~strategy net)
+          ~flow:0 ~server:2))
+
 let suite =
   ( "integrated-sp",
     [
@@ -197,4 +297,5 @@ let suite =
       test "bounds hold against non-preemptive packet simulation"
         test_validation_against_simulator;
       prop_sp_dominated_on_random_nets;
+      test "compaction applies to its envelopes" test_compaction_applies;
     ] )

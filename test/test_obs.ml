@@ -283,6 +283,31 @@ let test_metrics_table () =
   let kept = Table.to_string (Metrics.to_table ~all:true ()) in
   check_bool "zero rows kept with ~all" true (contains kept "test.table.ctr")
 
+(* Recording must not make the GC's work depend on the recorded
+   values.  A distribution that kept its argument's box only when it
+   set a new extreme left that box to be promoted by the next minor
+   collection, so the major words of a traced run drifted with its
+   measured times.  Each value is a fresh box in both sequences. *)
+let test_dist_promotion_value_independent () =
+  let d = Metrics.dist "test.dist.promotion" in
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let promoted value =
+    Metrics.reset ();
+    Gc.minor ();
+    let before = major_words () in
+    for i = 1 to 200 do
+      Prof.observe d (float_of_int (value i));
+      Gc.minor ()
+    done;
+    major_words () -. before
+  in
+  let rising = promoted Fun.id in
+  let flat = promoted (fun _ -> 1) in
+  Alcotest.(check (float 0.)) "rising vs flat major words" flat rising
+
 let suite =
   ( "obs",
     [
@@ -294,4 +319,6 @@ let suite =
       test "ring buffer evicts oldest" (fresh test_ring_eviction);
       test "chrome trace JSON is valid" (fresh test_chrome_json);
       test "metrics table rendering" (fresh test_metrics_table);
+      test "dist updates promote the same words for any values"
+        (fresh test_dist_promotion_value_independent);
     ] )

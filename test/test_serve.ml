@@ -304,6 +304,76 @@ let test_corpus_churn_matches_scratch () =
   check_bool "admits created edges" true (!edges_added > 0);
   check_bool "teardowns removed edges" true (!edges_removed > 0)
 
+(* Churn through a multi-hop unstable server.  A base flow overloads
+   tandem server 2, so every hop downstream of it is poisoned; each
+   cone recompute must drop exactly the poison marks whose origin it
+   re-runs and re-derive them, keeping the marks inherited from
+   upstream.  The state must match a from-scratch analysis after every
+   operation: admits upstream of the overload (whose cones contain
+   it), rejected admits into the poisoned region (rolled back),
+   teardowns, the overloader's own teardown, and a rejected admit that
+   would overload server 2 again. *)
+let test_churn_through_unstable_server () =
+  let servers, base = tandem_parts 6 in
+  let overloader =
+    Flow.make ~id:900 ~arrival:(tb ~sigma:1. ~rho:0.9 ~peak:1. ())
+      ~route:[ 2; 3 ] ()
+  in
+  let e = Delta_engine.create ~servers ~flows:(base @ [ overloader ]) () in
+  let unbounded_states = ref 0 and bounded_states = ref 0 in
+  let check msg =
+    check_matches_scratch msg e;
+    if List.exists (fun (_, d) -> not (Float.is_finite d))
+         (Delta_engine.all_flow_delays e)
+    then incr unbounded_states
+    else incr bounded_states
+  in
+  let cand ?(rho = 0.02) id route =
+    Flow.make ~id ~arrival:(tb ~sigma:1. ~rho ~peak:1. ()) ~route
+      ~deadline:1e9 ()
+  in
+  let admit ~expect (c : Flow.t) =
+    let admitted =
+      match Delta_engine.admit e c with
+      | Delta_engine.Admitted _ -> true
+      | Delta_engine.Rejected _ -> false
+    in
+    check_bool (Printf.sprintf "admit %d decided" c.id) expect admitted;
+    check (Printf.sprintf "after admit %d" c.id)
+  in
+  let teardown id =
+    (match Delta_engine.teardown e id with
+    | Ok _ -> ()
+    | Error `Unknown_flow -> Alcotest.failf "teardown of %d" id);
+    check (Printf.sprintf "after teardown %d" id)
+  in
+  check "created over an overloaded server";
+  (* Server 2 overloaded: routes upstream of it fit, routes into the
+     poisoned region are rejected and rolled back. *)
+  admit ~expect:true (cand 3000 [ 0; 1 ]);
+  admit ~expect:false (cand 3001 [ 3; 4 ]);
+  admit ~expect:true (cand 3002 [ 1; 7 ]);
+  admit ~expect:false (cand 3003 [ 1; 2 ]);
+  admit ~expect:false (cand 3004 [ 4; 5 ]);
+  teardown 3000;
+  admit ~expect:true (cand 3005 [ 0; 6 ]);
+  admit ~expect:false (cand 3006 [ 2; 8 ]);
+  teardown 3002;
+  admit ~expect:true (cand 3007 [ 0; 1 ]);
+  (* The overloader leaves: the whole downstream becomes bounded. *)
+  teardown 900;
+  admit ~expect:true (cand 3008 [ 3; 4 ]);
+  admit ~expect:true (cand 3009 [ 4; 5 ]);
+  admit ~expect:false (cand ~rho:0.9 3010 [ 2; 3 ]);
+  admit ~expect:true (cand 3011 [ 2; 8 ]);
+  teardown 3005;
+  teardown 3008;
+  admit ~expect:true (cand 3012 [ 1; 2 ]);
+  teardown 3007;
+  teardown 3009;
+  check_bool "states with infinite bounds checked" true (!unbounded_states > 5);
+  check_bool "states without them checked" true (!bounded_states > 5)
+
 (* A write must cost O(cone), not O(network): the same tail admit and
    teardown (cone 7) on an 8-hop and a 64-hop tandem must allocate
    about the same.  Whole-network bookkeeping per write (rebuilding
@@ -602,6 +672,8 @@ let suite =
         test_corpus_churn_matches_scratch;
       test "delta: write allocation is bounded by the cone"
         test_write_allocation_is_cone_bound;
+      test "delta: churn through a multi-hop unstable server"
+        test_churn_through_unstable_server;
       test "sjson: deterministic render and round-trip" test_sjson_roundtrip;
       test "sjson: float bit round-trip" test_sjson_float_bits;
       test "sjson: parse errors" test_sjson_errors;
