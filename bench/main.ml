@@ -11,9 +11,8 @@
      dune exec bench/main.exe -- --jobs 4     -- netcalc.par pool size
      dune exec bench/main.exe -- --json out.json -- perf-trajectory JSON
      dune exec bench/main.exe -- --no-incremental -- per-cell scratch sweeps
-     dune exec bench/main.exe -- --curve-backend upp -- curve representation
-     dune exec bench/main.exe -- --compact-eps 0.1 [--compact-max-segs 64]
-                                              -- envelope compaction knob
+
+   Any other argument is an error (exit 1).
 
    Experiment ids: fig4 fig5 fig6 burstiness validation admission
                    burst-propagation ablation-pairing ablation-theta sp
@@ -33,17 +32,12 @@
 
 let loads = Sweep.steps ~lo:0.1 ~hi:0.9 ~step:0.1
 
-(* Analysis options for the sweeps; --compact-eps turns on envelope
-   compaction here. *)
-let bench_options = ref Options.default
-
 let tandem ?(sigma = 1.) ?(peak = 1.) n u =
   Tandem.make ~n ~utilization:u ~sigma ~peak ()
 
 let delays ?(with_theta = false) n u =
   let t = tandem n u in
-  Engine.compare_all ~options:!bench_options ~with_theta
-    ~strategy:(Pairing.Along_route 0) t.network 0
+  Engine.compare_all ~with_theta ~strategy:(Pairing.Along_route 0) t.network 0
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -84,9 +78,7 @@ let rec chunks k xs =
    scratch analysis per cell on the pool.  Both paths emit cells in
    the same row-major order, byte-identical (pinned by tests). *)
 let figure ~name ~hops ~left ~right ~left_name ~right_name ~note () =
-  let results =
-    Sweep_engine.tandem_grid ~options:!bench_options ~hops ~loads ()
-  in
+  let results = Sweep_engine.tandem_grid ~hops ~loads () in
   let cache =
     List.combine loads (chunks (List.length hops) results)
   in
@@ -171,9 +163,7 @@ let fig6 () =
 let buffers () =
   section "Buffer sizing — Connection 0's per-hop backlog bounds (tandem)";
   let hops = [ 2; 4; 6; 8 ] in
-  let results =
-    Sweep_engine.tandem_grid ~options:!bench_options ~hops ~loads ()
-  in
+  let results = Sweep_engine.tandem_grid ~hops ~loads () in
   let cache = List.combine loads (chunks (List.length hops) results) in
   print_endline "\nBuffer requirement (worst per-hop backlog bound):";
   let tbl =
@@ -248,7 +238,7 @@ let burstiness () =
       (fun sigma ->
         let t = tandem ~sigma 4 0.6 in
         let c =
-          Engine.compare_all ~options:!bench_options ~with_theta:false
+          Engine.compare_all ~with_theta:false
             ~strategy:(Pairing.Along_route 0) t.network 0
         in
         [
@@ -449,11 +439,8 @@ let burst_propagation () =
   let net = t.network in
   (* Both analyses are memo hits when the figure sweeps already ran
      (fig4's (0.7, 8) pass is this exact network). *)
-  let dd = Decomposed.analyze ~options:!bench_options net in
-  let integ =
-    Integrated.analyze ~options:!bench_options
-      ~strategy:(Pairing.Along_route 0) net
-  in
+  let dd = Decomposed.analyze net in
+  let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
   let tbl =
     Table.create ~header:[ "port"; "Decomposed burst"; "Integrated burst" ]
   in
@@ -797,9 +784,7 @@ let timing () =
   let fig_grids = [ [ 2; 4; 6; 8 ]; [ 2; 4; 8 ]; [ 2; 4; 6; 8 ] ] in
   let run_grids () =
     List.iter
-      (fun hops ->
-        ignore
-          (Sweep_engine.tandem_grid ~options:!bench_options ~hops ~loads ()))
+      (fun hops -> ignore (Sweep_engine.tandem_grid ~hops ~loads ()))
       fig_grids
   in
   let timed f =
@@ -873,9 +858,7 @@ let serve_churn () =
         (r, Trace.now_s () -. t0)
       in
       let delta_run () =
-        let e =
-          Delta_engine.create ~options:!bench_options ~servers ~flows:base ()
-        in
+        let e = Delta_engine.create ~servers ~flows:base () in
         let live = Queue.create () in
         let ops = ref 0 in
         for i = 0 to n_ops - 1 do
@@ -897,8 +880,8 @@ let serve_churn () =
         for i = 0 to n_ops - 1 do
           let cand = candidate i in
           (match
-             Admission.decide_one ~options:!bench_options ~servers
-               ~flows:!flows ~candidate:cand ~method_:Engine.Decomposed ()
+             Admission.decide_one ~servers ~flows:!flows ~candidate:cand
+               ~method_:Engine.Decomposed ()
            with
           | Admission.Accepted _ ->
               flows := !flows @ [ cand ];
@@ -909,8 +892,7 @@ let serve_churn () =
             let id = Queue.pop live in
             flows := List.filter (fun (g : Flow.t) -> g.Flow.id <> id) !flows;
             ignore
-              (Admission.bounds_for ~options:!bench_options ~servers !flows
-                 Engine.Decomposed);
+              (Admission.bounds_for ~servers !flows Engine.Decomposed);
             incr ops
           end
         done;
@@ -924,8 +906,7 @@ let serve_churn () =
              analysis of it bit for bit. *)
           let scratch =
             Decomposed.all_flow_delays
-              (Decomposed.analyze ~options:!bench_options
-                 (Network.make ~servers ~flows:final_flows))
+              (Decomposed.analyze (Network.make ~servers ~flows:final_flows))
           in
           let mine = Delta_engine.all_flow_delays e in
           let identical =
@@ -965,81 +946,23 @@ let serve_churn () =
      'identical' certifies the reuse is\nbit-exact against from-scratch \
      analysis."
 
-(* Curve-representation A/B: the pwl (finite piecewise-linear) backend
-   against the upp (ultimately pseudo-periodic, Nancy-style) backend.
-   Two measurements, one per claim (DESIGN.md 15):
-
-   Part 1 — engine dispatch on the paper's own workload (the fig5
-   grid).  Every curve there is eventually affine, so the upp backend
-   delegates to the same hash-consed Minplus kernels: every float of
-   every cell must match bit for bit, and the wall-time gap is the
-   dispatch overhead.  The incremental memo is disabled (it namespaces
-   keys by backend tag, so it could not leak cells across backends,
-   but a warm pwl memo from an earlier figure would make the timing
-   comparison meaningless) and the kernel cache starts cold per run.
-
-   Part 2 — representation stress: a unit staircase arrival through a
-   faster constant-rate server (Reich's equation) at growing horizons.
-   The pwl side must unroll the staircase, so both its input and its
-   smoothed output grow linearly with the horizon; the upp side stores
-   one segment plus the periodic law at any horizon.  Kernel caches
-   are cleared before every repeat so each iteration pays full price;
-   'match' certifies both results agree pointwise on a dense grid. *)
+(* Curve representations: the finite piecewise-linear [Pwl] the
+   engines use against the ultimately pseudo-periodic (Nancy-style)
+   [Upp] library, on the workload that separates them (DESIGN.md 15).
+   A unit staircase arrival goes through a faster constant-rate server
+   (Reich's equation) at growing horizons.  The pwl side must unroll
+   the staircase, so both its input and its smoothed output grow
+   linearly with the horizon; the upp side stores one segment plus the
+   periodic law at any horizon.  Kernel caches are cleared before every
+   repeat so each iteration pays full price; 'match' certifies both
+   results agree pointwise on a dense grid. *)
 let curves () =
-  section "Curve backend A/B — pwl (finite) vs upp (pseudo-periodic)";
-  let saved = Options.curve_backend () in
-  Fun.protect ~finally:(fun () -> Options.set_curve_backend saved)
-  @@ fun () ->
+  section "Curve representations — pwl (finite) vs upp (pseudo-periodic)";
   let timed f =
     let t0 = Trace.now_s () in
     let r = f () in
     (r, Trace.now_s () -. t0)
   in
-  (* Part 1: fig5 grid under both backends, cold caches. *)
-  let grid backend =
-    Options.set_curve_backend backend;
-    Minplus.cache_clear ();
-    timed (fun () ->
-        Sweep_engine.tandem_grid ~options:!bench_options ~hops:[ 2; 4; 8 ]
-          ~loads ())
-  in
-  let (pwl_cells, pwl_grid_s), (upp_cells, upp_grid_s) =
-    Incremental.with_enabled false (fun () -> (grid `Pwl, grid `Upp))
-  in
-  let cell_bits (c : Engine.comparison) =
-    List.map Int64.bits_of_float
-      [
-        c.decomposed; c.service_curve; c.integrated; c.fifo_theta;
-        c.decomposed_backlog; c.integrated_backlog;
-      ]
-  in
-  let identical =
-    List.length pwl_cells = List.length upp_cells
-    && List.for_all2
-         (fun (a : Engine.comparison) (b : Engine.comparison) ->
-           a.flow = b.flow && cell_bits a = cell_bits b)
-         pwl_cells upp_cells
-  in
-  print_endline
-    "\nEngine dispatch on the fig5 grid (eventually-affine curves only):";
-  let tbl =
-    Table.create ~header:[ "backend"; "grid wall (ms)"; "tables identical" ]
-  in
-  Table.add_row tbl [ "pwl"; Printf.sprintf "%.1f" (1000. *. pwl_grid_s); "-" ];
-  Table.add_row tbl
-    [
-      "upp";
-      Printf.sprintf "%.1f" (1000. *. upp_grid_s);
-      (if identical then "yes" else "NO");
-    ];
-  output ~name:"curves-grid" tbl;
-  record_value "curves.grid.pwl_ms" (1000. *. pwl_grid_s);
-  record_value "curves.grid.upp_ms" (1000. *. upp_grid_s);
-  record_value "curves.grid.identical" (if identical then 1. else 0.);
-  (* Part 2: staircase x rate server at growing horizons, backend
-     modules driven directly (the dispatch seam converts periodic
-     results back to finite curves, which is exactly the unrolling
-     this part measures the cost of). *)
   let step = 1. and interval = 1. and rate = 1.5 in
   let stair = Upp.staircase ~step ~interval in
   let horizons = [ 64; 256; 1024; 4096 ] in
@@ -1118,10 +1041,9 @@ let curves () =
     horizons;
   output ~name:"curves-stress" tbl;
   print_endline
-    "\nExpected shape: on the affine grid the two backends agree bit for bit \
-     and\ncost the same; on the staircase the pwl result grows linearly with \
-     the\nhorizon while the upp result keeps a constant segment count, so the\n\
-     speedup column grows with the horizon."
+    "\nExpected shape: the pwl result grows linearly with the horizon while \
+     the upp\nresult keeps a constant segment count, so the speedup column \
+     grows with the\nhorizon."
 
 (* ------------------------------------------------------------------ *)
 (* Scale: streaming frontier propagation on the scenario corpus        *)
@@ -1159,7 +1081,7 @@ let scale () =
       let servers = Network.size net in
       let flows = List.length (Network.flows net) in
       let t0 = Trace.now_s () in
-      let s = Propagation_stream.analyze ~options:!bench_options net in
+      let s = Propagation_stream.analyze net in
       let wall = Trace.now_s () -. t0 in
       let st = Propagation_stream.frontier_stats s in
       let sps = float_of_int servers /. wall in
@@ -1181,10 +1103,7 @@ let scale () =
         List.filteri (fun i _ -> i mod stride = 0 && i / stride < 6) all_ids
       in
       let sub = Network.restrict unpeaked ~flow_ids in
-      let bounds =
-        Decomposed.all_flow_delays
-          (Decomposed.analyze ~options:!bench_options sub)
-      in
+      let bounds = Decomposed.all_flow_delays (Decomposed.analyze sub) in
       let config =
         { Sim.default_config with packet_size = 0.05; horizon = 200. }
       in
@@ -1374,15 +1293,16 @@ let json_escape s =
    "peak_rss_kb" (VmHWM from /proc/self/status; the key is absent on
    platforms without it, and monotone across experiments since it is a
    process-lifetime high watermark) and "gc" with the runtime's
-   cumulative "major_words" and "top_heap_words". *)
+   cumulative "major_words" and "top_heap_words".  "backend" is always
+   "pwl", the engines' only curve representation; it stays until the
+   next schema version. *)
 let write_perf_json path ~total_wall_s =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"schema\":\"netcalc-bench/3\",\"backend\":\"%s\",\
+       "{\"schema\":\"netcalc-bench/3\",\"backend\":\"pwl\",\
         \"par_backend\":\"%s\",\"jobs\":%d,\
         \"total_wall_s\":%.6f,\"experiments\":["
-       (json_escape (Options.curve_backend_name ()))
        (json_escape Par.backend) (Par.jobs ()) total_wall_s);
   List.iteri
     (fun i r ->
@@ -1423,62 +1343,52 @@ let write_perf_json path ~total_wall_s =
   output_char oc '\n';
   close_out oc
 
+(* One pass over the command line.  An argument that is not a known
+   flag is an error, so a misspelt or retired flag cannot silently run
+   the defaults. *)
 let () =
-  let args = Array.to_list Sys.argv in
-  if List.mem "--list" args then
-    List.iter (fun (id, _) -> print_endline id) experiments
-  else
-    let rec find_opt key = function
-      | k :: v :: _ when k = key -> Some v
-      | _ :: rest -> find_opt key rest
-      | [] -> None
-    in
-    csv_dir := find_opt "--csv" args;
-    json_out := find_opt "--json" args;
-    (match find_opt "--jobs" args with
-    | Some n -> (
-        match int_of_string_opt n with
+  let list = ref false and obs = ref false and only = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--list" :: rest ->
+        list := true;
+        parse rest
+    | "--obs" :: rest ->
+        obs := true;
+        parse rest
+    | "--no-incremental" :: rest ->
+        Incremental.set_enabled false;
+        parse rest
+    | "--only" :: id :: rest ->
+        only := Some id;
+        parse rest
+    | "--csv" :: dir :: rest ->
+        csv_dir := Some dir;
+        parse rest
+    | "--json" :: path :: rest ->
+        json_out := Some path;
+        parse rest
+    | "--jobs" :: n :: rest ->
+        (match int_of_string_opt n with
         | Some n when n >= 1 -> Par.set_jobs n
         | _ ->
             Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-            exit 1)
-    | None -> ());
-    (match find_opt "--curve-backend" args with
-    | Some s -> (
-        match Options.curve_backend_of_string s with
-        | Ok b -> Options.set_curve_backend b
-        | Error msg ->
-            Printf.eprintf "--curve-backend: %s\n" msg;
-            exit 1)
-    | None -> ());
-    if List.mem "--no-incremental" args then Incremental.set_enabled false;
-    let compact_max_segs =
-      match find_opt "--compact-max-segs" args with
-      | Some s -> (
-          match int_of_string_opt s with
-          | Some k when k >= 2 -> k
-          | _ ->
-              Printf.eprintf
-                "--compact-max-segs expects an integer >= 2, got %s\n" s;
-              exit 1)
-      | None -> Options.default.Options.compact_max_segs
-    in
-    (match find_opt "--compact-eps" args with
-    | Some e -> (
-        match float_of_string_opt e with
-        | Some eps when eps >= 0. ->
-            bench_options :=
-              Options.with_compaction ~max_segs:compact_max_segs eps
-                !bench_options
-        | _ ->
-            Printf.eprintf "--compact-eps expects a float >= 0, got %s\n" e;
-            exit 1)
-    | None -> ());
-    let obs = List.mem "--obs" args || Prof.enabled () in
+            exit 1);
+        parse rest
+    | [ ("--only" | "--csv" | "--json" | "--jobs") as flag ] ->
+        Printf.eprintf "%s expects a value\n" flag;
+        exit 1
+    | arg :: _ ->
+        Printf.eprintf "unknown argument %s\n" arg;
+        exit 1
+  in
+  parse (List.tl (Array.to_list Sys.argv));
+  if !list then List.iter (fun (id, _) -> print_endline id) experiments
+  else
+    let obs = !obs || Prof.enabled () in
     if obs || !json_out <> None then Obs.enable ();
-    let only = find_opt "--only" args in
     let selected =
-      match only with
+      match !only with
       | None -> experiments
       | Some id -> (
           match List.assoc_opt id experiments with

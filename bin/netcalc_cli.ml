@@ -628,40 +628,17 @@ let jobs_arg =
                hardware-recommended count; results are identical for \
                any value.")
 
-(* Curve-representation backend, shared like --jobs: the engines'
-   min-plus kernels run on the selected Curve_repr backend
-   (process-global, like the caches it namespaces).  Tables are
-   bit-identical between backends on the paper's curves. *)
-let curve_backend_arg =
-  Arg.(value & opt (some string) None
-         & info [ "curve-backend" ] ~docv:"BACKEND"
-             ~doc:"Curve representation for the min-plus kernels: \
-                   $(b,pwl) (finite piecewise-linear, default) or \
-                   $(b,upp) (ultimately pseudo-periodic, \
-                   horizon-independent size).  Defaults to \
-                   $(b,NETCALC_CURVE_BACKEND) or pwl; bounds are \
-                   identical either way.")
-
-let with_globals jobs backend f =
+let with_globals jobs f =
   (match jobs with
   | Some n when n >= 1 -> Par.set_jobs n
   | Some n ->
       Printf.eprintf "netcalc: --jobs expects a positive integer, got %d\n" n;
       exit 1
   | None -> ());
-  (match backend with
-  | Some s -> (
-      match Options.curve_backend_of_string s with
-      | Ok b -> Options.set_curve_backend b
-      | Error msg ->
-          Printf.eprintf "netcalc: --curve-backend: %s\n" msg;
-          exit 1)
-  | None -> ());
   f ()
 
 let plain_cmd (name, doc, term) =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const with_globals $ jobs_arg $ curve_backend_arg $ term)
+  Cmd.v (Cmd.info name ~doc) Term.(const with_globals $ jobs_arg $ term)
 
 (* `netcalc profile CMD ARGS...` runs CMD under the netcalc.obs
    instrumentation and appends the operation-cost profile (metrics
@@ -714,9 +691,9 @@ let profiled_cmd (name, doc, term) =
   Cmd.v
     (Cmd.info name ~doc:(doc ^ " (instrumented)"))
     Term.(
-      const (fun jobs backend trace csv f ->
-          with_globals jobs backend (fun () -> profiled trace csv f))
-      $ jobs_arg $ curve_backend_arg $ trace_arg $ metrics_csv_arg $ term)
+      const (fun jobs trace csv f ->
+          with_globals jobs (fun () -> profiled trace csv f))
+      $ jobs_arg $ trace_arg $ metrics_csv_arg $ term)
 
 let profile_cmd =
   Cmd.group

@@ -25,7 +25,7 @@ let end_to_end alpha hops thetas =
       hops thetas
   in
   if List.exists (fun b -> Pwl.final_slope b <= 0.) curves then infinity
-  else Deviation.hdev ~alpha ~beta:(Curve_repr.conv_list curves)
+  else Deviation.hdev ~alpha ~beta:(Minplus.conv_list curves)
 
 (* Candidate thetas for one hop: 0 (the leftover curve), the analytic
    optimum for token-bucket cross traffic (burst / rate), and a few

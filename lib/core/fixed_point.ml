@@ -72,10 +72,9 @@ let analyze ?(options = Options.default) ?(max_iter = 200) ?(tol = 1e-9) net =
                 match Flow.next_hop f sid with
                 | Some s' ->
                     Propagation.set next ~flow:f.id ~server:s'
-                      (Options.compact_envelope options
-                         (Pwl.shift_left
-                            (Propagation.get !envs ~flow:f.id ~server:sid)
-                            d))
+                      (Pwl.shift_left
+                         (Propagation.get !envs ~flow:f.id ~server:sid)
+                         d)
                 | None -> ())
               per_flow)
           delays;

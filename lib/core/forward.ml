@@ -54,7 +54,7 @@ let compute t sid =
       if d = infinity || Flow.next_hop f sid = None then None
       else
         let env = Propagation.get t.envs ~flow:f.id ~server:sid in
-        Some (Options.compact_envelope t.options (Pwl.shift_left env d))
+        Some (Pwl.shift_left env d)
     in
     let bounds =
       Local_bounds.at_server ~options:t.options t.net t.envs ~server:sid

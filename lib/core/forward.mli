@@ -3,7 +3,7 @@
     Algorithm Decomposed is one per-server step repeated in topological
     order: bound each flow's local delay from the server's aggregate
     input ({!Local_bounds.at_server}), shift the flow's envelope by that
-    bound (plus optional compaction) and install it at the next hop.
+    bound and install it at the next hop.
     Past an unstable server a flow's envelope is unconstrained, so its
     remaining hops are {e poisoned}: every flow meeting a poisoned hop
     gets an infinite local bound there and poisons its own remaining

@@ -50,16 +50,9 @@ let net_key ?(options = Options.default) ?strategy net =
   (* Marshalling a pure immediate structure is deterministic within a
      process, which is all a memo key needs; strings hash over their
      whole contents, unlike the depth-limited generic hash on a deep
-     tuple.  The curve-backend tag namespaces the key: pwl and upp
-     results are bit-identical on the paper's curves by construction,
-     but the tables must never be allowed to conflate regimes whose
-     kernels differ (same reason the Minplus cache keys carry it). *)
+     tuple. *)
   Marshal.to_string
-    ( Curve_repr.backend_tag (),
-      servers,
-      flows,
-      options,
-      (strategy : Pairing.strategy option) )
+    (servers, flows, options, (strategy : Pairing.strategy option))
     []
 
 type 'a table = { tbl : (key, 'a) Hashtbl.t }

@@ -55,8 +55,7 @@ let record t idx (f : Flow.t) ~entry ~last d =
     | None -> ()
     | Some next ->
         Propagation.set (Forward.envs t.fw) ~flow:f.id ~server:next
-          (Options.compact_envelope (Forward.options t.fw)
-             (Pwl.shift_left (env_at t f entry) d))
+          (Pwl.shift_left (env_at t f entry) d)
 
 let add_server_backlog t sid b =
   let cur = Option.value ~default:0. (Hashtbl.find_opt t.server_backlogs sid) in

@@ -98,9 +98,8 @@ val single_step :
     for [flows], one queue at [u]: [Some (beta, agg, d)] when it is
     served by [beta] with aggregate input [agg] and delay bound [d]
     (the backlog bounds follow from [beta] and [agg]), [None] when its
-    input is unbounded.  Each flow's envelope is shifted by [d] (and
-    compacted per the options) onto its next hop, or the rest of its
-    route poisoned. *)
+    input is unbounded.  Each flow's envelope is shifted by [d] onto
+    its next hop, or the rest of its route poisoned. *)
 
 val pair_step :
   t ->

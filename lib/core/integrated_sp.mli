@@ -15,9 +15,8 @@
     available when a class needs them.
 
     The pass itself is {!Integrated}'s, run once per class: the same
-    per-subnet bookkeeping (delay contributions, envelope shift with
-    the options' compaction, poison marks, backlog bounds) and the same
-    accessors.
+    per-subnet bookkeeping (delay contributions, envelope shift,
+    poison marks, backlog bounds) and the same accessors.
 
     Every server must use [Discipline.Static_priority], or every
     server [Discipline.Fifo]; mixing the two is rejected because a

@@ -1,37 +1,5 @@
-type t = {
-  link_cap : bool;
-  sp_blocking : float;
-  compact_eps : float;
-  compact_max_segs : int;
-}
+type t = { link_cap : bool; sp_blocking : float }
 
-let default =
-  { link_cap = false;
-    sp_blocking = 0.;
-    compact_eps = 0.;
-    compact_max_segs = 64 }
-
+let default = { link_cap = false; sp_blocking = 0. }
 let sharpened = { default with link_cap = true }
 let with_blocking b t = { t with sp_blocking = b }
-
-let with_compaction ?(max_segs = 64) eps t =
-  if eps < 0. then invalid_arg "Options.with_compaction: eps < 0";
-  if max_segs < 2 then invalid_arg "Options.with_compaction: max_segs < 2";
-  { t with compact_eps = eps; compact_max_segs = max_segs }
-
-let compact_envelope t env =
-  if t.compact_eps <= 0. then env
-  else
-    Pwl.compact ~dir:`Up ~eps:t.compact_eps ~max_segs:t.compact_max_segs env
-
-(* The curve backend is process-global (it must stay consistent with
-   the process-global Minplus/intern/Incremental caches, whose keys it
-   namespaces — see Curve_repr), so these are delegations rather than
-   a record field: a per-record backend could silently interleave two
-   backends against the same caches. *)
-type curve_backend = Curve_repr.backend
-
-let curve_backend_of_string = Curve_repr.of_string
-let set_curve_backend = Curve_repr.set_backend
-let curve_backend = Curve_repr.backend
-let curve_backend_name = Curve_repr.backend_name

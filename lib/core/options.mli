@@ -13,54 +13,12 @@ type t = {
           service when an urgent packet arrives.  [0.] (default)
           models the fluid preemptive server; set it to the packet
           size when validating against the packetized simulator. *)
-  compact_eps : float;
-      (** When [> 0.], intermediate traffic envelopes are pruned with
-          {!Pwl.compact} (direction [`Up]) to at most
-          [compact_max_segs] segments, moving them only upward by at
-          most [compact_eps] where the budget allows.  Bounds stay
-          valid — they can only loosen, by an amount governed by the
-          eps (see DESIGN.md "Curve compaction").  [0.] (default)
-          disables compaction and keeps every result exact. *)
-  compact_max_segs : int;
-      (** Segment budget used when [compact_eps > 0.]; ignored
-          otherwise. *)
 }
 
 val default : t
-(** [{ link_cap = false; sp_blocking = 0.; compact_eps = 0.;
-      compact_max_segs = 64 }] *)
+(** [{ link_cap = false; sp_blocking = 0. }] *)
 
 val sharpened : t
 (** [default] with [link_cap = true]. *)
 
 val with_blocking : float -> t -> t
-
-val with_compaction : ?max_segs:int -> float -> t -> t
-(** [with_compaction ?max_segs eps t] enables envelope compaction
-    ([max_segs] defaults to 64).  [with_compaction 0. t] disables it.
-    @raise Invalid_argument on [eps < 0.] or [max_segs < 2]. *)
-
-val compact_envelope : t -> Pwl.t -> Pwl.t
-(** Apply the compaction knob to a traffic envelope: identity when
-    [compact_eps <= 0.], otherwise [Pwl.compact ~dir:`Up].  The result
-    is pointwise [>=] the input, so downstream delay bounds remain
-    valid upper bounds. *)
-
-(** {1 Curve backend}
-
-    Which curve representation the engines' kernel operations run on
-    ({!Curve_repr}): [`Pwl] (finite piecewise-linear, the default) or
-    [`Upp] (ultimately pseudo-periodic, horizon-independent size).
-    Unlike the record fields above this is process-global state — it
-    namespaces the process-global memo caches — so the selectors here
-    delegate to {!Curve_repr} rather than extend [t]; CLI and bench
-    apply [--curve-backend] (or NETCALC_CURVE_BACKEND) through these
-    before running any analysis.  Both backends produce bit-identical
-    tables on the paper's grids. *)
-
-type curve_backend = Curve_repr.backend
-
-val curve_backend_of_string : string -> (curve_backend, string) result
-val set_curve_backend : curve_backend -> unit
-val curve_backend : unit -> curve_backend
-val curve_backend_name : unit -> string

@@ -48,7 +48,7 @@ let network_service_curve t ~flow =
           "Service_curve_method: a hop offers no long-run service \
            (saturated by cross traffic)")
     curves;
-  Curve_repr.conv_list curves
+  Minplus.conv_list curves
 
 let flow_delay t id =
   let f = Network.flow t.net id in

@@ -13,8 +13,8 @@
      (in route order, the same left fold as [Decomposed.flow_delay]) of
      the local delays computed on the max tandem.
    - Service Curve: the network curve of the [n'] prefix is the running
-     [Curve_repr.conv] prefix of the per-hop leftover curves (the same
-     left-fold association as [Curve_repr.conv_list]), with the same
+     [Minplus.conv] prefix of the per-hop leftover curves (the same
+     left-fold association as [Minplus.conv_list]), with the same
      saturation rule: any saturated or poisoned hop [< n'] means
      [infinity].
    - Integrated (Along_route 0): the pairing of an even prefix is
@@ -74,7 +74,7 @@ let per_load ?options ~with_theta ~sigma ~peak ~hops u =
               Some
                 (match !conv with
                 | None -> beta
-                | Some c -> Curve_repr.conv c beta)
+                | Some c -> Minplus.conv c beta)
       | exception Invalid_argument _ -> saturated := true);
     sc_delay.(k + 1) <-
       (if !saturated then infinity

@@ -31,14 +31,13 @@ let observed_bps d r =
    domains hit these tables concurrently.
 
    Keys carry a namespace tag [ns] besides the operand uids.  The pwl
-   kernels here always use [ns = 0]; alternative curve backends
-   (netcalc's upp representation) store their windowed results under
-   nonzero namespaces via [cached_op].  Without the tag, a backend
-   whose operation on the same two interned curves means something
-   different (a upp window convolution on an unrolled prefix vs this
-   module's shape-dispatched convolution) could be served the other
-   backend's value — the cross-backend conflation the cache-keying
-   regression test pins. *)
+   kernels here always use [ns = 0]; the [Upp] library stores its
+   windowed results under nonzero namespaces via [cached_op].  Without
+   the tag, an operation on the same two interned curves that means
+   something different (a upp window convolution on an unrolled prefix
+   vs this module's shape-dispatched convolution) could be served the
+   other one's value — the conflation the cache-keying regression test
+   pins. *)
 module Cache_key = struct
   type t = { ns : int; a : int; b : int }
 

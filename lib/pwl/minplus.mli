@@ -64,12 +64,12 @@ val deconv : Pwl.t -> Pwl.t -> Pwl.t
 val cached_op :
   [ `Conv | `Deconv ] ->
   ns:int -> Pwl.t -> Pwl.t -> (unit -> Pwl.t) -> Pwl.t
-(** Namespaced access to the shared result cache for alternative curve
-    backends (the upp representation caches its windowed kernel
-    results here).  Keys are [(ns, uid f, uid g)]; the pwl kernels of
-    this module own namespace 0, so a backend whose operation on the
-    same two interned curves computes a different function can never
-    be served — or serve — a pwl entry.  [compute] must be a
+(** Namespaced access to the shared result cache for other curve
+    representations ({!Upp} caches its windowed kernel results here).
+    Keys are [(ns, uid f, uid g)]; the pwl kernels of this module own
+    namespace 0, so an operation on the same two interned curves that
+    computes a different function can never be served — or serve — a
+    pwl entry.  [compute] must be a
     deterministic function of [(ns, f, g)], for the same reason the
     kernels above must be: a hit replays its value.
     @raise Invalid_argument on [ns = 0]. *)

@@ -43,12 +43,12 @@ let normalize segs =
    branch-guarded by Obs: disabled runs pay one load and branch.
 
    [pwl.segments.total] (cumulative segments constructed — the
-   segments-processed denominator of the curve-backend A/B bench) and
+   segments-processed denominator of the bench's curves experiment) and
    [pwl.segments.max] (largest single curve ever built) make
    horizon-dependent representation blowup directly visible in
-   [netcalc profile] and bench [--obs]: under the pwl backend the peak
-   grows with the unrolled horizon, under the upp backend it stays at
-   the transient-plus-period structure size. *)
+   [netcalc profile] and bench [--obs]: for an unrolled pwl curve the
+   peak grows with the horizon, for a [Upp] curve it stays at the
+   transient-plus-period structure size. *)
 let c_make = Metrics.counter "pwl.make.calls"
 let d_breakpoints = Metrics.dist "pwl.breakpoints"
 let c_segs_total = Metrics.counter "pwl.segments.total"
@@ -845,150 +845,3 @@ let equal f g =
     between candidates
   in
   List.for_all (fun t -> eval f t =~ eval g t) (candidates @ mids)
-
-(* ------------------------------------------------------------------ *)
-(* Conservative compaction                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* [compact] prunes breakpoints while moving the curve in one safe
-   direction only: [`Up] never decreases any value (valid for arrival
-   envelopes — the bound can only loosen), [`Down] never increases any
-   value (valid for service curves).  One step removes one interior
-   segment [i] by extending its neighbours [p] and [q] to their
-   crossing [xc]: on a (locally) concave stretch the curve is the min
-   of its segment lines and dropping line [i] yields a pointwise-[>=]
-   curve; on a convex stretch it is the max of its lines, dual.  A
-   removal is admissible only when both neighbour lines dominate (are
-   dominated by) segment [i] over its span and the crossing falls
-   inside that span, so the result is exact outside the span and moves
-   by at most the recorded error inside it.  Errors are always measured
-   against the {e original} curve, so successive removals cannot
-   silently compound past [eps].
-
-   The first and last segments are never touched: the value at 0 and
-   the final slope (stability, asymptotic rate) are preserved exactly.
-   Segments are removed cheapest-first while the error stays within
-   [eps]; when the curve still has more than [max_segs] segments,
-   removal continues past [eps] (still direction-safe, never
-   direction-violating) until the budget is met or no admissible
-   removal remains. *)
-let compact ~dir ~eps ~max_segs f =
-  if Float.is_nan eps || eps < 0. then invalid_arg "Pwl.compact: eps < 0";
-  if max_segs < 2 then invalid_arg "Pwl.compact: max_segs < 2";
-  let n = Array.length f.segs in
-  if n <= 2 then f
-  else begin
-    let sx = Array.map (fun s -> s.x) f.segs in
-    let sy = Array.map (fun s -> s.y) f.segs in
-    let ss = Array.map (fun s -> s.slope) f.segs in
-    let prev = Array.init n (fun i -> i - 1) in
-    let next = Array.init n (fun i -> if i = n - 1 then -1 else i + 1) in
-    let alive = Array.make n true in
-    let count = ref n in
-    (* Line through segment j, evaluated at t. *)
-    let line j t = sy.(j) +. (ss.(j) *. (t -. sx.(j))) in
-    let orig_bps = breakpoints f in
-    (* Signed gap in the safe direction: >= 0 when the candidate stays
-       on the safe side of the original curve at t. *)
-    let gap newv origv =
-      match dir with `Up -> newv -. origv | `Down -> origv -. newv
-    in
-    (* Evaluate one candidate removal: segment [i] with alive
-       neighbours [p] and [q].  Returns [Some (err, xc)] when
-       admissible. *)
-    let candidate i =
-      let p = prev.(i) and q = next.(i) in
-      if p < 0 || q < 0 then None
-      else begin
-        let ds = ss.(p) -. ss.(q) in
-        let directed = match dir with `Up -> ds > 0. | `Down -> ds < 0. in
-        if not directed then None
-        else
-          let xc =
-            (sy.(q) -. (ss.(q) *. sx.(q)) -. sy.(p) +. (ss.(p) *. sx.(p))) /. ds
-          in
-          if not (Float.is_finite xc) || xc < sx.(i) || xc > sx.(q) then None
-          else begin
-            (* Both neighbour lines must stay on the safe side of
-               segment [i] over its whole span (affine vs affine: the
-               endpoints decide). *)
-            let span_lo = sx.(i) and span_hi = sx.(q) in
-            let tol = -1e-12 *. Float.max 1. (Float.abs sy.(i)) in
-            let safe j =
-              gap (line j span_lo) (line i span_lo) >= tol
-              && gap (line j span_hi) (line i span_hi) >= tol
-            in
-            if not (safe p && safe q) then None
-            else begin
-              (* Error against the original curve over the changed
-                 window [span_lo, span_hi): the new curve is line [p]
-                 before [xc] and line [q] after. *)
-              let newv t = if t < xc then line p t else line q t in
-              let err = ref 0. in
-              let consider t =
-                if t >= span_lo && t <= span_hi then begin
-                  err := Float.max !err (gap (newv t) (eval f t));
-                  err := Float.max !err (gap (newv t) (eval_left f t))
-                end
-              in
-              consider span_lo;
-              consider xc;
-              consider span_hi;
-              List.iter consider orig_bps;
-              (* A negative gap anywhere would mean the removal crosses
-                 the original curve — inadmissible (can happen when the
-                 window spans previously-merged material). *)
-              let crosses =
-                List.exists
-                  (fun t ->
-                    t >= span_lo && t <= span_hi
-                    && gap (newv t) (eval f t) < tol)
-                  (span_lo :: xc :: span_hi :: orig_bps)
-              in
-              if crosses then None else Some (!err, xc)
-            end
-          end
-      end
-    in
-    let remove i xc =
-      let q = next.(i) in
-      sy.(q) <- line q xc;
-      sx.(q) <- xc;
-      alive.(i) <- false;
-      next.(prev.(i)) <- q;
-      prev.(q) <- prev.(i);
-      Stdlib.decr count
-    in
-    let removed = ref false in
-    let rec loop () =
-      let best = ref None in
-      for i = 1 to n - 2 do
-        if alive.(i) then
-          match candidate i with
-          | Some (err, xc) -> (
-              match !best with
-              | Some (e, _, _) when e <= err -> ()
-              | _ -> best := Some (err, i, xc))
-          | None -> ()
-      done;
-      match !best with
-      | Some (err, i, xc) when err <= eps || !count > max_segs ->
-          remove i xc;
-          removed := true;
-          loop ()
-      | _ -> ()
-    in
-    loop ();
-    if not !removed then f
-    else begin
-      let out = ref [] in
-      let rec walk i =
-        if i >= 0 then begin
-          out := (sx.(i), sy.(i), ss.(i)) :: !out;
-          walk next.(i)
-        end
-      in
-      walk 0;
-      make (List.rev !out)
-    end
-  end

@@ -224,23 +224,6 @@ val lower_convex_hull : t -> t
     service-curve family (which may jump) into valid convex service
     curves without losing more than the hull requires. *)
 
-val compact : dir:[ `Up | `Down ] -> eps:float -> max_segs:int -> t -> t
-(** [compact ~dir ~eps ~max_segs f] prunes breakpoints of [f],
-    moving the curve only in the safe direction: with [`Up] the result
-    is pointwise [>= f] (sound for arrival envelopes — the bound can
-    only loosen), with [`Down] pointwise [<= f] (sound for service
-    curves).  The result stays within [eps] of [f] everywhere as long
-    as the segment budget allows; when more than [max_segs] segments
-    remain after all [<= eps] removals, pruning continues past [eps]
-    (still direction-safe) until the budget is met or no admissible
-    removal is left.  The value at 0 and the final slope are always
-    preserved exactly.  Exact removals only happen at locally concave
-    ([`Up]) / convex ([`Down]) breakpoints, which covers every curve
-    the analyses feed it (envelopes are concave, service curves
-    convex); elsewhere the function is conservative and keeps the
-    breakpoint.  @raise Invalid_argument on [eps < 0] or
-    [max_segs < 2]. *)
-
 (** {1 Suprema and crossings} *)
 
 val sup_diff : t -> t -> float

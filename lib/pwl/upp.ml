@@ -12,10 +12,9 @@
    [affine_tail = true]: the base {!Pwl.t} is the whole function and the
    periodic law is the tautological one over its final slope.  All
    operations keep that case {e exact} by delegating to the finite
-   [Pwl]/[Minplus] kernels on the very same hash-consed values, which is
-   what makes the upp backend bit-identical to the pwl backend on the
-   paper's grids (pinned by the cross-backend tests and the CI smoke
-   job).
+   [Pwl]/[Minplus] kernels on the very same hash-consed values, so on
+   the paper's curves [Upp] computes bit for bit what [Minplus] does
+   (pinned by the algebra tests).
 
    Genuinely periodic curves go through windowed kernels instead: unroll
    both operands over a structure-sized window (transient + a couple of
@@ -564,7 +563,7 @@ let window_conv ~rank_f ~rank_g fw gw ~horizon =
 (* Namespace for the shared [Minplus] result cache: upp window results
    are keyed apart from the pwl kernel's (namespace 0) and from other
    horizons — the unrolled-operand uids alone must never be allowed to
-   collide with a pwl-backend entry (see the cache-keying regression
+   collide with a pwl kernel entry (see the cache-keying regression
    test). *)
 let cache_ns ~kind ~horizon =
   let tag =
@@ -660,16 +659,3 @@ let deconv f g =
               bf;
             refine_sampled ~candidates:!candidates ~eval))
   end
-
-(* ------------------------------------------------------------------ *)
-(* Compaction                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Compaction exists to tame transient growth; the periodic part is
-   already minimal (period division above), and compacting it would
-   break the law it repeats under.  So: eventually-affine curves
-   compact exactly like their pwl selves; periodic curves compact the
-   transient prefix only. *)
-let compact ~dir ~eps ~max_segs f =
-  if f.affine_tail then of_pwl (Pwl.compact ~dir ~eps ~max_segs f.base)
-  else f

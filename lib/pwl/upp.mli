@@ -1,15 +1,16 @@
 (** Ultimately pseudo-periodic (UPP) curves: a finite {!Pwl.t} prefix
     plus a periodic law [f (t + period) = f t + increment] for
     [t >= rank] (Nancy-style; Zippo & Stea, arXiv 2205.11449).  Curve
-    size is independent of the analysis horizon, which is what the
-    [upp] backend of {!Curve_repr} buys on long-horizon/cyclic-style
-    workloads.
+    size is independent of the analysis horizon, which is what this
+    representation buys on long-horizon/cyclic-style workloads.
 
     Eventually-affine curves — every token-bucket and rate-latency
     curve in this repro — are the [affine_tail] special case, on which
     every operation delegates to the exact finite [Pwl]/[Minplus]
     kernels over the {e same} hash-consed values: results are
-    bit-identical to the pwl backend there.  Genuinely periodic curves
+    bit-identical to those kernels there.  That is why the analysis
+    engines, which only exchange such curves, call [Minplus] directly
+    and this module is a standalone library (DESIGN.md §15).  Genuinely periodic curves
     use windowed kernels (unroll to transient + two periods, operate,
     re-verify the law, minimize); those paths are tolerance-exact
     ({!Float_ops.( =~ )}), with the periodic-law verification refusing
@@ -105,12 +106,6 @@ val conv_with_rate : rate:float -> t -> t
 val deconv : t -> t -> t
 (** Min-plus deconvolution [sup_{u >= 0} f (t + u) - g u].
     @raise Invalid_argument when infinite ([rate f > rate g]). *)
-
-val compact :
-  dir:[ `Up | `Down ] -> eps:float -> max_segs:int -> t -> t
-(** {!Pwl.compact} on the eventually-affine case; the identity on
-    genuinely periodic curves (their periodic part is already minimal
-    and compacting it would break the law it repeats under). *)
 
 (** {1 Identity} *)
 

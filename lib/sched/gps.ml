@@ -13,5 +13,5 @@ let local_delay ~rate ~weight ~total_weight ~alpha ?packet_latency () =
     ~beta:(flow_service ~rate ~weight ~total_weight ?packet_latency ())
 
 let output_flow ~rate ~weight ~total_weight ~alpha ?packet_latency () =
-  Curve_repr.deconv alpha
+  Minplus.deconv alpha
     (flow_service ~rate ~weight ~total_weight ?packet_latency ())

@@ -262,10 +262,9 @@ let do_stats t =
       ok true;
       str "op" "stats";
       str "engine" engine_name;
-      (* Which curve representation served the session's kernel calls
-         (process-global; delta re-analysis and memo keys are
-         namespaced by it — see Curve_repr). *)
-      str "curve_backend" (Options.curve_backend_name ());
+      (* The engines have one curve representation; the field stays so
+         the stats line is byte-stable for existing clients. *)
+      str "curve_backend" "pwl";
       int "servers" servers;
       int "flows" flows;
       ("admitted_rate", Sjson.Num rate);

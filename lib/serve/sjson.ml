@@ -302,10 +302,13 @@ let to_float = function
   | Str "nan" -> Some nan
   | _ -> None
 
+(* OCaml ints span [-2^62, 2^62).  [float_of_int max_int] rounds up to
+   2^62, so a bound written with it would admit 2^62, which
+   [int_of_float] wraps to [min_int]. *)
 let to_int = function
   | Num x
     when Float_ops.eq_exact (Float.rem x 1.) 0.
-         && Float.abs x <= float_of_int max_int ->
+         && x >= -0x1p62 && x < 0x1p62 ->
       Some (int_of_float x)
   | _ -> None
 

@@ -39,7 +39,7 @@ val to_float : t -> float option
 (** [Num]s, plus the non-finite string sentinels. *)
 
 val to_int : t -> int option
-(** Integral [Num]s only. *)
+(** Integral [Num]s in the native int range [\[-2^62, 2^62)] only. *)
 
 val to_string : t -> string option
 val to_list : t -> t list option

@@ -15,12 +15,13 @@ let make ~id ?name ~arrival ~route ?deadline ?(priority = 0) ?(weight = 1.)
   let sorted = List.sort_uniq compare route in
   if List.length sorted <> List.length route then
     invalid_arg "Flow.make: route visits a server twice";
-  if weight <= 0. then invalid_arg "Flow.make: nonpositive weight";
+  (* [not (x > 0.)] rather than [x <= 0.], which is false for NaN. *)
+  if not (weight > 0.) then invalid_arg "Flow.make: weight must be > 0";
   (match deadline with
-  | Some d when d <= 0. -> invalid_arg "Flow.make: nonpositive deadline"
+  | Some d when not (d > 0.) -> invalid_arg "Flow.make: deadline must be > 0"
   | _ -> ());
   (match buffer with
-  | Some b when b <= 0. -> invalid_arg "Flow.make: nonpositive buffer"
+  | Some b when not (b > 0.) -> invalid_arg "Flow.make: buffer must be > 0"
   | _ -> ());
   let name = match name with Some n -> n | None -> "flow" ^ string_of_int id in
   { id; name; arrival; route; deadline; priority; weight; buffer }

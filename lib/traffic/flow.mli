@@ -31,8 +31,8 @@ val make :
   t
 (** [name] defaults to ["flow<id>"], [priority] to [0], [weight] to
     [1.].  @raise Invalid_argument on an empty route, a route visiting a
-    server twice, nonpositive weight, or a nonpositive deadline or
-    buffer budget. *)
+    server twice, or a weight, deadline or buffer budget that is not
+    [> 0.] (NaN included; [infinity] is accepted). *)
 
 val source_curve : t -> Pwl.t
 (** Envelope of the flow at its entry point. *)

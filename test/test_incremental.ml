@@ -1,9 +1,6 @@
 (* The incremental sweep engine must be invisible except for speed:
    memoized analyses and prefix-served sweep cells return the same bits
-   as from-scratch computation, and Pwl.compact may move a curve only
-   in its safe direction, by a bounded amount, down to a bounded
-   segment count.  These are the guarantees the bench tables and the
-   compaction Options knob rely on. *)
+   as from-scratch computation.  The bench tables rely on that. *)
 
 open Testutil
 
@@ -11,62 +8,6 @@ let with_incremental b f =
   let prev = Incremental.enabled () in
   Incremental.set_enabled b;
   Fun.protect ~finally:(fun () -> Incremental.set_enabled prev) f
-
-(* ------------------------------------------------------------------ *)
-(* Pwl.compact                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let gen_eps = QCheck2.Gen.float_range 0.0 2.0
-let gen_budget = QCheck2.Gen.int_range 2 6
-
-let qtest_compact_budget =
-  qtest ~count:200 "compact: unlimited eps reaches the segment budget"
-    QCheck2.Gen.(pair gen_concave gen_budget)
-    (fun (f, max_segs) ->
-      let r = Pwl.compact ~dir:`Up ~eps:infinity ~max_segs f in
-      List.length (Pwl.segments r) <= max_segs)
-
-let qtest_compact_eps =
-  qtest ~count:200 "compact: within eps of the input everywhere"
-    QCheck2.Gen.(pair gen_concave gen_eps)
-    (fun (f, eps) ->
-      let r = Pwl.compact ~dir:`Up ~eps ~max_segs:1000 f in
-      (* `Up never goes below f, so the sup distance is sup (r - f). *)
-      Pwl.sup_diff r f <= eps +. (1e-9 *. (1. +. eps)))
-
-let qtest_compact_up_safe =
-  qtest ~count:200 "compact `Up: pointwise >= input (envelope-safe)"
-    QCheck2.Gen.(pair gen_concave gen_eps)
-    (fun (f, eps) ->
-      let r = Pwl.compact ~dir:`Up ~eps ~max_segs:3 f in
-      Pwl.sup_diff f r <= 1e-9
-      && Pwl.value_at_zero r = Pwl.value_at_zero f
-      && Pwl.final_slope r = Pwl.final_slope f)
-
-let qtest_compact_down_safe =
-  qtest ~count:200 "compact `Down: pointwise <= input (service-safe)"
-    QCheck2.Gen.(pair gen_convex gen_eps)
-    (fun (f, eps) ->
-      let r = Pwl.compact ~dir:`Down ~eps ~max_segs:3 f in
-      Pwl.sup_diff r f <= 1e-9
-      && Pwl.value_at_zero r = Pwl.value_at_zero f
-      && Pwl.final_slope r = Pwl.final_slope f)
-
-let test_compact_exact () =
-  (* A 4-piece concave envelope with a removable middle breakpoint. *)
-  let f =
-    Pwl.min_list
-      [
-        Pwl.affine ~y0:4. ~slope:1.;
-        Pwl.affine ~y0:5. ~slope:0.8;
-        Pwl.affine ~y0:8. ~slope:0.2;
-      ]
-  in
-  let r = Pwl.compact ~dir:`Up ~eps:infinity ~max_segs:2 f in
-  check_bool "budget met" true (List.length (Pwl.segments r) <= 2);
-  check_bool "still above" true (Pwl.sup_diff f r <= 1e-12);
-  approx "zero eps is the identity" 0.
-    (Pwl.sup_diff (Pwl.compact ~dir:`Up ~eps:0. ~max_segs:1000 f) f)
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)
@@ -181,72 +122,10 @@ let test_sweep_saturated_load () =
   exact_cell n u "service_curve" want.service_curve got.service_curve;
   exact_cell n u "integrated" want.integrated got.integrated
 
-(* Compaction loosens bounds only upward, and only when enabled. *)
-let test_compaction_bound_direction () =
-  let net = (Tandem.make ~n:6 ~utilization:0.8 ()).network in
-  let exact =
-    with_incremental false (fun () ->
-        Decomposed.flow_delay (Decomposed.analyze net) 0)
-  in
-  List.iter
-    (fun eps ->
-      let options = Options.with_compaction ~max_segs:8 eps Options.default in
-      let d =
-        with_incremental false (fun () ->
-            Decomposed.flow_delay (Decomposed.analyze ~options net) 0)
-      in
-      check_bool
-        (Printf.sprintf "eps=%g keeps a valid (only looser) bound" eps)
-        true
-        (d >= exact -. 1e-9);
-      check_bool
-        (Printf.sprintf "eps=%g stays within a sane factor" eps)
-        true
-        (d <= exact *. 2.))
-    [ 0.01; 0.1; 0.5 ]
-
-(* On a multi-piece concave source (where there is something to prune),
-   compaction must actually prune the propagated envelopes while the
-   bound stays valid.  The paper's token buckets have <= 3 segments, so
-   on those grids the knob is the identity — this pins the general
-   case. *)
-let test_compaction_prunes () =
-  let alpha =
-    Pwl.min_list
-      [
-        Pwl.affine ~y0:0.5 ~slope:2.;
-        Pwl.affine ~y0:1.5 ~slope:1.;
-        Pwl.affine ~y0:3. ~slope:0.5;
-        Pwl.affine ~y0:6. ~slope:0.1;
-      ]
-  in
-  let net =
-    Network.make
-      ~servers:
-        (List.init 3 (fun id -> Server.make ~id ~rate:1. ()))
-      ~flows:
-        [ Flow.make ~id:0 ~arrival:(Arrival.of_curve alpha) ~route:[ 0; 1; 2 ] () ]
-  in
-  with_incremental false @@ fun () ->
-  let exact = Decomposed.analyze net in
-  let options = Options.with_compaction ~max_segs:2 infinity Options.default in
-  let pruned = Decomposed.analyze ~options net in
-  let segs t sid =
-    List.length (Pwl.segments (Decomposed.envelope_at t ~flow:0 ~server:sid))
-  in
-  check_bool "exact propagation keeps the breakpoints" true (segs exact 1 > 2);
-  Alcotest.(check int) "compacted envelope at hop 2 hits the budget" 2
-    (segs pruned 1);
-  let d_exact = Decomposed.flow_delay exact 0 in
-  let d_pruned = Decomposed.flow_delay pruned 0 in
-  check_bool "pruned bound still a valid upper bound" true
-    (d_pruned >= d_exact -. 1e-9)
-
-(* Key-coverage audit: every process input that can change a memoized
-   result must be folded into net_key — the compaction knobs (eps and
-   max_segs), the pairing strategy, and the curve-backend tag.  A miss
-   here is silent: the memo would replay a value computed under
-   different settings. *)
+(* Key-coverage audit: every input that can change a memoized result
+   must be folded into net_key — each field of the options (link_cap,
+   sp_blocking) and the pairing strategy.  A miss here is silent: the
+   memo would replay a value computed under different settings. *)
 let test_net_key_coverage () =
   with_incremental true (fun () ->
       let net = (Tandem.make ~n:2 ~utilization:0.5 ()).network in
@@ -261,37 +140,25 @@ let test_net_key_coverage () =
       get (Incremental.net_key ~options:Options.default net);
       get (Incremental.net_key ~options:Options.default net);
       Alcotest.(check int) "identical inputs hit the memo" 1 !calls;
+      get (Incremental.net_key ~options:Options.sharpened net);
+      Alcotest.(check int) "link_cap is keyed" 2 !calls;
       get
         (Incremental.net_key
-           ~options:(Options.with_compaction 0.25 Options.default)
+           ~options:(Options.with_blocking 0.5 Options.default)
            net);
-      Alcotest.(check int) "compaction eps is keyed" 2 !calls;
-      get
-        (Incremental.net_key
-           ~options:(Options.with_compaction ~max_segs:5 0.25 Options.default)
-           net);
-      Alcotest.(check int) "compaction max_segs is keyed" 3 !calls;
+      Alcotest.(check int) "sp_blocking is keyed" 3 !calls;
       get
         (Incremental.net_key ~options:Options.default
            ~strategy:(Pairing.Along_route 0) net);
       Alcotest.(check int) "pairing strategy is keyed" 4 !calls;
-      let prev = Curve_repr.backend () in
-      Fun.protect
-        ~finally:(fun () -> Curve_repr.set_backend prev)
-        (fun () ->
-          Curve_repr.set_backend
-            (match prev with `Pwl -> `Upp | `Upp -> `Pwl);
-          get (Incremental.net_key ~options:Options.default net);
-          Alcotest.(check int) "curve backend is keyed" 5 !calls))
+      get
+        (Incremental.net_key ~options:Options.default ~strategy:Pairing.Greedy
+           net);
+      Alcotest.(check int) "a different strategy is keyed apart" 5 !calls)
 
 let suite =
   ( "incremental",
     [
-      qtest_compact_budget;
-      qtest_compact_eps;
-      qtest_compact_up_safe;
-      qtest_compact_down_safe;
-      test "compact on a concrete envelope" test_compact_exact;
       test "hash-consing interns equal curves" test_interning;
       test "interning can be disabled" test_intern_toggle;
       test "memoized analyses are transparent" test_memo_transparent;
@@ -300,6 +167,4 @@ let suite =
       test "structural rebuild hits the memo" test_memo_reuse;
       test "sweep grid = scratch grid, bit for bit" test_sweep_prefix_identity;
       test "largest prefix matches compare_all" test_sweep_saturated_load;
-      test "compaction only loosens bounds" test_compaction_bound_direction;
-      test "compaction prunes propagated envelopes" test_compaction_prunes;
     ] )

@@ -247,43 +247,6 @@ let test_priority_demotion_hurts () =
   check_bool "demotion monotone" true (bound 3 >= bound 1 -. 1e-9);
   check_bool "promotion helps" true (bound 0 <= bound 1 +. 1e-9)
 
-
-(* Compaction applies to this engine's intermediate envelopes as it
-   does to Integrated's: a 4-piece source through a pair leaves a
-   2-segment envelope at the next server under a 2-segment budget. *)
-let test_compaction_applies () =
-  let alpha =
-    Pwl.min_list
-      [
-        Pwl.affine ~y0:0.5 ~slope:2.;
-        Pwl.affine ~y0:1.5 ~slope:1.;
-        Pwl.affine ~y0:3. ~slope:0.5;
-        Pwl.affine ~y0:6. ~slope:0.1;
-      ]
-  in
-  let net =
-    Network.make
-      ~servers:(List.init 3 (fun id -> Server.make ~id ~rate:1. ()))
-      ~flows:
-        [
-          Flow.make ~id:0 ~arrival:(Arrival.of_curve alpha) ~route:[ 0; 1; 2 ]
-            ();
-        ]
-  in
-  let options = Options.with_compaction ~max_segs:2 infinity Options.default in
-  let strategy = Pairing.Along_route 0 in
-  let segs env = List.length (Pwl.segments env) in
-  Alcotest.(check int) "Integrated envelope at server 2" 2
-    (segs
-       (Integrated.envelope_at
-          (Integrated.analyze ~options ~strategy net)
-          ~flow:0 ~server:2));
-  Alcotest.(check int) "Integrated_sp envelope at server 2" 2
-    (segs
-       (Integrated_sp.envelope_at
-          (Integrated_sp.analyze ~options ~strategy net)
-          ~flow:0 ~server:2))
-
 let suite =
   ( "integrated-sp",
     [
@@ -297,5 +260,4 @@ let suite =
       test "bounds hold against non-preemptive packet simulation"
         test_validation_against_simulator;
       prop_sp_dominated_on_random_nets;
-      test "compaction applies to its envelopes" test_compaction_applies;
     ] )

@@ -28,10 +28,6 @@ let run cmd = Sys.command (cmd ^ " > /dev/null 2>&1")
 let expected_fixture_findings =
   [ ("fixtures/bench/bad_determinism.ml", 10, "unsorted-fold");
     ("fixtures/bench/bad_determinism.ml", 11, "unsorted-fold");
-    ("fixtures/lib/core/bad_backend.ml", 6, "curve-repr");
-    ("fixtures/lib/core/bad_backend.ml", 7, "curve-repr");
-    ("fixtures/lib/core/bad_backend.ml", 8, "curve-repr");
-    ("fixtures/lib/core/bad_backend.ml", 9, "curve-repr");
     ("fixtures/lib/core/bad_backend.ml", 10, "curve-repr");
     ("fixtures/lib/bad_float.ml", 7, "float-eq");
     ("fixtures/lib/bad_float.ml", 8, "float-eq");

@@ -530,6 +530,27 @@ let golden_transcript =
     ( {|{"op":"stats"}|},
       {|{"ok":true,"op":"stats","engine":"delta","curve_backend":"pwl","servers":1,"flows":2,"admitted_rate":0.2,"admits":3,"rejects":3,"teardowns":1,"cone_nodes":6,"reused_nodes":1}|}
     );
+    (* Ids must fit a native int, [-2^62, 2^62).  2^62 is a bad
+       request, not a wrap to -2^62, which stays a valid id that was
+       never admitted. *)
+    ( {|{"op":"admit","flow":{"id":4611686018427387904,"sigma":1,"rho":0.1,"route":[0],"deadline":5}}|},
+      {|{"ok":false,"error":"bad_request","detail":"invalid \"id\" field"}|} );
+    ( {|{"op":"query","flow":4611686018427387904}|},
+      {|{"ok":false,"error":"bad_request","detail":"invalid \"flow\" field"}|} );
+    ( {|{"op":"query","flow":-4611686018427387904}|},
+      {|{"ok":false,"op":"query","flow":-4.6116860184273879e+18,"error":"unknown_flow"}|}
+    );
+    (* A NaN deadline or buffer budget is not > 0: a bad request,
+       refused before the engine re-analyzes anything. *)
+    ( {|{"op":"admit","flow":{"id":13,"sigma":1,"rho":0.1,"route":[0],"deadline":"nan"}}|},
+      {|{"ok":false,"error":"bad_request","detail":"Flow.make: deadline must be > 0"}|}
+    );
+    ( {|{"op":"admit","flow":{"id":13,"sigma":1,"rho":0.1,"route":[0],"deadline":50,"buffer":"nan"}}|},
+      {|{"ok":false,"error":"bad_request","detail":"Flow.make: buffer must be > 0"}|}
+    );
+    ( {|{"op":"stats"}|},
+      {|{"ok":true,"op":"stats","engine":"delta","curve_backend":"pwl","servers":1,"flows":2,"admitted_rate":0.2,"admits":3,"rejects":3,"teardowns":1,"cone_nodes":6,"reused_nodes":1}|}
+    );
   ]
 
 let test_golden_transcript () =

@@ -1,5 +1,4 @@
-(* Tests for the UPP (ultimately pseudo-periodic) curve backend and the
-   Curve_repr dispatch seam:
+(* Tests for the UPP (ultimately pseudo-periodic) curve library:
 
    - closed forms and eval/unroll agreement for periodic curves;
    - normalization idempotence;
@@ -11,9 +10,8 @@
    - horizon independence: the upp representation of a smoothed
      staircase keeps a constant segment count where the unrolled pwl
      result grows linearly with the horizon;
-   - whole-engine cross-backend equivalence, bit for bit;
-   - the namespaced Minplus result cache cannot conflate entries from
-     different backends;
+   - the namespaced Minplus result cache cannot conflate upp window
+     results with pwl kernel entries;
    - the pwl.segments.{total,max} metrics record curve workload. *)
 
 open Testutil
@@ -247,49 +245,6 @@ let test_horizon_independent_size () =
   check_bool "upp result did not grow" true (Upp.segment_count upp_r <= 4)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-backend engine equivalence                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_cross_backend_bit_identical () =
-  let saved = Options.curve_backend () in
-  Fun.protect ~finally:(fun () -> Options.set_curve_backend saved)
-  @@ fun () ->
-  let t = Tandem.make ~n:4 ~utilization:0.6 ~sigma:1. ~peak:1. () in
-  let run b =
-    Options.set_curve_backend b;
-    Engine.compare_all ~strategy:(Pairing.Along_route 0) t.Tandem.network 0
-  in
-  let a = run `Pwl and b = run `Upp in
-  Alcotest.(check int) "flow" a.Engine.flow b.Engine.flow;
-  List.iter2
-    (fun (name, u) v ->
-      Alcotest.(check int64) name (Int64.bits_of_float u)
-        (Int64.bits_of_float v))
-    [
-      ("decomposed", a.decomposed);
-      ("service_curve", a.service_curve);
-      ("integrated", a.integrated);
-      ("fifo_theta", a.fifo_theta);
-      ("decomposed_backlog", a.decomposed_backlog);
-      ("integrated_backlog", a.integrated_backlog);
-    ]
-    [
-      b.decomposed; b.service_curve; b.integrated; b.fifo_theta;
-      b.decomposed_backlog; b.integrated_backlog;
-    ]
-
-let test_backend_of_string () =
-  (match Options.curve_backend_of_string "pwl" with
-  | Ok `Pwl -> ()
-  | _ -> Alcotest.fail "pwl should parse");
-  (match Options.curve_backend_of_string "upp" with
-  | Ok `Upp -> ()
-  | _ -> Alcotest.fail "upp should parse");
-  match Options.curve_backend_of_string "nancy" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown backend should be rejected"
-
-(* ------------------------------------------------------------------ *)
 (* Cache namespacing                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -368,9 +323,6 @@ let suite =
       test "periodic add/min are pointwise" test_periodic_add_min;
       test "periodic deconv is the exact sup" test_periodic_deconv_is_sup;
       test "upp size is horizon-independent" test_horizon_independent_size;
-      test "engines are bit-identical across backends"
-        test_cross_backend_bit_identical;
-      test "backend names parse" test_backend_of_string;
       test "result cache cannot conflate backends" test_cache_namespacing;
       test "pwl.segments metrics record workload" test_segment_metrics;
     ] )

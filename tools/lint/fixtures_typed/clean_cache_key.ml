@@ -11,7 +11,7 @@ let analysis net =
 let cached net =
   let key =
     Incremental.net_key
-      ~options:(Options.with_compaction !Fixture_state.knob Options.default)
+      ~options:(Options.with_blocking !Fixture_state.knob Options.default)
       net
   in
   Incremental.memoize memo key (fun () -> analysis net)

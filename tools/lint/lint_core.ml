@@ -71,13 +71,12 @@ let role_of_path path =
   in
   find (path_segs path)
 
-(* Directories whose code constitutes the analysis engines: they must
-   reach the min-plus kernels through the [Curve_repr] dispatch seam,
-   so the [--curve-backend] switch covers every analysis path.
-   lib/pwl (the backends themselves), lib/curves (curve constructors,
-   including the sampler-based FIFO-theta clipping) and lib/sim (the
-   fluid simulator computes explicit trajectories, not bounds) stay on
-   the kernels. *)
+(* Directories whose code constitutes the analysis engines: they build
+   curves only with exact constructions, never from samplers
+   (DESIGN.md §7).  lib/pwl (the curve libraries themselves), lib/curves
+   (curve constructors, including the sampler-based FIFO-theta
+   clipping) and lib/sim (the fluid simulator computes explicit
+   trajectories, not bounds) may sample. *)
 let engine_path path =
   let rec find = function
     | "lib" :: d :: _ -> List.mem d [ "core"; "sched"; "serve" ]

@@ -21,10 +21,9 @@
                      iteration order is unspecified, so the output is
                      nondeterministic
      curve-repr      engine code (lib/core, lib/sched, lib/serve)
-                     calling the min-plus kernels directly
-                     ([Minplus.conv] &c.) or rebuilding curves from
-                     samplers ([Pwl.of_sampler]): both bypass the
-                     [--curve-backend] dispatch seam ([Curve_repr])
+                     rebuilding curves from samplers
+                     ([Pwl.of_sampler]): engines build curves only
+                     with exact constructions
 
    plus two infrastructure rules: [parse-error] (a file does not
    parse) and [bad-waiver] (a waiver attribute whose payload does not
@@ -201,8 +200,7 @@ let contains_sink e =
 let pwl_ctors =
   [ "make"; "constant"; "affine"; "of_sampler"; "add"; "sum"; "sub"; "scale";
     "min_pw"; "max_pw"; "nonneg"; "min_list"; "shift_left"; "shift_right";
-    "compose"; "pseudo_inverse"; "running_max"; "lower_convex_hull"; "compact"
-  ]
+    "compose"; "pseudo_inverse"; "running_max"; "lower_convex_hull" ]
 
 let minplus_ctors = [ "conv"; "conv_list"; "conv_with_rate"; "deconv" ]
 
@@ -414,24 +412,16 @@ let analyze_structure ~report ~file ~role str =
                  binding with [@@lint.domain_safe \"reason\"]"
         | _ -> ());
         (match txt with
-        | Ldot (Lident "Minplus", f) when engine && List.mem f minplus_ctors ->
-            report ~loc:e.pexp_loc ~rule:"curve-repr"
-              ~msg:
-                (Printf.sprintf
-                   "direct Minplus.%s in engine code bypasses the \
-                    curve-backend switch"
-                   f)
-              ~hint:
-                "go through Curve_repr.conv / conv_list / conv_with_rate / \
-                 deconv"
         | Ldot (Lident "Pwl", "of_sampler") when engine ->
             report ~loc:e.pexp_loc ~rule:"curve-repr"
               ~msg:
-                "Pwl.of_sampler in engine code builds a \
-                 representation-specific curve behind the Curve_repr seam"
+                "Pwl.of_sampler in engine code rebuilds a curve from \
+                 samples; engines build curves only with exact \
+                 constructions"
               ~hint:
-                "move the sampler-based construction into lib/pwl or \
-                 lib/curves and expose it through the repr interface"
+                "build the curve with exact Pwl/Minplus operations, or \
+                 move the sampler-based construction into lib/pwl or \
+                 lib/curves"
         | _ -> ());
         match forbidden_prim role txt with
         | Some (sym, hint) ->
