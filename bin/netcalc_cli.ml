@@ -454,7 +454,12 @@ let scale_cmd =
       let table_delays =
         List.map (fun (id, _) -> (id, Decomposed.flow_delay d id)) delays
       in
-      if delays = table_delays then
+      (* Bits, not [=]: [=] equates [0.] with [-0.] and never equates
+         NaN with itself. *)
+      let same_bits (id, a) (id', b) =
+        id = id' && Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      if List.equal same_bits delays table_delays then
         print_endline "\ncheck: streaming bounds bit-identical to the \
                        table-based engine"
       else begin

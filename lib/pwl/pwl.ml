@@ -2,12 +2,13 @@
 type seg = { x : float; y : float; slope : float }
 
 type t = { segs : seg array; uid : int; hash : int }
-(* Values are hash-consed: [make] interns the normalized segment array,
-   so two structurally (bit-)identical curves constructed anywhere in
-   the process are one physical value.  [uid] is unique per interned
-   value and never reused, which makes it a sound O(1) cache key
-   ([Minplus], the incremental engine): uid equality implies physical
-   equality implies mathematical equality.  [hash] is the content hash,
+(* Values are hash-consed: [of_segs], the constructor behind [make] and
+   every operation, interns the normalized segment array, so two
+   structurally (bit-)identical curves constructed anywhere in the
+   process are one physical value.  [uid] is unique per interned value
+   and never reused, which makes it a sound O(1) cache key ([Minplus],
+   the incremental engine): uid equality implies physical equality
+   implies mathematical equality.  [hash] is the content hash,
    precomputed once. *)
 
 (* ------------------------------------------------------------------ *)
@@ -18,26 +19,28 @@ let check_finite v name =
   if not (Float.is_finite v) then
     invalid_arg (Printf.sprintf "Pwl.make: non-finite %s" name)
 
-(* Merge adjacent collinear segments; assumes x strictly increasing.
-   The slope test is ABSOLUTE: a tolerance relative to the slope
-   magnitude would let near-vertical segments merge while their
-   extrapolated values drift arbitrarily over the merged span. *)
+(* Merge adjacent collinear segments, in place on a fresh array;
+   assumes x strictly increasing.  The slope test is ABSOLUTE: a
+   tolerance relative to the slope magnitude would let near-vertical
+   segments merge while their extrapolated values drift arbitrarily
+   over the merged span. *)
 let normalize segs =
   let open Float_ops in
-  let join acc seg =
-    match acc with
-    | prev :: rest ->
-        let dx = seg.x -. prev.x in
-        let continuous = seg.y =~ prev.y +. (prev.slope *. dx) in
-        if continuous && Float.abs (seg.slope -. prev.slope) <= 1e-9 then
-          prev :: rest
-        else seg :: acc
-    | [] -> [ seg ]
-  in
-  Array.of_list (List.rev (List.fold_left join [] segs))
+  let w = ref 0 in
+  for i = 1 to Array.length segs - 1 do
+    let prev = segs.(!w) and seg = segs.(i) in
+    let dx = seg.x -. prev.x in
+    let continuous = seg.y =~ prev.y +. (prev.slope *. dx) in
+    if not (continuous && Float.abs (seg.slope -. prev.slope) <= 1e-9) then begin
+      Stdlib.incr w;
+      segs.(!w) <- seg
+    end
+  done;
+  if !w + 1 = Array.length segs then segs else Array.sub segs 0 (!w + 1)
 
-(* Every pwl value goes through [make], so a counter here measures the
-   total construction volume of an analysis and the breakpoint
+(* Every pwl value goes through [of_segs], the validating constructor
+   that [make] and the pointwise merges share, so a counter there
+   measures the total construction volume of an analysis and the breakpoint
    distribution measures how large intermediate functions get
    ([pwl.breakpoints]'s max is the peak complexity).  Recording is
    branch-guarded by Obs: disabled runs pay one load and branch.
@@ -203,27 +206,24 @@ let compare f g =
     in
     go 0
 
-let make triples =
-  if triples = [] then invalid_arg "Pwl.make: empty segment list";
+(* The one validating constructor.  [make] and the pointwise merges
+   hand it a fresh segment array: every result is checked, normalized
+   (in place) and interned here, and nowhere else. *)
+let of_segs segs =
+  if Array.length segs = 0 then invalid_arg "Pwl.make: empty segment list";
   Prof.count c_make;
-  let segs = List.map (fun (x, y, slope) -> { x; y; slope }) triples in
-  List.iter
+  Array.iter
     (fun s ->
       check_finite s.x "x";
       check_finite s.y "y";
       check_finite s.slope "slope")
     segs;
-  (match segs with
-  | first :: _ when not (Float_ops.eq_exact first.x 0.) ->
-      invalid_arg "Pwl.make: first x must be 0."
-  | _ -> ());
-  let rec check_increasing = function
-    | a :: (b :: _ as rest) ->
-        if b.x <= a.x then invalid_arg "Pwl.make: x not strictly increasing";
-        check_increasing rest
-    | _ -> ()
-  in
-  check_increasing segs;
+  if not (Float_ops.eq_exact segs.(0).x 0.) then
+    invalid_arg "Pwl.make: first x must be 0.";
+  for i = 1 to Array.length segs - 1 do
+    if segs.(i).x <= segs.(i - 1).x then
+      invalid_arg "Pwl.make: x not strictly increasing"
+  done;
   let segs = normalize segs in
   if Prof.enabled () then begin
     Metrics.observe d_breakpoints (float_of_int (Array.length segs));
@@ -231,6 +231,9 @@ let make triples =
     Metrics.observe_peak p_segs_max (Array.length segs)
   end;
   intern segs
+
+let make triples =
+  of_segs (Array.of_list (List.map (fun (x, y, slope) -> { x; y; slope }) triples))
 
 let zero = make [ (0., 0., 0.) ]
 let constant c = make [ (0., c, 0.) ]
@@ -460,28 +463,66 @@ let merged_breakpoints f g =
 (* Right slope at t: the slope of the segment containing t. *)
 let slope_at f t = f.segs.(seg_index f t).slope
 
-(* Exact pointwise combination on the merged breakpoints: values and
-   slopes are read off the operands directly, never probed. *)
-let pointwise_exact op_val op_slope f g =
-  make
-    (List.map
-       (fun x -> (x, op_val (eval f x) (eval g x), op_slope (slope_at f x) (slope_at g x)))
-       (merged_breakpoints f g))
+(* Two-cursor merge of two segment arrays on the union of their
+   breakpoints: the sum, or with [~neg] the difference.  Each value and
+   right slope is read off the operand segment containing the point,
+   with the same float operations as [eval] and [slope_at], so [add] and
+   [sub] are bit-identical to evaluating both operands there.  The
+   output is neither normalized nor interned. *)
+let merge_segs ~neg a b =
+  let na = Array.length a and nb = Array.length b in
+  (* both start at 0., so the union has at most na + nb - 1 points *)
+  let out = Array.make (na + nb - 1) a.(0) in
+  let rec go i j n =
+    let sa = a.(i) and sb = b.(j) in
+    let x = if sa.x >= sb.x then sa.x else sb.x in
+    let ya = sa.y +. (sa.slope *. (x -. sa.x)) in
+    let yb = sb.y +. (sb.slope *. (x -. sb.x)) in
+    out.(n) <-
+      (if neg then { x; y = ya -. yb; slope = sa.slope -. sb.slope }
+       else { x; y = ya +. yb; slope = sa.slope +. sb.slope });
+    if i + 1 = na && j + 1 = nb then
+      if n + 1 = Array.length out then out else Array.sub out 0 (n + 1)
+    else
+      let xa = if i + 1 < na then a.(i + 1).x else infinity in
+      let xb = if j + 1 < nb then b.(j + 1).x else infinity in
+      go (if xa <= xb then i + 1 else i) (if xb <= xa then j + 1 else j) (n + 1)
+  in
+  go 0 0 0
 
 (* Physical-equality fast paths: interning makes identity checks
    meaningful (equal content constructed anywhere is one value), so the
-   neutral-element and idempotent cases skip the merged-breakpoint
-   rebuild entirely.  [f + zero] rebuilt pointwise yields the same
-   floats as [f] ([y +. 0. = y] for the finite values stored here), so
-   the fast path is indistinguishable from the slow one. *)
+   neutral-element cases skip the merge entirely.  [f + zero] merged
+   yields the same floats as [f] ([y +. 0. = y] for the finite values
+   stored here), so the fast path is indistinguishable from the slow
+   one. *)
 let add f g =
   if f == zero then g
   else if g == zero then f
-  else pointwise_exact ( +. ) ( +. ) f g
+  else of_segs (merge_segs ~neg:false f.segs g.segs)
 
-let sum = function [] -> zero | f :: rest -> List.fold_left add f rest
+(* Pairwise tree (order and cost in the .mli): the levels pass plain
+   arrays, and only the root goes through [of_segs], so a hub of k
+   curves is one construction, not k - 1 interned ones. *)
+let sum fs =
+  match List.filter (fun f -> f != zero) fs with
+  | [] -> zero
+  | [ f ] -> f
+  | fs ->
+      let level = Array.of_list (List.map (fun f -> f.segs) fs) in
+      let rec reduce n =
+        if n = 1 then level.(0)
+        else begin
+          for k = 0 to (n / 2) - 1 do
+            level.(k) <- merge_segs ~neg:false level.(2 * k) level.((2 * k) + 1)
+          done;
+          if n land 1 = 1 then level.(n / 2) <- level.(n - 1);
+          reduce ((n + 1) / 2)
+        end
+      in
+      of_segs (reduce (Array.length level))
 
-let sub f g = if g == zero then f else pointwise_exact ( -. ) ( -. ) f g
+let sub f g = if g == zero then f else of_segs (merge_segs ~neg:true f.segs g.segs)
 
 let scale k f =
   make (List.map (fun (x, y, s) -> (x, k *. y, k *. s)) (segments f))

@@ -169,10 +169,25 @@ val to_string : t -> string
 (** {1 Pointwise algebra} *)
 
 val add : t -> t -> t
+(** Pointwise sum on the union of the breakpoints, by a two-cursor
+    merge: the value and slope at each point are read off the segment
+    of each operand that contains it, as {!eval} reads them. *)
+
 val sum : t list -> t
-(** [sum \[\] = zero]. *)
+(** Pointwise sum of a list, as a pairwise tree of {!add}'s merge:
+    operands that are physically {!zero} are dropped, then each level
+    merges adjacent pairs left to right (an odd last operand rides up
+    unchanged) until one remains.  [sum \[\] == zero] and
+    [sum \[f\] == f]; [sum \[f; g\]] is [add f g] bit for bit.  For
+    [k] curves with [K] breakpoints in all this is O(K log k) segment
+    work, and only the result is normalized and interned (one
+    construction, however long the list); the intermediate sums are
+    plain arrays.  The order fixes the float rounding, so every engine
+    that aggregates through [sum] gets bit-identical results. *)
 
 val sub : t -> t -> t
+(** [add] with the second operand negated, through the same merge. *)
+
 val scale : float -> t -> t
 val min_pw : t -> t -> t
 (** Pointwise minimum (crossing points become breakpoints). *)

@@ -288,6 +288,9 @@ let do_stats t =
 let handle_line t line =
   (try
      match Sjson.parse line with
+     (* well-formed JSON, but an ambiguous request *)
+     | exception Sjson.Parse_error msg when String.equal msg Sjson.duplicate_key ->
+         bad_request msg
      | exception Sjson.Parse_error msg ->
          obj [ ok false; str "error" "parse_error"; str "detail" msg ]
      | j -> (

@@ -8,6 +8,19 @@ type t =
 
 exception Parse_error of string
 
+let duplicate_key = "duplicate key"
+
+(* Sorting the keys keeps the check O(n log n) in the object's size, so
+   a long line of distinct keys cannot make it quadratic. *)
+let check_unique_keys fields =
+  let rec scan = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+        if String.equal a b then raise (Parse_error duplicate_key);
+        scan rest
+    | _ -> ()
+  in
+  scan (List.sort (fun (a, _) (b, _) -> String.compare a b) fields)
+
 (* ------------------------------------------------------------------ *)
 (* Parsing: plain recursive descent over the string.  The cursor is a
    local ref per parse call, so the parser is reentrant (no module
@@ -169,7 +182,9 @@ let parse s =
                 fields ((key, v) :: acc)
             | Some '}' ->
                 advance ();
-                List.rev ((key, v) :: acc)
+                let fields = List.rev ((key, v) :: acc) in
+                check_unique_keys fields;
+                fields
             | _ -> fail "expected ',' or '}'"
           in
           Obj (fields [])

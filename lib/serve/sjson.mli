@@ -16,10 +16,17 @@ type t =
   | Obj of (string * t) list
 
 exception Parse_error of string
-(** Position-tagged message. *)
+(** Position-tagged message, or {!duplicate_key}. *)
+
+val duplicate_key : string
+(** The {!Parse_error} message for an object that repeats a key.  The
+    document is well-formed JSON, but which of the values a lookup
+    would see is ambiguous, so the parser refuses it; serve answers it
+    as a bad request rather than a parse error. *)
 
 val parse : string -> t
-(** Parse one JSON document; trailing non-whitespace is an error.
+(** Parse one JSON document; trailing non-whitespace is an error, and
+    so is a key repeated within one object.
     @raise Parse_error on malformed input. *)
 
 val render : t -> string

@@ -68,6 +68,42 @@ let test_add_sub_scale () =
   let k = Pwl.scale 3. f in
   approx "scale" (3. *. Pwl.eval f 2.) (Pwl.eval k 2.)
 
+let test_sum_neutral () =
+  let f = Pwl.make [ (0., 1., 2.); (1., 3., 0.5) ] in
+  let g = token_bucket ~sigma:2. ~rho:1. in
+  check_bool "sum [] == zero" true (Pwl.sum [] == Pwl.zero);
+  check_bool "sum [f] == f" true (Pwl.sum [ f ] == f);
+  check_bool "zero operands dropped" true (Pwl.sum [ Pwl.zero; f; Pwl.zero ] == f);
+  check_bool "all-zero sum is zero" true (Pwl.sum [ Pwl.zero; Pwl.zero ] == Pwl.zero);
+  check_bool "sum of two is add, bit for bit" true
+    (Pwl.compare (Pwl.sum [ f; Pwl.zero; g ]) (Pwl.add f g) = 0)
+
+(* A hub: 2000 three-piece curves with distinct knees.  Pinned by the
+   construction count, not by wall time: the whole sum is one
+   construction, where a fold of [add] would build 1999 interned
+   intermediates. *)
+let test_sum_hub () =
+  let curves =
+    List.init 2000 (fun i ->
+        let k = 1. +. (float_of_int i /. 1000.) in
+        Pwl.make
+          [ (0., 1., 2.); (k, 1. +. (2. *. k), 1.); (2. *. k, 1. +. (3. *. k), 0.5) ])
+  in
+  let c = Metrics.counter "pwl.make.calls" in
+  Obs.enable ();
+  let before = Metrics.value c in
+  let s = Fun.protect ~finally:Obs.disable (fun () -> Pwl.sum curves) in
+  Alcotest.(check int) "one construction" 1 (Metrics.value c - before);
+  let points =
+    List.sort_uniq Float.compare (List.concat_map Pwl.breakpoints curves)
+  in
+  List.iter
+    (fun x ->
+      let expected = List.fold_left (fun acc f -> acc +. Pwl.eval f x) 0. curves in
+      if not Float_ops.(Pwl.eval s x =~ expected) then
+        Alcotest.failf "sum at %g: expected %.17g, got %.17g" x expected (Pwl.eval s x))
+    points
+
 let test_min_max_crossing () =
   let f = Pwl.affine ~y0:0. ~slope:2. in
   let g = token_bucket ~sigma:3. ~rho:1. in
@@ -350,4 +386,6 @@ let suite =
       prop_hdev_token_bucket_formula;
       prop_inverse_roundtrip;
       prop_busy_period_is_crossing;
+      test "sum: neutral cases" test_sum_neutral;
+      test "sum: 2000-curve hub is one construction" test_sum_hub;
     ] )

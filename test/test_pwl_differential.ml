@@ -37,12 +37,17 @@ let grid = List.init 120 (fun i -> float_of_int i /. 8.)
 
 let close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs b)
 
+(* Covers [sum] too: a pairwise tree over 0-40 general curves. *)
 let prop_add_exact =
   qtest ~count:300 "add is exact on general shapes"
-    QCheck2.Gen.(pair gen_general gen_general)
-    (fun (f, g) ->
+    QCheck2.Gen.(triple gen_general gen_general (list_size (int_range 0 40) gen_general))
+    (fun (f, g, fs) ->
+      let total = Pwl.sum fs in
       List.for_all
-        (fun t -> close (Pwl.eval (Pwl.add f g) t) (Pwl.eval f t +. Pwl.eval g t))
+        (fun t ->
+          close (Pwl.eval (Pwl.add f g) t) (Pwl.eval f t +. Pwl.eval g t)
+          && close (Pwl.eval total t)
+               (List.fold_left (fun acc h -> acc +. Pwl.eval h t) 0. fs))
         grid)
 
 let prop_min_max_exact =

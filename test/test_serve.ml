@@ -447,7 +447,8 @@ let test_sjson_errors () =
       | exception Sjson.Parse_error _ -> ()
       | _ -> Alcotest.failf "expected Parse_error on %S" s)
     [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "1.2.3"; "\"unterminated";
-      "{\"a\":1} trailing"; "\"bad \\q escape\"" ]
+      "{\"a\":1} trailing"; "\"bad \\q escape\"";
+      "{\"a\":1,\"b\":2,\"a\":3}"; "[{\"x\":{\"k\":1,\"k\":1}}]" ]
 
 (* ------------------------------------------------------------------ *)
 (* Line protocol: golden transcript                                    *)
@@ -548,6 +549,13 @@ let golden_transcript =
     ( {|{"op":"admit","flow":{"id":13,"sigma":1,"rho":0.1,"route":[0],"deadline":50,"buffer":"nan"}}|},
       {|{"ok":false,"error":"bad_request","detail":"Flow.make: buffer must be > 0"}|}
     );
+    ( {|{"op":"stats"}|},
+      {|{"ok":true,"op":"stats","engine":"delta","curve_backend":"pwl","servers":1,"flows":2,"admitted_rate":0.2,"admits":3,"rejects":3,"teardowns":1,"cone_nodes":6,"reused_nodes":1}|}
+    );
+    (* A repeated key is ambiguous: a bad request, not an answer for
+       whichever value a lookup happens to see first. *)
+    ( {|{"op":"query","flow":5,"flow":6}|},
+      {|{"ok":false,"error":"bad_request","detail":"duplicate key"}|} );
     ( {|{"op":"stats"}|},
       {|{"ok":true,"op":"stats","engine":"delta","curve_backend":"pwl","servers":1,"flows":2,"admitted_rate":0.2,"admits":3,"rejects":3,"teardowns":1,"cone_nodes":6,"reused_nodes":1}|}
     );
