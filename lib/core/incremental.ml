@@ -3,17 +3,17 @@
    half lives in Sweep_engine).  Each analysis module keeps a private
    table and keys it with [net_key]: a structural fingerprint of
    everything its result depends on — server configs, flow configs
-   (source curves by intern uid, see {!Pwl.uid}), options, pairing
-   strategy.  Two structurally identical networks therefore share one
-   analysis, whether they come from the same sweep, a different figure,
-   or a different experiment in the same process.
+   (source curves by uid, interned on demand, see {!Pwl.uid}),
+   options, pairing strategy.  Two structurally identical networks
+   therefore share one analysis, whether they come from the same sweep,
+   a different figure, or a different experiment in the same process.
 
    Correctness does not depend on the tables: a hit returns an
    immutable analysis value that a miss would have recomputed
    bit-identically (analyses are deterministic functions of the key),
-   and source curves are keyed by intern uid, so uid equality implies
-   physical equality of the curves.  After an intern reset the uids
-   change and lookups miss — a harmless recompute, never a wrong hit.
+   and source curves are keyed by uid, so uid equality implies
+   bit-identical curves.  After an intern reset the uids change and
+   lookups miss — a harmless recompute, never a wrong hit.
 
    Tables are bounded like the [Minplus] cache (wholesale reset past a
    cap) and guarded by one lock for netcalc.par workers. *)

@@ -3,7 +3,7 @@
     The analysis modules ({!Decomposed}, {!Integrated}, ...) each keep
     a private {!table} and consult it from [analyze], keyed by
     {!net_key} — a structural fingerprint of the network (server and
-    flow configs, source curves by intern uid), the {!Options.t} and
+    flow configs, source curves by {!Pwl.uid}), the {!Options.t} and
     the pairing strategy.  Structurally identical inputs anywhere in a
     process — sweep cells, repeated figures, experiments — then share
     one analysis.  A hit returns an immutable value a miss would have
@@ -23,8 +23,9 @@ type key
 val net_key :
   ?options:Options.t -> ?strategy:Pairing.strategy -> Network.t -> key
 (** Fingerprint of everything an analysis result depends on.  Source
-    curves enter by {!Pwl.uid}, so the key is cheap and never conflates
-    distinct curves; omit [strategy] for methods that take none. *)
+    curves enter by {!Pwl.uid} (interned here, on demand), so the key
+    is cheap and never conflates distinct curves; omit [strategy] for
+    methods that take none. *)
 
 type 'a table
 

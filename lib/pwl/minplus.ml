@@ -18,22 +18,23 @@ let observed_bps d r =
    times over (the Jacobi step re-derives every server's inputs each
    round, and neighbouring sweep cells share most of their curves), so
    even a small exact-match cache removes a large fraction of the
-   kernel work.  Keys are the operands' intern uids ({!Pwl.uid}):
-   hash-consing makes uid equality mean content equality, so two
-   separately-constructed but equal curves share an entry, and the key
-   is two machine words instead of a walk over every segment.  Values
-   are immutable [Pwl.t], so returning the cached value is
-   indistinguishable from recomputing: results stay byte-identical
-   whether or not the cache is on, which the determinism tests pin.
-   (After an intern-table reset, equal curves get fresh uids and the
-   lookup misses — a recompute of the identical value, never a wrong
-   hit: uids are not reused.)  Guarded by one lock: netcalc.par worker
-   domains hit these tables concurrently.
+   kernel work.  Keys are the operands' uids ({!Pwl.uid}, interned on
+   demand; this cache and [Incremental.net_key] are its only readers):
+   equal uids mean bit-identical segments, so two separately-built but
+   equal curves share an entry, and the stored key is two machine
+   words instead of the segments.  Values are immutable [Pwl.t], so
+   returning the cached value is indistinguishable from recomputing:
+   results stay byte-identical whether or not the cache is on, which
+   the determinism tests pin.  (After an intern-table reset, equal
+   curves get fresh uids and the lookup misses — a recompute of the
+   identical value, never a wrong hit: uids are not reused.)  Guarded
+   by one lock: netcalc.par worker domains hit these tables
+   concurrently.
 
    Keys carry a namespace tag [ns] besides the operand uids.  The pwl
    kernels here always use [ns = 0]; the [Upp] library stores its
    windowed results under nonzero namespaces via [cached_op].  Without
-   the tag, an operation on the same two interned curves that means
+   the tag, an operation on the same two curves that means
    something different (a upp window convolution on an unrolled prefix
    vs this module's shape-dispatched convolution) could be served the
    other one's value — the conflation the cache-keying regression test

@@ -49,10 +49,10 @@ val deconv : Pwl.t -> Pwl.t -> Pwl.t
 (** {1 Result cache}
 
     [conv] and [deconv] memoize their results in a cache keyed by the
-    operands' intern uids ({!Pwl.uid}) — hash-consing makes uid
-    equality mean content equality, so the key is O(1) instead of a
-    walk over every segment — because the fixed-point iteration and the
-    figure sweeps re-derive the same curve pairs many times over.
+    operands' uids ({!Pwl.uid}, interned on demand: equal uids mean
+    bit-identical segments, so the key is two machine words instead of
+    the segments themselves) — because the fixed-point iteration and
+    the figure sweeps re-derive the same curve pairs many times over.
     Cached values are immutable, so a hit is indistinguishable from
     recomputation and results are byte-identical with the cache on or
     off.  The cache is enabled by
@@ -67,7 +67,7 @@ val cached_op :
 (** Namespaced access to the shared result cache for other curve
     representations ({!Upp} caches its windowed kernel results here).
     Keys are [(ns, uid f, uid g)]; the pwl kernels of this module own
-    namespace 0, so an operation on the same two interned curves that
+    namespace 0, so an operation on the same two curves that
     computes a different function can never be served — or serve — a
     pwl entry.  [compute] must be a
     deterministic function of [(ns, f, g)], for the same reason the

@@ -1,15 +1,11 @@
 
 type seg = { x : float; y : float; slope : float }
 
-type t = { segs : seg array; uid : int; hash : int }
-(* Values are hash-consed: [of_segs], the constructor behind [make] and
-   every operation, interns the normalized segment array, so two
-   structurally (bit-)identical curves constructed anywhere in the
-   process are one physical value.  [uid] is unique per interned value
-   and never reused, which makes it a sound O(1) cache key ([Minplus],
-   the incremental engine): uid equality implies physical equality
-   implies mathematical equality.  [hash] is the content hash,
-   precomputed once. *)
+type t = { segs : seg array } [@@unboxed]
+(* A value is its normalized segment array and nothing else: [of_segs],
+   the constructor behind [make] and every operation, validates and
+   normalizes, and never hashes or locks.  Content identity is paid
+   for only where it is read: [uid] interns the segments on demand. *)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -58,18 +54,12 @@ let c_segs_total = Metrics.counter "pwl.segments.total"
 let p_segs_max = Metrics.peak "pwl.segments.max"
 
 (* ------------------------------------------------------------------ *)
-(* Intern (hash-consing) table                                         *)
+(* Content identity and on-demand uids                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Content identity is decided on the float bit patterns, so [0.] and
-   [-0.] (and any two NaN payloads) stay distinct and returning an
-   interned value is byte-for-byte indistinguishable from building a
-   fresh one.  The table is bounded like the [Minplus] cache: past the
-   cap it is reset wholesale, after which structurally equal curves get
-   fresh uids — downstream uid-keyed caches then miss and recompute the
-   same values, so correctness never depends on the cap.  One lock
-   guards lookup+insert: netcalc.par worker domains construct curves
-   concurrently. *)
+   [-0.] (and any two NaN payloads) stay distinct: two values with the
+   same content are interchangeable byte for byte. *)
 
 let seg_equal_bits a b =
   Int64.bits_of_float a.x = Int64.bits_of_float b.x
@@ -82,6 +72,9 @@ let segs_equal_bits a b =
   let rec go i = i < 0 || (seg_equal_bits a.(i) b.(i) && go (i - 1)) in
   go (Array.length a - 1)
 
+(* Bit-identical content; physical equality answers first. *)
+let same f g = f == g || segs_equal_bits f.segs g.segs
+
 let hash_segs segs =
   let h = ref 0x9e3779b9 in
   let mix_float v = h := (!h * 31) + Int64.to_int (Int64.bits_of_float v) in
@@ -93,24 +86,19 @@ let hash_segs segs =
     segs;
   !h land max_int
 
+(* The intern table maps content to its uid, and only [uid] touches it.
+   Uids come from a counter that never goes back, so a uid names one
+   content for the life of the process.  The table is bounded like the
+   [Minplus] cache: past the cap it is reset wholesale, after which
+   equal content gets a fresh uid — uid-keyed caches then miss and
+   recompute the same values, so correctness never depends on the cap.
+   One lock guards lookup+insert: netcalc.par worker domains read uids
+   concurrently. *)
 let intern_lock = Obs_sync.create ()
 let intern_cap = 16384
-let intern_on =
-  ref true
-[@@lint.waive
-    "cache-key: toggles interning only; interned and fresh curves are \
-     content-equal, so cached results are unchanged"]
-let intern_tbl : (int, t list) Hashtbl.t = Hashtbl.create 1024
-let intern_count =
-  ref 0
-[@@lint.waive
-    "cache-key: intern-table occupancy counter; interning is \
-     content-transparent"]
-let next_uid =
-  ref 0
-[@@lint.waive
-    "cache-key: uid allocation counter; uids name values, they never \
-     influence computed curve content"]
+let intern_tbl : (int, (seg array * int) list) Hashtbl.t = Hashtbl.create 1024
+let intern_count = ref 0
+let next_uid = ref 0
 
 (* Hit/miss counters are recorded unconditionally, mirroring the
    [Minplus] cache counters: [intern_stats] must be accurate even when
@@ -131,60 +119,41 @@ let intern_clear () =
       Hashtbl.reset intern_tbl;
       intern_count := 0)
 
-let intern_enabled () = Obs_sync.with_lock intern_lock (fun () -> !intern_on)
-
-let set_intern_enabled b =
+let uid f =
+  let h = hash_segs f.segs in
   Obs_sync.with_lock intern_lock (fun () ->
-      if !intern_on <> b then begin
-        intern_on := b;
-        Hashtbl.reset intern_tbl;
-        intern_count := 0
-      end)
-
-let intern segs =
-  let h = hash_segs segs in
-  Obs_sync.with_lock intern_lock (fun () ->
-      let fresh () =
-        let uid = !next_uid in
-        Stdlib.incr next_uid;
-        { segs; uid; hash = h }
-      in
-      if not !intern_on then fresh ()
-      else begin
-        let bucket = Option.value ~default:[] (Hashtbl.find_opt intern_tbl h) in
-        match List.find_opt (fun v -> segs_equal_bits v.segs segs) bucket with
-        | Some v ->
-            Metrics.incr c_intern_hit;
-            v
-        | None ->
-            Metrics.incr c_intern_miss;
-            if !intern_count >= intern_cap then begin
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt intern_tbl h) in
+      match List.find_opt (fun (segs, _) -> segs_equal_bits segs f.segs) bucket with
+      | Some (_, id) ->
+          Metrics.incr c_intern_hit;
+          id
+      | None ->
+          Metrics.incr c_intern_miss;
+          let bucket =
+            if !intern_count < intern_cap then bucket
+            else begin
               Hashtbl.reset intern_tbl;
-              intern_count := 0
-            end;
-            let v = fresh () in
-            Hashtbl.replace intern_tbl h
-              (v :: Option.value ~default:[] (Hashtbl.find_opt intern_tbl h));
-            Stdlib.incr intern_count;
-            if Prof.enabled () then
-              Metrics.observe d_intern_size (float_of_int !intern_count);
-            v
-      end)
-
-let uid f = f.uid
-let content_hash f = f.hash
+              intern_count := 0;
+              []
+            end
+          in
+          let id = !next_uid in
+          Stdlib.incr next_uid;
+          Hashtbl.replace intern_tbl h ((f.segs, id) :: bucket);
+          Stdlib.incr intern_count;
+          if Prof.enabled () then
+            Metrics.observe d_intern_size (float_of_int !intern_count);
+          id)
 
 (* Blessed comparison API (the lint rule pwl-poly-eq points here).
-   Polymorphic compare/hash on [t] would traverse the segment arrays
-   and, worse, hash the [uid] field — two structurally equal curves
-   built across an intern reset would then compare unequal or hash
-   apart.  [hash] is the precomputed segment-content hash; [compare]
-   is a total order on the normalized segment bit patterns: arbitrary
-   but fixed, consistent with [hash], and independent of uids, so it
-   also works with interning disabled.  Note the asymmetry with
-   {!equal}, which is tolerant and pointwise: [compare f g = 0] is
-   bit-exact structural identity, strictly finer than [equal]. *)
-let hash = content_hash
+   Polymorphic [=] on [t] would compare floats by value, so [0.] and
+   [-0.] would match, and polymorphic hash folds only a prefix of the
+   segments.  [hash] hashes every segment's bit patterns; [compare] is
+   a total order on the same bit patterns: arbitrary but fixed, and
+   consistent with [hash].  Note the asymmetry with {!equal}, which is
+   tolerant and pointwise: [compare f g = 0] is bit-exact structural
+   identity, strictly finer than [equal]. *)
+let hash f = hash_segs f.segs
 
 let compare f g =
   if f == g then 0
@@ -207,8 +176,8 @@ let compare f g =
     go 0
 
 (* The one validating constructor.  [make] and the pointwise merges
-   hand it a fresh segment array: every result is checked, normalized
-   (in place) and interned here, and nowhere else. *)
+   hand it a fresh segment array: every result is checked and
+   normalized (in place) here, and nowhere else. *)
 let of_segs segs =
   if Array.length segs = 0 then invalid_arg "Pwl.make: empty segment list";
   Prof.count c_make;
@@ -230,7 +199,7 @@ let of_segs segs =
     Metrics.add c_segs_total (Array.length segs);
     Metrics.observe_peak p_segs_max (Array.length segs)
   end;
-  intern segs
+  { segs }
 
 let make triples =
   of_segs (Array.of_list (List.map (fun (x, y, slope) -> { x; y; slope }) triples))
@@ -490,22 +459,23 @@ let merge_segs ~neg a b =
   in
   go 0 0 0
 
-(* Physical-equality fast paths: interning makes identity checks
-   meaningful (equal content constructed anywhere is one value), so the
-   neutral-element cases skip the merge entirely.  [f + zero] merged
-   yields the same floats as [f] ([y +. 0. = y] for the finite values
-   stored here), so the fast path is indistinguishable from the slow
-   one. *)
+(* Neutral-element fast paths, decided on content ([same]), so they
+   fire for every curve bit-identical to [zero] however it was built.
+   They are not only a shortcut: merging [f] with zero turns a [-0.]
+   value of [f] into [+0.], and in [sum] a kept zero operand shifts
+   the tree's pairing and so its rounding. *)
+let is_zero f = same f zero
+
 let add f g =
-  if f == zero then g
-  else if g == zero then f
+  if is_zero f then g
+  else if is_zero g then f
   else of_segs (merge_segs ~neg:false f.segs g.segs)
 
 (* Pairwise tree (order and cost in the .mli): the levels pass plain
    arrays, and only the root goes through [of_segs], so a hub of k
-   curves is one construction, not k - 1 interned ones. *)
+   curves is one construction, not k - 1 normalized ones. *)
 let sum fs =
-  match List.filter (fun f -> f != zero) fs with
+  match List.filter (fun f -> not (is_zero f)) fs with
   | [] -> zero
   | [ f ] -> f
   | fs ->
@@ -522,7 +492,7 @@ let sum fs =
       in
       of_segs (reduce (Array.length level))
 
-let sub f g = if g == zero then f else of_segs (merge_segs ~neg:true f.segs g.segs)
+let sub f g = if is_zero g then f else of_segs (merge_segs ~neg:true f.segs g.segs)
 
 let scale k f =
   make (List.map (fun (x, y, s) -> (x, k *. y, k *. s)) (segments f))
@@ -564,8 +534,8 @@ let combine_extrema pick pick_slope f g =
          (x, pick yf yg, slope))
        candidates)
 
-let min_pw f g = if f == g then f else combine_extrema Float.min Float.min f g
-let max_pw f g = if f == g then f else combine_extrema Float.max Float.max f g
+let min_pw f g = if same f g then f else combine_extrema Float.min Float.min f g
+let max_pw f g = if same f g then f else combine_extrema Float.max Float.max f g
 let nonneg f = max_pw f zero
 
 let min_list = function
@@ -873,7 +843,7 @@ let first_crossing_under f ~below =
   scan candidates
 
 let equal f g =
-  if f == g then true
+  if same f g then true
   else
   let open Float_ops in
   let candidates = merged_breakpoints f g in

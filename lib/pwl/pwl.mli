@@ -19,43 +19,40 @@
 
 type t
 
-(** {1 Hash-consing}
+(** {1 Content identity}
 
-    Every value built by {!make} (hence by every operation) is interned
-    in a process-global table keyed on the exact bit pattern of its
-    normalized segments: two structurally identical curves constructed
-    anywhere are one physical value.  This gives O(1) content keys for
-    the operation caches ({!Minplus}, the incremental sweep engine) via
-    {!uid}, and physical-equality fast paths in {!equal}, {!add},
-    {!min_pw} and friends.  The table is bounded (wholesale reset past
-    a cap, like the [Minplus] cache); after a reset equal curves get
-    fresh uids, so uid-keyed caches miss and recompute identical values
-    — correctness never depends on the cap. *)
+    A value is its normalized segments and nothing more: {!make} and
+    every operation build a fresh value, without hashing it or taking a
+    lock.  Content identity is decided on the exact bit patterns of the
+    segments ([0.] and [-0.] differ), and it is paid for only where it
+    is read:
+    - {!uid} interns on demand, giving the operation caches ({!Minplus},
+      the incremental sweep engine) an O(1) content key;
+    - the fast paths of {!equal}, {!add}, {!min_pw} and friends test
+      for bit-identical operands (physical equality first), so they fire
+      however and whenever the operands were built. *)
 
 val uid : t -> int
-(** Unique id of this interned value.  Never reused within a process;
-    [uid f = uid g] implies [f == g].  Not stable across runs or intern
-    resets — a cache key, not a serialization format. *)
-
-val content_hash : t -> int
-(** Precomputed hash of the normalized segments (bit-pattern based). *)
+(** A content key, interned on demand: the segments are hashed and
+    looked up in a process-global table, under a lock.  Bit-identical
+    segments read while the table holds them get one uid, and
+    [uid f = uid g] implies bit-identical segments (not physical
+    equality).  Uids are never reused within a process.  The table is
+    bounded and reset wholesale past its cap; after a reset equal
+    content gets a fresh uid, so uid-keyed caches miss and recompute
+    identical values — correctness never depends on the cap.  Not
+    stable across runs — a cache key, not a serialization format. *)
 
 type intern_stats = { hits : int; misses : int; entries : int }
 
 val intern_stats : unit -> intern_stats
-(** Cumulative intern hits/misses since the last [Metrics.reset] and
-    the current number of live interned values.  Also published as the
-    [pwl.intern.hits] / [pwl.intern.misses] observability counters. *)
+(** Cumulative {!uid} lookups that found (hits) or added (misses) their
+    content since the last [Metrics.reset], and the current number of
+    interned contents.  Also published as the [pwl.intern.hits] /
+    [pwl.intern.misses] observability counters. *)
 
 val intern_clear : unit -> unit
-(** Drop every interned value (subsequent constructions re-intern). *)
-
-val intern_enabled : unit -> bool
-
-val set_intern_enabled : bool -> unit
-(** Disable/enable interning (on by default).  Toggling clears the
-    table.  With interning off every construction is fresh and
-    uid-keyed caches degrade to always-miss; results are unchanged. *)
+(** Empty the uid table; later {!uid} reads hand out fresh uids. *)
 
 (** {1 Construction} *)
 
@@ -142,25 +139,24 @@ val shape : t -> [ `Affine | `Concave | `Convex | `General ]
 
 val equal : t -> t -> bool
 (** Pointwise equality up to the {!Float_ops.eps}
-    tolerance. *)
+    tolerance; [true] at once on bit-identical operands. *)
 
 val compare : t -> t -> int
-(** Total order on curves: physical-equality fast path (interning makes
-    it meaningful), then lexicographic on the bit patterns of the
-    normalized segments.  Arbitrary but fixed within and across runs,
-    independent of intern uids, and usable with interning off — the
-    right argument for [Map.Make]/[Set.Make] and sorts.  Bit-exact:
-    [compare f g = 0] is strictly finer than the tolerant {!equal}.
+(** Total order on curves: physical-equality fast path, then
+    lexicographic on the bit patterns of the normalized segments.
+    Arbitrary but fixed within and across runs, and independent of
+    {!uid} — the right argument for [Map.Make]/[Set.Make] and sorts.
+    Bit-exact: [compare f g = 0] is strictly finer than the tolerant
+    {!equal}.
 
     This, {!equal} and {!hash} are the blessed comparison API enforced
-    by the [pwl-poly-eq] lint rule: polymorphic [=] / [compare] /
-    [Hashtbl.hash] on [t] would traverse segment arrays and mix in the
-    intern uid, making equal curves built across an intern reset
-    compare unequal. *)
+    by the [pwl-poly-eq] lint rule: polymorphic [=] / [compare] would
+    compare floats by value (so [0.] and [-0.] would match), and
+    [Hashtbl.hash] folds only a prefix of the segments. *)
 
 val hash : t -> int
-(** [hash = content_hash]: the precomputed segment-content hash,
-    consistent with {!compare} (and with interning off). *)
+(** Hash of the bit patterns of every segment, computed on each call;
+    consistent with {!compare}. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -171,19 +167,22 @@ val to_string : t -> string
 val add : t -> t -> t
 (** Pointwise sum on the union of the breakpoints, by a two-cursor
     merge: the value and slope at each point are read off the segment
-    of each operand that contains it, as {!eval} reads them. *)
+    of each operand that contains it, as {!eval} reads them.  An
+    operand bit-identical to {!zero} returns the other one unchanged
+    (so a [-0.] value stays [-0.]). *)
 
 val sum : t list -> t
 (** Pointwise sum of a list, as a pairwise tree of {!add}'s merge:
-    operands that are physically {!zero} are dropped, then each level
-    merges adjacent pairs left to right (an odd last operand rides up
-    unchanged) until one remains.  [sum \[\] == zero] and
-    [sum \[f\] == f]; [sum \[f; g\]] is [add f g] bit for bit.  For
-    [k] curves with [K] breakpoints in all this is O(K log k) segment
-    work, and only the result is normalized and interned (one
-    construction, however long the list); the intermediate sums are
-    plain arrays.  The order fixes the float rounding, so every engine
-    that aggregates through [sum] gets bit-identical results. *)
+    operands whose segments are bit-identical to {!zero}'s are dropped,
+    however they were built, then each level merges adjacent pairs left
+    to right (an odd last operand rides up unchanged) until one
+    remains.  [sum \[\] == zero] and [sum \[f\] == f]; [sum \[f; g\]]
+    is [add f g] bit for bit.  For [k] curves with [K] breakpoints in
+    all this is O(K log k) segment work, and only the result is
+    validated and normalized (one construction, however long the
+    list); the intermediate sums are plain arrays.  The order fixes the
+    float rounding, so every engine that aggregates through [sum] gets
+    bit-identical results. *)
 
 val sub : t -> t -> t
 (** [add] with the second operand negated, through the same merge. *)

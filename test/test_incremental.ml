@@ -10,28 +10,74 @@ let with_incremental b f =
   Fun.protect ~finally:(fun () -> Incremental.set_enabled prev) f
 
 (* ------------------------------------------------------------------ *)
-(* Hash-consing                                                        *)
+(* Hash-consing: uids intern content on demand                         *)
 (* ------------------------------------------------------------------ *)
 
 let test_interning () =
   let mk () = Pwl.make [ (0., 2., 1.5); (3., 6.5, 0.25) ] in
   let a = mk () and b = mk () in
-  check_bool "equal content is one physical value" true (a == b);
-  Alcotest.(check int) "same uid" (Pwl.uid a) (Pwl.uid b);
+  Alcotest.(check int) "equal content, equal uid" (Pwl.uid a) (Pwl.uid b);
   let c = Pwl.make [ (0., 2., 1.5); (3., 6.5, 0.5) ] in
   check_bool "distinct content, distinct uid" true (Pwl.uid c <> Pwl.uid a);
-  let s = Pwl.intern_stats () in
-  check_bool "live entries counted" true (s.Pwl.entries > 0);
-  check_bool "duplicate construction hit" true (s.Pwl.hits > 0)
+  let hits () = (Pwl.intern_stats ()).Pwl.hits in
+  let h0 = hits () in
+  ignore (Pwl.uid (mk ()));
+  Alcotest.(check int) "a second read of equal content is a hit" (h0 + 1)
+    (hits ());
+  check_bool "live entries counted" true ((Pwl.intern_stats ()).Pwl.entries > 0);
+  (* After a reset, equal content gets a fresh uid: never a reused one,
+     so a stale uid-keyed cache entry cannot be hit by other content. *)
+  let before = List.map Pwl.uid [ a; c ] in
+  Pwl.intern_clear ();
+  let after = Pwl.uid (mk ()) in
+  check_bool "fresh uid after a reset" true (not (List.mem after before))
 
-let test_intern_toggle () =
-  let mk () = Pwl.make [ (0., 1., 1.); (2., 3., 0.5) ] in
-  Pwl.set_intern_enabled false;
-  Fun.protect ~finally:(fun () -> Pwl.set_intern_enabled true) @@ fun () ->
-  let a = mk () and b = mk () in
-  check_bool "no sharing when disabled" true (a != b);
-  check_bool "uids still unique" true (Pwl.uid a <> Pwl.uid b);
-  check_bool "values still equal" true (Pwl.equal a b)
+(* Only the uid readers intern.  The streaming pass and a serve write
+   build thousands of curves and read no uid, so they never touch the
+   table: a count, not a timing. *)
+let test_stream_and_serve_never_intern () =
+  let counter name = Metrics.value (Metrics.counter name) in
+  let interned () = counter "pwl.intern.hits" + counter "pwl.intern.misses" in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let net =
+    Corpus.generate ~family:Corpus.Heavytail ~target_servers:2000 ~seed:1
+  in
+  let m0 = counter "pwl.make.calls" and i0 = interned () in
+  let s = Propagation_stream.analyze net in
+  ignore (Propagation_stream.all_flow_delays s);
+  let made = counter "pwl.make.calls" - m0 in
+  check_bool (Printf.sprintf "stream built %d curves" made) true (made > 10_000);
+  Alcotest.(check int) "stream interns nothing" 0 (interned () - i0);
+  let net =
+    Corpus.generate ~family:Corpus.Edge_cloud ~target_servers:200 ~seed:5
+  in
+  let flows = Network.flows net in
+  let base = List.filteri (fun i _ -> i mod 4 <> 3) flows in
+  let (f : Flow.t) = List.nth flows 3 in
+  let t =
+    Serve.create ~mode:Serve.Delta ~servers:(Network.servers net) ~flows:base ()
+  in
+  let sigma, rho, peak = Arrival.token_params f.arrival in
+  let num x = Sjson.Num x and int i = Sjson.Num (float_of_int i) in
+  let admit =
+    Sjson.render
+      (Sjson.Obj
+         [ ("op", Sjson.Str "admit");
+           ( "flow",
+             Sjson.Obj
+               [ ("id", int f.id); ("sigma", num sigma); ("rho", num rho);
+                 ("peak", num peak); ("route", Sjson.List (List.map int f.route));
+                 ("deadline", num 1e6) ] ) ])
+  in
+  let teardown =
+    Sjson.render (Sjson.Obj [ ("op", Sjson.Str "teardown"); ("flow", int f.id) ])
+  in
+  let ok line = String.starts_with ~prefix:{|{"ok":true|} line in
+  let i0 = interned () in
+  check_bool "admitted" true (ok (Serve.handle_line t admit));
+  check_bool "torn down" true (ok (Serve.handle_line t teardown));
+  Alcotest.(check int) "serve admit + teardown intern nothing" 0 (interned () - i0)
 
 (* ------------------------------------------------------------------ *)
 (* Memoized analyses                                                   *)
@@ -160,7 +206,8 @@ let suite =
   ( "incremental",
     [
       test "hash-consing interns equal curves" test_interning;
-      test "interning can be disabled" test_intern_toggle;
+      test "stream and serve writes never intern"
+        test_stream_and_serve_never_intern;
       test "memoized analyses are transparent" test_memo_transparent;
       test "net_key covers every result-changing input"
         test_net_key_coverage;

@@ -80,7 +80,7 @@ let test_sum_neutral () =
 
 (* A hub: 2000 three-piece curves with distinct knees.  Pinned by the
    construction count, not by wall time: the whole sum is one
-   construction, where a fold of [add] would build 1999 interned
+   construction, where a fold of [add] would build 1999
    intermediates. *)
 let test_sum_hub () =
   let curves =
@@ -103,6 +103,25 @@ let test_sum_hub () =
       if not Float_ops.(Pwl.eval s x =~ expected) then
         Alcotest.failf "sum at %g: expected %.17g, got %.17g" x expected (Pwl.eval s x))
     points
+
+(* The neutral-element fast paths test content, not identity: a zero
+   curve built after the uid table was emptied is still dropped, so
+   the result does not depend on when the table last reset.  Keeping
+   it would re-pair [sum]'s tree (0.1 + 0.5 instead of 0.3 + 0.3) and
+   turn [add]'s [-0.] into [+0.]. *)
+let test_zero_by_content () =
+  let a = Pwl.constant 0.1 and b = Pwl.constant 0.2 and c = Pwl.constant 0.3 in
+  Pwl.intern_clear ();
+  let z = Pwl.make [ (0., 0., 0.) ] in
+  let bits f = Int64.bits_of_float (Pwl.value_at_zero f) in
+  Alcotest.(check int64)
+    "sum drops a rebuilt zero" (bits (Pwl.sum [ a; b; c ]))
+    (bits (Pwl.sum [ a; z; b; c ]));
+  let f = Pwl.make [ (0., -0., 1.); (1., 1., 0.) ] in
+  Alcotest.(check int64) "add keeps -0." (Int64.bits_of_float (-0.)) (bits (Pwl.add z f));
+  Alcotest.(check int64) "sub keeps -0." (Int64.bits_of_float (-0.)) (bits (Pwl.sub f z));
+  let g = Pwl.make [ (0., -0., 1.); (1., 1., 0.) ] in
+  check_bool "min_pw of equal content is its first operand" true (Pwl.min_pw f g == f)
 
 let test_min_max_crossing () =
   let f = Pwl.affine ~y0:0. ~slope:2. in
@@ -388,4 +407,5 @@ let suite =
       prop_busy_period_is_crossing;
       test "sum: neutral cases" test_sum_neutral;
       test "sum: 2000-curve hub is one construction" test_sum_hub;
+      test "sum/add: zero operands found by content" test_zero_by_content;
     ] )

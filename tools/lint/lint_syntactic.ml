@@ -8,8 +8,8 @@
                      carry a waiver
      pwl-poly-eq     no polymorphic [=] / [<>] / [compare] /
                      [Hashtbl.hash] on expressions syntactically known
-                     to be [Pwl.t] — use the uid-based [Pwl.equal] /
-                     [Pwl.compare] / [Pwl.hash]
+                     to be [Pwl.t] — use [Pwl.equal] / [Pwl.compare] /
+                     [Pwl.hash]
      float-eq        no raw [=] / [<>] on float literals or
                      float-annotated expressions outside
                      [lib/util/float_ops.ml]
@@ -439,16 +439,16 @@ let analyze_structure ~report ~file ~role str =
                 report ~loc:e.pexp_loc ~rule:"pwl-poly-eq"
                   ~msg:
                     (Printf.sprintf
-                       "polymorphic (%s) on a Pwl.t value (hash-consed; \
-                        structure is not identity)"
+                       "polymorphic (%s) on a Pwl.t value (compares floats \
+                        by value, so 0. and -0. match)"
                        op)
-                  ~hint:"use Pwl.equal / Pwl.compare (uid-based)"
+                  ~hint:"use Pwl.equal (tolerant) / Pwl.compare (bit-exact)"
             | _ -> ());
             (match (p, unlabeled args) with
             | Ldot (Lident "Hashtbl", "hash"), a :: _ when is_pwlish a ->
                 report ~loc:e.pexp_loc ~rule:"pwl-poly-eq"
                   ~msg:"Hashtbl.hash on a Pwl.t value"
-                  ~hint:"use Pwl.hash (precomputed content hash)"
+                  ~hint:"use Pwl.hash (hashes every segment's bits)"
             | _ -> ());
             (match (float_eq_op p, unlabeled args) with
             | Some op, [ a; b ]
