@@ -14,10 +14,10 @@
 
    Any other argument is an error (exit 1).
 
-   Experiment ids: fig4 fig5 fig6 burstiness validation admission
+   Experiment ids: fig4 fig5 fig6 buffers burstiness validation admission
                    burst-propagation ablation-pairing ablation-theta sp
                    tightness feedback edf-allocation randomnet timing
-                   serve-churn curves scale
+                   serve-churn scale
 
    Independent sweep cells (the (U, n) grids, the per-seed randomnet
    batch, ...) are computed on the netcalc.par pool; all printing stays
@@ -496,19 +496,19 @@ let sp_extension () =
         in
         let dd = Decomposed.analyze t.network in
         let sp =
-          Integrated_sp.analyze ~strategy:(Pairing.Along_route 0) t.network
+          Integrated.analyze ~strategy:(Pairing.Along_route 0) t.network
         in
         let b1 = 4 (* flow id of B1 *) in
         [
           float_of_int n;
           u;
           Decomposed.flow_delay dd 0;
-          Integrated_sp.flow_delay sp 0;
+          Integrated.flow_delay sp 0;
           Engine.relative_improvement
             (Decomposed.flow_delay dd 0)
-            (Integrated_sp.flow_delay sp 0);
+            (Integrated.flow_delay sp 0);
           Decomposed.flow_delay dd b1;
-          Integrated_sp.flow_delay sp b1;
+          Integrated.flow_delay sp b1;
         ])
       [ (2, 0.3); (2, 0.7); (4, 0.5); (4, 0.8); (8, 0.6); (8, 0.9) ]
   in
@@ -946,105 +946,6 @@ let serve_churn () =
      'identical' certifies the reuse is\nbit-exact against from-scratch \
      analysis."
 
-(* Curve representations: the finite piecewise-linear [Pwl] the
-   engines use against the ultimately pseudo-periodic (Nancy-style)
-   [Upp] library, on the workload that separates them (DESIGN.md 15).
-   A unit staircase arrival goes through a faster constant-rate server
-   (Reich's equation) at growing horizons.  The pwl side must unroll
-   the staircase, so both its input and its smoothed output grow
-   linearly with the horizon; the upp side stores one segment plus the
-   periodic law at any horizon.  Kernel caches are cleared before every
-   repeat so each iteration pays full price; 'match' certifies both
-   results agree pointwise on a dense grid. *)
-let curves () =
-  section "Curve representations — pwl (finite) vs upp (pseudo-periodic)";
-  let timed f =
-    let t0 = Trace.now_s () in
-    let r = f () in
-    (r, Trace.now_s () -. t0)
-  in
-  let step = 1. and interval = 1. and rate = 1.5 in
-  let stair = Upp.staircase ~step ~interval in
-  let horizons = [ 64; 256; 1024; 4096 ] in
-  let repeats = 20 in
-  let segs_total = Metrics.counter "pwl.segments.total" in
-  let bench f =
-    let r = f () in
-    let s0 = Metrics.value segs_total in
-    let (), wall = timed (fun () -> for _ = 1 to repeats do ignore (f ()) done) in
-    let per_call = wall /. float_of_int repeats in
-    let segs_s =
-      if wall > 0. then float_of_int (Metrics.value segs_total - s0) /. wall
-      else 0.
-    in
-    (r, per_call, segs_s)
-  in
-  print_endline
-    "\nRepresentation stress: staircase (step 1, interval 1) through a \
-     rate-1.5 server:";
-  let tbl =
-    Table.create
-      ~header:
-        [
-          "horizon"; "pwl segs"; "upp segs"; "pwl ms"; "upp ms"; "speedup";
-          "match";
-        ]
-  in
-  List.iter
-    (fun h ->
-      let horizon = float_of_int h in
-      let stair_pwl = Upp.unroll stair ~horizon in
-      let pwl_r, pwl_s, pwl_segs_s =
-        bench (fun () ->
-            Minplus.cache_clear ();
-            Minplus.conv_with_rate ~rate stair_pwl)
-      in
-      let upp_r, upp_s, upp_segs_s =
-        bench (fun () ->
-            Minplus.cache_clear ();
-            Upp.conv_with_rate ~rate stair)
-      in
-      (* Pointwise agreement on a dense grid, sampled off the jump
-         points (left/right limits differ there by construction). *)
-      let max_dev = ref 0. in
-      let n_samples = 4 * h in
-      for k = 0 to n_samples do
-        let t = (float_of_int k +. 0.41) /. 4. in
-        if t <= horizon then
-          max_dev :=
-            Float.max !max_dev
-              (Float.abs (Pwl.eval pwl_r t -. Upp.eval upp_r t))
-      done;
-      let agree = !max_dev <= 1e-6 in
-      let pwl_segs = List.length (Pwl.segments pwl_r) in
-      let upp_segs = Upp.segment_count upp_r in
-      record_value (Printf.sprintf "curves.h%d.pwl_segs" h)
-        (float_of_int pwl_segs);
-      record_value (Printf.sprintf "curves.h%d.upp_segs" h)
-        (float_of_int upp_segs);
-      record_value (Printf.sprintf "curves.h%d.pwl_ms" h) (1000. *. pwl_s);
-      record_value (Printf.sprintf "curves.h%d.upp_ms" h) (1000. *. upp_s);
-      record_value (Printf.sprintf "curves.h%d.speedup" h) (pwl_s /. upp_s);
-      record_value (Printf.sprintf "curves.h%d.pwl_segs_per_s" h) pwl_segs_s;
-      record_value (Printf.sprintf "curves.h%d.upp_segs_per_s" h) upp_segs_s;
-      record_value (Printf.sprintf "curves.h%d.max_dev" h) !max_dev;
-      Table.add_row tbl
-        [
-          string_of_int h;
-          string_of_int pwl_segs;
-          string_of_int upp_segs;
-          Printf.sprintf "%.3f" (1000. *. pwl_s);
-          Printf.sprintf "%.3f" (1000. *. upp_s);
-          Printf.sprintf "%.1fx" (pwl_s /. upp_s);
-          (if agree then "yes" else "NO");
-        ])
-    horizons;
-  output ~name:"curves-stress" tbl;
-  print_endline
-    "\nExpected shape: the pwl result grows linearly with the horizon while \
-     the upp\nresult keeps a constant segment count, so the speedup column \
-     grows with the\nhorizon."
-
 (* ------------------------------------------------------------------ *)
 (* Scale: streaming frontier propagation on the scenario corpus        *)
 (* ------------------------------------------------------------------ *)
@@ -1170,7 +1071,6 @@ let experiments =
     ("randomnet", randomnet);
     ("timing", timing);
     ("serve-churn", serve_churn);
-    ("curves", curves);
     ("scale", scale);
   ]
 

@@ -287,7 +287,7 @@ let sp_cmd =
     in
     let net = t.network in
     let dd = Decomposed.analyze net in
-    let sp = Integrated_sp.analyze ~strategy:(Pairing.Along_route 0) net in
+    let sp = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
     Printf.printf
       "Static-priority tandem (n = %d, U = %g); priorities: A = 0 (urgent),        conn0 = 1, B = 2:
 
@@ -300,7 +300,7 @@ let sp_cmd =
     List.iter
       (fun (f : Flow.t) ->
         let d = Decomposed.flow_delay dd f.id in
-        let i = Integrated_sp.flow_delay sp f.id in
+        let i = Integrated.flow_delay sp f.id in
         Table.add_row tbl
           [
             f.name;
@@ -479,7 +479,8 @@ let method_choices =
     ("decomposed", Engine.Decomposed);
     ("service-curve", Engine.Service_curve);
     ("integrated", Engine.Integrated);
-    ("integrated-sp", Engine.Integrated_sp);
+    (* The static-priority extension's former name, kept for scripts. *)
+    ("integrated-sp", Engine.Integrated);
     ("fifo-theta", Engine.Fifo_theta);
   ]
 
@@ -500,8 +501,9 @@ let admit_cmd =
     Arg.(value & opt (enum method_choices) Engine.Decomposed
          & info [ "method" ] ~docv:"M"
              ~doc:"Analysis method backing the admission test, one of \
-                   $(b,decomposed), $(b,service-curve), $(b,integrated), \
-                   $(b,integrated-sp), $(b,fifo-theta).")
+                   $(b,decomposed), $(b,service-curve), $(b,integrated) \
+                   (FIFO or static-priority networks; $(b,integrated-sp) is \
+                   accepted as a second spelling), $(b,fifo-theta).")
   in
   let run file method_ link_cap () =
     let net = load_scenario file in

@@ -19,7 +19,7 @@ let () =
   let plant = Scenario.load (scenario "priority_plant.scn") in
   Format.printf "%a@.@." Network.pp plant;
   let dd = Decomposed.analyze plant in
-  let sp = Integrated_sp.analyze ~strategy:Pairing.Greedy plant in
+  let sp = Integrated.analyze ~strategy:Pairing.Greedy plant in
   let tbl =
     Table.create
       ~header:[ "flow"; "prio"; "deadline"; "SP-decomposed"; "SP-integrated"; "ok" ]
@@ -27,7 +27,7 @@ let () =
   List.iter
     (fun (f : Flow.t) ->
       let d = Decomposed.flow_delay dd f.id in
-      let i = Integrated_sp.flow_delay sp f.id in
+      let i = Integrated.flow_delay sp f.id in
       Table.add_row tbl
         [
           f.name;

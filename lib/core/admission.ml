@@ -70,9 +70,6 @@ let hop_backlog ?options ?strategy net method_ flow =
   | Engine.Integrated ->
       let t = Integrated.analyze ?options ?strategy net in
       fun server -> Integrated.local_backlog t ~flow ~server
-  | Engine.Integrated_sp ->
-      let t = Integrated_sp.analyze ?options ?strategy net in
-      fun server -> Integrated_sp.local_backlog t ~flow ~server
 
 let flow_violation ?options ?strategy net bounds method_ (f : Flow.t) =
   violation f
@@ -98,9 +95,6 @@ let bounds_of_net ?options ?strategy net method_ =
         (Service_curve_method.analyze ?options net)
   | Engine.Integrated ->
       Integrated.all_flow_delays (Integrated.analyze ?options ?strategy net)
-  | Engine.Integrated_sp ->
-      Integrated_sp.all_flow_delays
-        (Integrated_sp.analyze ?options ?strategy net)
   | Engine.Fifo_theta ->
       Fifo_theta.all_flow_delays (Fifo_theta.analyze ?options net)
 

@@ -1,12 +1,11 @@
-type method_ = Decomposed | Service_curve | Integrated | Integrated_sp | Fifo_theta
+type method_ = Decomposed | Service_curve | Integrated | Fifo_theta
 
-let all_methods = [ Decomposed; Service_curve; Integrated; Integrated_sp; Fifo_theta ]
+let all_methods = [ Decomposed; Service_curve; Integrated; Fifo_theta ]
 
 let method_name = function
   | Decomposed -> "Decomposed"
   | Service_curve -> "Service Curve"
   | Integrated -> "Integrated"
-  | Integrated_sp -> "Integrated-SP"
   | Fifo_theta -> "FIFO-theta"
 
 let compute ?options ?strategy net method_ flow =
@@ -16,8 +15,6 @@ let compute ?options ?strategy net method_ flow =
       Service_curve_method.flow_delay (Service_curve_method.analyze ?options net) flow
   | Integrated ->
       Integrated.flow_delay (Integrated.analyze ?options ?strategy net) flow
-  | Integrated_sp ->
-      Integrated_sp.flow_delay (Integrated_sp.analyze ?options ?strategy net) flow
   | Fifo_theta -> Fifo_theta.flow_delay (Fifo_theta.analyze ?options net) flow
 
 let c_flow_delay = Metrics.counter "engine.flow_delay.calls"
@@ -48,10 +45,6 @@ let flow_backlog ?options ?strategy net method_ flow =
       Decomposed.flow_backlog (Decomposed.analyze ?options net) flow
   | Integrated ->
       Integrated.flow_backlog (Integrated.analyze ?options ?strategy net) flow
-  | Integrated_sp ->
-      Integrated_sp.flow_backlog
-        (Integrated_sp.analyze ?options ?strategy net)
-        flow
 
 type comparison = {
   flow : int;

@@ -5,9 +5,8 @@ type method_ =
   | Decomposed
   | Service_curve
   | Integrated
-  | Integrated_sp
-      (** the Sec. 5 static-priority extension; requires a homogeneous
-          FIFO or static-priority network *)
+      (** with the Sec. 5 static-priority extension; requires a
+          homogeneous FIFO or static-priority network *)
   | Fifo_theta  (** extension, not in the paper *)
 
 val all_methods : method_ list

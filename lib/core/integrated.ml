@@ -18,17 +18,51 @@ let create ~options net pairing =
 let network t = Forward.network t.fw
 let pairing t = Array.to_list t.pairing
 
-let require_fifo net =
-  List.iter
-    (fun (s : Server.t) ->
-      if s.discipline <> Discipline.Fifo then
-        invalid_arg
-          (Printf.sprintf
-             "Integrated: server %s is %s; the integrated method is derived \
-              for FIFO servers only"
-             s.name
-             (Discipline.to_string s.discipline)))
-    (Network.servers net)
+let require_fifo_or_sp net =
+  let kinds =
+    Network.servers net
+    |> List.map (fun (s : Server.t) ->
+           match s.discipline with
+           | Discipline.Fifo | Discipline.Static_priority -> s.discipline
+           | d ->
+               invalid_arg
+                 (Printf.sprintf
+                    "Integrated: server %s is %s; the integrated method covers \
+                     FIFO and static-priority servers only"
+                    s.name (Discipline.to_string d)))
+    |> List.sort_uniq compare
+  in
+  if List.length kinds > 1 then
+    invalid_arg
+      "Integrated: mixing FIFO and static-priority servers is not supported \
+       (priority classes would not be consistent across a pair)"
+
+(* A flow's priority class at a server: a FIFO server serves all its
+   flows as one class. *)
+let class_of (s : Server.t) (f : Flow.t) =
+  match s.discipline with
+  | Discipline.Static_priority -> f.priority
+  | _ -> 0
+
+let classes s flows = List.sort_uniq Int.compare (List.map (class_of s) flows)
+
+(* The service a server offers one class, given the aggregate of the
+   classes it serves first: the rate line at a FIFO server, the
+   leftover curve at a static-priority one.  [higher] is forced only
+   at a static-priority server, and the blocking term applies only
+   there. *)
+let service ~options (s : Server.t) higher =
+  match s.discipline with
+  | Discipline.Static_priority ->
+      Static_priority.class_service ~rate:s.rate ~higher:(higher ())
+        ~blocking:options.Options.sp_blocking ()
+  | _ -> Service.constant_rate s.rate
+
+(* The delay bound of one class queue at a lone server. *)
+let lone_delay (s : Server.t) ~beta ~agg =
+  match s.discipline with
+  | Discipline.Static_priority -> Pair_analysis.single_general ~beta ~agg
+  | _ -> Fifo.local_delay ~rate:s.rate ~agg
 
 let poisoned t sid flows =
   List.exists
@@ -156,41 +190,100 @@ let c_singles = Metrics.counter "integrated.subnets.singles"
 
 let analyze_with_pairing ?(options = Options.default) net pairing_list =
   Prof.span "integrated.analyze" @@ fun () ->
-  require_fifo net;
+  require_fifo_or_sp net;
   Pairing.validate net pairing_list;
   let t = create ~options net pairing_list in
-  let rate sid = (Network.server net sid).Server.rate in
+  let server = Network.server net in
   Array.iteri
     (fun idx subnet ->
       match subnet with
       | Pairing.Single u ->
           Prof.count c_singles;
+          let su = server u in
           let present = Network.flows_at net u in
-          if present <> [] then
-            single_step t idx u present
-              (if poisoned t u present then None
-               else
-                 let agg = aggregate t u present in
-                 Some
-                   ( Service.constant_rate (rate u),
-                     agg,
-                     Fifo.local_delay ~rate:(rate u) ~agg ))
+          List.iter
+            (fun p ->
+              let mine = List.filter (fun f -> class_of su f = p) present
+              and higher = List.filter (fun f -> class_of su f < p) present in
+              single_step t idx u mine
+                (if poisoned t u (mine @ higher) then None
+                 else
+                   let beta =
+                     service ~options su (fun () -> aggregate t u higher)
+                   in
+                   let agg = aggregate t u mine in
+                   Some (beta, agg, lone_delay su ~beta ~agg)))
+            (classes su present)
       | Pairing.Pair (u, v) ->
           Prof.count c_pairs;
-          let s12, s1, s2 = split_pair net u v in
-          pair_step t idx (u, v) ~s12 ~s1 ~s2
-            (if poisoned t u (s12 @ s1) || poisoned t v s2 then None
-             else
-               Some
-                 {
-                   Pair_analysis.link1 = rate u;
-                   beta1 = Service.constant_rate (rate u);
-                   beta2 = Service.constant_rate (rate v);
-                   g12 = aggregate t u s12;
-                   g1 = aggregate t u s1;
-                   g2 = aggregate t v s2;
-                 })
-          |> ignore)
+          let su = server u and sv = server v in
+          let s12_all, s1_all, s2_all = split_pair net u v in
+          let at_u = Network.flows_at net u in
+          (* Per-class server-1 delays, filled in urgency order; used
+             to build the transit part of the higher-priority envelope
+             at server 2. *)
+          let d1_by_class = Hashtbl.create 4 in
+          List.iter
+            (fun p ->
+              let in_class f = class_of su f = p
+              and above f = class_of su f < p in
+              let s12 = List.filter in_class s12_all
+              and s1 = List.filter in_class s1_all
+              and s2 = List.filter in_class s2_all
+              and higher_u = List.filter above at_u
+              and higher_s2 = List.filter (fun f -> class_of sv f < p) s2_all
+              and higher_s12 = List.filter above s12_all in
+              (* Higher-priority arrivals at server 2: fresh s2 flows
+                 with their propagated envelopes, plus the transit of
+                 higher classes through server 1, delay-inflated per
+                 class and capped by the shared link as one group. *)
+              let higher_at_v () =
+                let link = Pwl.affine ~y0:0. ~slope:su.rate in
+                let transit =
+                  match higher_s12 with
+                  | [] -> Pwl.zero
+                  | flows ->
+                      Pwl.min_pw link
+                        (Pwl.sum
+                           (List.map
+                              (fun f ->
+                                match
+                                  Hashtbl.find_opt d1_by_class (class_of su f)
+                                with
+                                | Some dq when dq <> infinity ->
+                                    Pwl.shift_left (env_at t f u) dq
+                                | _ -> link)
+                              flows))
+                in
+                Pwl.add (aggregate t v higher_s2) transit
+              in
+              let input () =
+                let beta1 =
+                  service ~options su (fun () -> aggregate t u higher_u)
+                and beta2 = service ~options sv higher_at_v in
+                if Pwl.final_slope beta1 <= 0. || Pwl.final_slope beta2 <= 0.
+                then None
+                else
+                  Some
+                    {
+                      Pair_analysis.link1 = su.rate;
+                      beta1;
+                      beta2;
+                      g12 = aggregate t u s12;
+                      g1 = aggregate t u s1;
+                      g2 = aggregate t v s2;
+                    }
+              in
+              let result =
+                pair_step t idx (u, v) ~s12 ~s1 ~s2
+                  (if
+                     poisoned t u (s12 @ s1 @ higher_u)
+                     || poisoned t v (s2 @ higher_s2)
+                   then None
+                   else input ())
+              in
+              Hashtbl.replace d1_by_class p result.Pair_analysis.d1)
+            (classes su (at_u @ Network.flows_at net v)))
     t.pairing;
   t
 

@@ -1,21 +1,40 @@
-(** Algorithm Integrated — the paper's contribution (Fig. 2).
+(** Algorithm Integrated — the paper's contribution (Fig. 2) — and its
+    static-priority extension.
 
     The feedforward network is partitioned into subnetworks of at most
-    two FIFO servers ({!Pairing}); subnetworks are visited in
-    topological order; each is analyzed jointly ({!Pair_analysis}),
-    producing the delay its flows suffer {e across the whole
-    subnetwork} and their output envelopes; end-to-end bounds are the
-    sums of per-subnetwork delays along each route.
+    two servers ({!Pairing}); subnetworks are visited in topological
+    order; each is analyzed jointly ({!Pair_analysis}), producing the
+    delay its flows suffer {e across the whole subnetwork} and their
+    output envelopes; end-to-end bounds are the sums of per-subnetwork
+    delays along each route.
 
     Because a pair is analyzed jointly, a burst is only "paid" once per
     pair instead of once per server, and the transit traffic between
     the paired servers is bounded by the physical link rate — the two
     effects that make this method dominate Algorithm Decomposed.
 
-    Only FIFO servers are supported (the paper derives the closed-form
-    pair bound for FIFO; extending to static priority is listed as
-    future work — see {!Static_priority} for the single-server SP
-    machinery). *)
+    The paper derives the pair bound for FIFO servers and announces the
+    static-priority extension in its conclusion ({e "We are currently
+    extending the applicability of this approach to the static-priority
+    discipline by deriving the appropriate closed form solutions of the
+    delay formulas"}).  The pass runs once per priority class, in
+    urgency order (lower number first), so that the higher-priority
+    envelopes entering the second server of a pair are available when
+    a class needs them.  The classes differ only in the service they
+    see:
+    - at a FIFO server every flow is in one class, served by the rate
+      line [C t]; a lone server is bounded by {!Fifo.local_delay};
+    - at a static-priority server each class is served by its
+      {e leftover service curve} [(C t - higher t - blocking)^+]
+      ({!Static_priority.class_service}, [blocking] the [sp_blocking]
+      of {!Options.t}): within a class the server is FIFO, so the
+      pairwise analysis of {!Pair_analysis} generalizes verbatim with
+      the leftover curve in place of the rate line.  A lone server is
+      bounded by {!Pair_analysis.single_general}.
+
+    Every server must be FIFO, or every server static priority: mixing
+    the two is rejected because a flow's class would not be consistent
+    across a pair. *)
 
 type t
 
@@ -23,7 +42,8 @@ val analyze :
   ?options:Options.t -> ?strategy:Pairing.strategy -> Network.t -> t
 (** [strategy] defaults to [Pairing.Greedy].
     @raise Network.Cyclic on non-feedforward routing.
-    @raise Invalid_argument when the network has a non-FIFO server. *)
+    @raise Invalid_argument when a server is neither FIFO nor static
+    priority, or the network mixes the two. *)
 
 val analyze_with_pairing : ?options:Options.t -> Network.t -> Pairing.t -> t
 (** Use an externally supplied (validated) pairing. *)
@@ -52,12 +72,16 @@ val server_backlog : t -> int -> float
 (** Aggregate backlog bound at a server, computed from the integrated
     input window (for the second server of a pair: link-capped,
     delay-inflated transit plus fresh traffic) — typically below the
-    decomposed bound, since the integrated envelopes are tighter.
-    [0.] for an idle server, [infinity] past an unstable one. *)
+    decomposed bound, since the integrated envelopes are tighter.  At a
+    static-priority server it is the sum over the priority classes of
+    each class queue's vertical deviation from the class's leftover
+    service.  [0.] for an idle server, [infinity] past an unstable
+    one. *)
 
 val server_flow_backlogs : t -> int -> (int * float) list
 (** Per-flow backlog bounds at a server ({!Deviation.vdev_per_flow}
-    against the integrated window), [(flow id, bound)] in id order. *)
+    against the integrated window of the flow's class, inside which
+    service is FIFO), [(flow id, bound)] in id order. *)
 
 val local_backlog : t -> flow:int -> server:int -> float
 (** The flow's backlog bound at one of its hops.
@@ -66,50 +90,3 @@ val local_backlog : t -> flow:int -> server:int -> float
 val flow_backlog : t -> int -> float
 (** The flow's buffer requirement: its worst per-hop backlog bound
     over its route. *)
-
-(** {1 Building blocks of the pass}
-
-    Exposed for {!Integrated_sp}, which runs the same pass once per
-    priority class and shares this engine's result type, its
-    per-subnet bookkeeping and every accessor above. *)
-
-val create : options:Options.t -> Network.t -> Pairing.t -> t
-(** An empty result: each flow's source envelope installed at its first
-    hop, no subnet analyzed yet. *)
-
-val poisoned : t -> int -> Flow.t list -> bool
-(** Whether one of the flows has an unbounded envelope at the server. *)
-
-val env_at : t -> Flow.t -> int -> Pwl.t
-(** A flow's envelope at the input of a server. *)
-
-val aggregate : t -> int -> Flow.t list -> Pwl.t
-(** The flows' aggregate envelope at the input of a server, honoring
-    the link-cap option ([Pwl.zero] for no flows). *)
-
-val split_pair :
-  Network.t -> int -> int -> Flow.t list * Flow.t list * Flow.t list
-(** The flows of a pair [(u, v)]: those crossing [u] then [v], those
-    crossing [u] only, and those entering at [v]. *)
-
-val single_step :
-  t -> int -> int -> Flow.t list -> (Pwl.t * Pwl.t * float) option -> unit
-(** [single_step t idx u flows queue] records subnet [idx = Single u]
-    for [flows], one queue at [u]: [Some (beta, agg, d)] when it is
-    served by [beta] with aggregate input [agg] and delay bound [d]
-    (the backlog bounds follow from [beta] and [agg]), [None] when its
-    input is unbounded.  Each flow's envelope is shifted by [d] onto
-    its next hop, or the rest of its route poisoned. *)
-
-val pair_step :
-  t ->
-  int ->
-  int * int ->
-  s12:Flow.t list ->
-  s1:Flow.t list ->
-  s2:Flow.t list ->
-  Pair_analysis.general_input option ->
-  Pair_analysis.result
-(** The same for subnet [idx = Pair (u, v)] and one class of flows
-    ({!split_pair}): {!Pair_analysis.analyze_general} of the input, or
-    {!Pair_analysis.unbounded} for [None]; returns the result. *)

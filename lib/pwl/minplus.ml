@@ -29,21 +29,12 @@ let observed_bps d r =
    curves get fresh uids and the lookup misses — a recompute of the
    identical value, never a wrong hit: uids are not reused.)  Guarded
    by one lock: netcalc.par worker domains hit these tables
-   concurrently.
-
-   Keys carry a namespace tag [ns] besides the operand uids.  The pwl
-   kernels here always use [ns = 0]; the [Upp] library stores its
-   windowed results under nonzero namespaces via [cached_op].  Without
-   the tag, an operation on the same two curves that means
-   something different (a upp window convolution on an unrolled prefix
-   vs this module's shape-dispatched convolution) could be served the
-   other one's value — the conflation the cache-keying regression test
-   pins. *)
+   concurrently. *)
 module Cache_key = struct
-  type t = { ns : int; a : int; b : int }
+  type t = { a : int; b : int }
 
-  let equal k1 k2 = k1.ns = k2.ns && k1.a = k2.a && k1.b = k2.b
-  let hash { ns; a; b } = (((((ns * 31) + a) * 31) + b) * 0x9e3779b9) land max_int
+  let equal k1 k2 = k1.a = k2.a && k1.b = k2.b
+  let hash { a; b } = (((a * 31) + b) * 0x9e3779b9) land max_int
 end
 
 module Cache_tbl = Hashtbl.Make (Cache_key)
@@ -89,10 +80,10 @@ let cache_stats () =
     misses = Metrics.value c_cache_miss;
     entries }
 
-let cached ?(ns = 0) tbl f g compute =
+let cached tbl f g compute =
   if not (Obs_sync.with_lock cache_lock (fun () -> !cache_on)) then compute ()
   else begin
-    let key = { Cache_key.ns; a = Pwl.uid f; b = Pwl.uid g } in
+    let key = { Cache_key.a = Pwl.uid f; b = Pwl.uid g } in
     match Obs_sync.with_lock cache_lock (fun () -> Cache_tbl.find_opt tbl key)
     with
     | Some r ->
@@ -109,12 +100,6 @@ let cached ?(ns = 0) tbl f g compute =
             if not (Cache_tbl.mem tbl key) then Cache_tbl.add tbl key r);
         r
   end
-
-let cached_op op ~ns f g compute =
-  if ns = 0 then
-    invalid_arg "Minplus.cached_op: namespace 0 is reserved for the pwl kernel";
-  cached ~ns (match op with `Conv -> conv_cache | `Deconv -> deconv_cache) f g
-    compute
 
 (* Convex (x) convex: sort the slope pieces of both operands by
    increasing slope and concatenate, starting from the sum of the

@@ -61,19 +61,6 @@ val deconv : Pwl.t -> Pwl.t -> Pwl.t
     also published as the [pwl.cache.hits] / [pwl.cache.misses]
     observability counters. *)
 
-val cached_op :
-  [ `Conv | `Deconv ] ->
-  ns:int -> Pwl.t -> Pwl.t -> (unit -> Pwl.t) -> Pwl.t
-(** Namespaced access to the shared result cache for other curve
-    representations ({!Upp} caches its windowed kernel results here).
-    Keys are [(ns, uid f, uid g)]; the pwl kernels of this module own
-    namespace 0, so an operation on the same two curves that
-    computes a different function can never be served — or serve — a
-    pwl entry.  [compute] must be a
-    deterministic function of [(ns, f, g)], for the same reason the
-    kernels above must be: a hit replays its value.
-    @raise Invalid_argument on [ns = 0]. *)
-
 type cache_stats = { hits : int; misses : int; entries : int }
 
 val cache_enabled : unit -> bool

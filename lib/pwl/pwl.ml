@@ -41,13 +41,10 @@ let normalize segs =
    ([pwl.breakpoints]'s max is the peak complexity).  Recording is
    branch-guarded by Obs: disabled runs pay one load and branch.
 
-   [pwl.segments.total] (cumulative segments constructed — the
-   segments-processed denominator of the bench's curves experiment) and
-   [pwl.segments.max] (largest single curve ever built) make
-   horizon-dependent representation blowup directly visible in
-   [netcalc profile] and bench [--obs]: for an unrolled pwl curve the
-   peak grows with the horizon, for a [Upp] curve it stays at the
-   transient-plus-period structure size. *)
+   [pwl.segments.total] (cumulative segments constructed) and
+   [pwl.segments.max] (largest single curve ever built) make the curve
+   workload and any representation blowup directly visible in
+   [netcalc profile] and bench [--obs]. *)
 let c_make = Metrics.counter "pwl.make.calls"
 let d_breakpoints = Metrics.dist "pwl.breakpoints"
 let c_segs_total = Metrics.counter "pwl.segments.total"
@@ -148,13 +145,10 @@ let uid f =
 (* Blessed comparison API (the lint rule pwl-poly-eq points here).
    Polymorphic [=] on [t] would compare floats by value, so [0.] and
    [-0.] would match, and polymorphic hash folds only a prefix of the
-   segments.  [hash] hashes every segment's bit patterns; [compare] is
-   a total order on the same bit patterns: arbitrary but fixed, and
-   consistent with [hash].  Note the asymmetry with {!equal}, which is
-   tolerant and pointwise: [compare f g = 0] is bit-exact structural
-   identity, strictly finer than [equal]. *)
-let hash f = hash_segs f.segs
-
+   segments.  [compare] is a total order on the segments' bit
+   patterns: arbitrary but fixed.  Note the asymmetry with {!equal},
+   which is tolerant and pointwise: [compare f g = 0] is bit-exact
+   structural identity, strictly finer than [equal]. *)
 let compare f g =
   if f == g then 0
   else

@@ -149,14 +149,10 @@ val compare : t -> t -> int
     Bit-exact: [compare f g = 0] is strictly finer than the tolerant
     {!equal}.
 
-    This, {!equal} and {!hash} are the blessed comparison API enforced
+    This, {!equal} and {!uid} are the blessed comparison API enforced
     by the [pwl-poly-eq] lint rule: polymorphic [=] / [compare] would
     compare floats by value (so [0.] and [-0.] would match), and
     [Hashtbl.hash] folds only a prefix of the segments. *)
-
-val hash : t -> int
-(** Hash of the bit patterns of every segment, computed on each call;
-    consistent with {!compare}. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,5 +1,5 @@
-(* Tests for the static-priority integrated engine (the paper's Sec. 5
-   future-work extension). *)
+(* Tests for Algorithm Integrated on static-priority networks (the
+   paper's Sec. 5 future-work extension). *)
 
 open Testutil
 
@@ -7,46 +7,75 @@ let sp_tandem ?(peak = 1.) n u =
   Tandem.make ~n ~utilization:u ~peak
     ~discipline:Discipline.Static_priority ()
 
-(* On an all-FIFO network every flow forms one class and the SP engine
-   must reproduce the FIFO integrated engine bit for bit — delays,
-   per-hop and per-server backlogs — on the paper's tandem grid (both
-   option sets) and on unit-rate random DAGs.  The claim is limited to
-   unit-rate plants: the two engines bound a lone FIFO server by
-   different formulas (sup (agg - C t) / C against hdev through a
-   pseudo-inverse), which can differ in the last bits when the rates
-   are heterogeneous. *)
-let test_fifo_special_case () =
+(* The network with every server re-typed as static priority and each
+   flow given [priority f]. *)
+let sp_retyped ~priority net =
+  Network.make
+    ~servers:
+      (List.map
+         (fun (s : Server.t) ->
+           Server.make ~id:s.id ~name:s.name ~rate:s.rate
+             ~discipline:Discipline.Static_priority ())
+         (Network.servers net))
+    ~flows:
+      (List.map
+         (fun (f : Flow.t) ->
+           Flow.make ~id:f.id ~name:f.name ~arrival:f.arrival ~route:f.route
+             ~priority:(priority f) ~weight:f.weight ())
+         (Network.flows net))
+
+(* Bit-exact comparison of two analyses of the same topology: delays,
+   per-hop and per-server backlogs.  Returns the number of values
+   compared. *)
+let same_bounds label a b =
   let bits = Int64.bits_of_float in
   let checks = ref 0 in
-  let same what a b =
+  let same what x y =
     incr checks;
-    if not (Int64.equal (bits a) (bits b)) then
-      Alcotest.failf "%s: Integrated %h, Integrated_sp %h" what a b
+    if not (Int64.equal (bits x) (bits y)) then
+      Alcotest.failf "%s: %s: %h against %h" label what x y
   in
+  let net = Integrated.network a in
+  List.iter
+    (fun (f : Flow.t) ->
+      same
+        (Printf.sprintf "%s delay" f.name)
+        (Integrated.flow_delay a f.id)
+        (Integrated.flow_delay b f.id);
+      List.iter
+        (fun s ->
+          same
+            (Printf.sprintf "%s backlog at %d" f.name s)
+            (Integrated.local_backlog a ~flow:f.id ~server:s)
+            (Integrated.local_backlog b ~flow:f.id ~server:s))
+        f.route)
+    (Network.flows net);
+  List.iter
+    (fun (s : Server.t) ->
+      same
+        (Printf.sprintf "server %d backlog" s.id)
+        (Integrated.server_backlog a s.id)
+        (Integrated.server_backlog b s.id))
+    (Network.servers net);
+  !checks
+
+(* A static-priority network whose flows all share one class is a FIFO
+   network: the pass must give its one-class twin the FIFO bounds bit
+   for bit — on the paper's tandem grid (both option sets) and on
+   unit-rate random DAGs.  The claim is limited to unit-rate plants:
+   a lone server is bounded by hdev through a pseudo-inverse at a
+   static-priority server and by sup (agg - C t) / C at a FIFO one,
+   which can differ in the last bits when the rates are
+   heterogeneous. *)
+let test_fifo_special_case () =
+  let checks = ref 0 in
   let compare_on label ?options ~strategy net =
-    let a = Integrated.analyze ?options ~strategy net in
-    let b = Integrated_sp.analyze ?options ~strategy net in
-    List.iter
-      (fun (f : Flow.t) ->
-        same
-          (Printf.sprintf "%s: %s delay" label f.name)
-          (Integrated.flow_delay a f.id)
-          (Integrated_sp.flow_delay b f.id);
-        List.iter
-          (fun s ->
-            same
-              (Printf.sprintf "%s: %s backlog at %d" label f.name s)
-              (Integrated.local_backlog a ~flow:f.id ~server:s)
-              (Integrated_sp.local_backlog b ~flow:f.id ~server:s))
-          f.route)
-      (Network.flows net);
-    List.iter
-      (fun (s : Server.t) ->
-        same
-          (Printf.sprintf "%s: server %d backlog" label s.id)
-          (Integrated.server_backlog a s.id)
-          (Integrated_sp.server_backlog b s.id))
-      (Network.servers net)
+    checks :=
+      !checks
+      + same_bounds label
+          (Integrated.analyze ?options ~strategy net)
+          (Integrated.analyze ?options ~strategy
+             (sp_retyped ~priority:(fun _ -> 0) net))
   in
   List.iter
     (fun (oname, options) ->
@@ -90,13 +119,36 @@ let test_fifo_special_case () =
   check_bool "tandem grid compared" true (tandem_checks > 0);
   check_bool "random nets compared" true (!checks > tandem_checks)
 
+(* The blocking term models a lower-priority packet in service, so it
+   exists only at static-priority servers: on FIFO networks it leaves
+   every bound unchanged, as in Decomposed. *)
+let test_blocking_only_at_sp_servers () =
+  let blocking = Options.with_blocking 0.5 Options.default in
+  List.iter
+    (fun (n, u) ->
+      let t = Tandem.make ~n ~utilization:u () in
+      let strategy = Pairing.Along_route 0 in
+      ignore
+        (same_bounds
+           (Printf.sprintf "FIFO tandem n=%d U=%g" n u)
+           (Integrated.analyze ~strategy t.network)
+           (Integrated.analyze ~options:blocking ~strategy t.network)))
+    [ (2, 0.3); (3, 0.6); (5, 0.9) ];
+  let net =
+    Randomnet.generate
+      { Randomnet.default with rate_spread = 0.2; utilization = 0.8 }
+  in
+  ignore
+    (same_bounds "heterogeneous randomnet" (Integrated.analyze net)
+       (Integrated.analyze ~options:blocking net))
+
 let test_sp_beats_decomposed () =
   List.iter
     (fun (n, u) ->
       let t = sp_tandem n u in
       let dd = Decomposed.analyze t.network in
       let sp =
-        Integrated_sp.analyze ~strategy:(Pairing.Along_route 0) t.network
+        Integrated.analyze ~strategy:(Pairing.Along_route 0) t.network
       in
       List.iter
         (fun (f : Flow.t) ->
@@ -104,11 +156,11 @@ let test_sp_beats_decomposed () =
             (Printf.sprintf "%s: SP-integrated <= SP-decomposed (n=%d U=%g)"
                f.name n u)
             true
-            (Integrated_sp.flow_delay sp f.id
+            (Integrated.flow_delay sp f.id
             <= Decomposed.flow_delay dd f.id +. 1e-9))
         (Network.flows t.network);
       check_bool "strictly better for conn0" true
-        (Integrated_sp.flow_delay sp 0 < Decomposed.flow_delay dd 0 -. 1e-6))
+        (Integrated.flow_delay sp 0 < Decomposed.flow_delay dd 0 -. 1e-6))
     [ (2, 0.3); (4, 0.6); (8, 0.9) ]
 
 let test_priority_ordering () =
@@ -116,13 +168,13 @@ let test_priority_ordering () =
      (middle priority) less than the background B-flows at comparable
      path lengths. *)
   let t = sp_tandem 4 0.7 in
-  let sp = Integrated_sp.analyze ~strategy:(Pairing.Along_route 0) t.network in
+  let sp = Integrated.analyze ~strategy:(Pairing.Along_route 0) t.network in
   approx "urgent class alone sees no fluid delay" 0.
-    (Integrated_sp.flow_delay sp 1);
+    (Integrated.flow_delay sp 1);
   (* conn0 (priority 1, 4 hops) vs B1 (priority 2, 3 hops). *)
   check_bool "middle class beats background on comparable paths" true
-    (Integrated_sp.flow_delay sp 0 /. 4.
-    < Integrated_sp.flow_delay sp 4 /. 3.)
+    (Integrated.flow_delay sp 0 /. 4.
+    < Integrated.flow_delay sp 4 /. 3.)
 
 let test_rejects_mixed_and_other () =
   let arrival = Arrival.token_bucket ~sigma:1. ~rho:0.1 () in
@@ -137,7 +189,7 @@ let test_rejects_mixed_and_other () =
       ~flows:[ Flow.make ~id:0 ~arrival ~route:[ 0; 1 ] () ]
   in
   (try
-     ignore (Integrated_sp.analyze mixed);
+     ignore (Integrated.analyze mixed);
      Alcotest.fail "expected Invalid_argument for mixed disciplines"
    with Invalid_argument _ -> ());
   let gps =
@@ -146,25 +198,25 @@ let test_rejects_mixed_and_other () =
       ~flows:[ Flow.make ~id:0 ~arrival ~route:[ 0 ] () ]
   in
   try
-    ignore (Integrated_sp.analyze gps);
+    ignore (Integrated.analyze gps);
     Alcotest.fail "expected Invalid_argument for GPS"
   with Invalid_argument _ -> ()
 
 let test_blocking_increases_bounds () =
   let t = sp_tandem 4 0.6 in
   let plain =
-    Integrated_sp.analyze ~strategy:(Pairing.Along_route 0) t.network
+    Integrated.analyze ~strategy:(Pairing.Along_route 0) t.network
   in
   let blocked =
-    Integrated_sp.analyze
+    Integrated.analyze
       ~options:(Options.with_blocking 0.5 Options.default)
       ~strategy:(Pairing.Along_route 0) t.network
   in
   List.iter
     (fun (f : Flow.t) ->
       check_bool (f.name ^ ": blocking never decreases the bound") true
-        (Integrated_sp.flow_delay blocked f.id
-        >= Integrated_sp.flow_delay plain f.id -. 1e-9))
+        (Integrated.flow_delay blocked f.id
+        >= Integrated.flow_delay plain f.id -. 1e-9))
     (Network.flows t.network)
 
 let test_validation_against_simulator () =
@@ -175,8 +227,8 @@ let test_validation_against_simulator () =
   let net = t.network in
   let options = Options.with_blocking packet_size Options.default in
   let bounds_sp =
-    Integrated_sp.all_flow_delays
-      (Integrated_sp.analyze ~options ~strategy:(Pairing.Along_route 0) net)
+    Integrated.all_flow_delays
+      (Integrated.analyze ~options ~strategy:(Pairing.Along_route 0) net)
   in
   let bounds_dd = Decomposed.all_flow_delays (Decomposed.analyze ~options net) in
   let config = { Sim.default_config with packet_size; horizon = 300. } in
@@ -200,30 +252,15 @@ let prop_sp_dominated_on_random_nets =
         Randomnet.generate
           { Randomnet.default with layers; num_flows; seed; utilization = 0.7 }
       in
-      (* Re-type every server as static priority and spread flow
-         priorities deterministically. *)
-      let servers =
-        List.map
-          (fun (s : Server.t) ->
-            Server.make ~id:s.id ~name:s.name ~rate:s.rate
-              ~discipline:Discipline.Static_priority ())
-          (Network.servers base)
-      in
-      let flows =
-        List.map
-          (fun (f : Flow.t) ->
-            Flow.make ~id:f.id ~name:f.name ~arrival:f.arrival ~route:f.route
-              ~priority:(f.id mod 3) ~weight:f.weight ())
-          (Network.flows base)
-      in
-      let net = Network.make ~servers ~flows in
+      (* Spread flow priorities deterministically. *)
+      let net = sp_retyped ~priority:(fun (f : Flow.t) -> f.id mod 3) base in
       let dd = Decomposed.analyze net in
-      let sp = Integrated_sp.analyze ~strategy:Pairing.Greedy net in
+      let sp = Integrated.analyze ~strategy:Pairing.Greedy net in
       List.for_all
         (fun (f : Flow.t) ->
-          Integrated_sp.flow_delay sp f.id
+          Integrated.flow_delay sp f.id
           <= Decomposed.flow_delay dd f.id +. 1e-6)
-        flows)
+        (Network.flows net))
 
 let test_priority_demotion_hurts () =
   (* Demoting conn0 from middle to background priority can only
@@ -240,8 +277,8 @@ let test_priority_demotion_hurts () =
         (Network.flows base.network)
     in
     let net = Network.with_flows base.network flows in
-    Integrated_sp.flow_delay
-      (Integrated_sp.analyze ~strategy:(Pairing.Along_route 0) net)
+    Integrated.flow_delay
+      (Integrated.analyze ~strategy:(Pairing.Along_route 0) net)
       0
   in
   check_bool "demotion monotone" true (bound 3 >= bound 1 -. 1e-9);
@@ -255,6 +292,8 @@ let suite =
       test "priority ordering" test_priority_ordering;
       test "rejects mixed/unsupported disciplines"
         test_rejects_mixed_and_other;
+      test "blocking applies only at static-priority servers"
+        test_blocking_only_at_sp_servers;
       test "blocking term is monotone" test_blocking_increases_bounds;
       test "priority demotion monotone" test_priority_demotion_hurts;
       test "bounds hold against non-preemptive packet simulation"

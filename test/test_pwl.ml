@@ -104,6 +104,31 @@ let test_sum_hub () =
         Alcotest.failf "sum at %g: expected %.17g, got %.17g" x expected (Pwl.eval s x))
     points
 
+(* The only test of the pwl.segments.{total,max} metrics, which the
+   scale smoke and the benchmark read as the curve workload. *)
+let test_segment_metrics () =
+  Obs.enable ();
+  Metrics.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.disable ();
+      Metrics.reset ())
+  @@ fun () ->
+  let n = 50 in
+  ignore
+    (Pwl.make
+       (List.init n (fun k -> (float_of_int k, float_of_int (k + 1), 0.))));
+  let snap = Metrics.snapshot () in
+  let total =
+    Option.value ~default:0
+      (List.assoc_opt "pwl.segments.total" snap.Metrics.counters)
+  in
+  let peak =
+    Option.value ~default:0
+      (List.assoc_opt "pwl.segments.max" snap.Metrics.peaks)
+  in
+  check_bool "segments.total counts the curve" true (total >= n);
+  check_bool "segments.max saw the curve" true (peak >= n)
+
 (* The neutral-element fast paths test content, not identity: a zero
    curve built after the uid table was emptied is still dropped, so
    the result does not depend on when the table last reset.  Keeping
@@ -408,4 +433,5 @@ let suite =
       test "sum: neutral cases" test_sum_neutral;
       test "sum: 2000-curve hub is one construction" test_sum_hub;
       test "sum/add: zero operands found by content" test_zero_by_content;
+      test "pwl.segments metrics record workload" test_segment_metrics;
     ] )

@@ -141,6 +141,21 @@ let test_atm_scenario_analysis () =
       check_bool (f.name ^ " integrated wins or ties") true (i <= d +. 1e-9))
     flows
 
+(* The repo's static-priority example: Integrated runs its
+   static-priority pass on it, with finite bounds no worse than the
+   decomposed ones. *)
+let test_priority_plant_integrated () =
+  let net = Scenario.load "../examples/scenarios/priority_plant.scn" in
+  List.iter
+    (fun (f : Flow.t) ->
+      let i = Engine.flow_delay net Engine.Integrated f.id in
+      let d = Engine.flow_delay net Engine.Decomposed f.id in
+      check_bool (f.name ^ " finite") true (Float.is_finite i);
+      check_bool
+        (Printf.sprintf "%s: integrated %g <= decomposed %g" f.name i d)
+        true (i <= d))
+    (Network.flows net)
+
 let prop_roundtrip_random_networks =
   qtest ~count:30 "scenario round trip preserves analyses on random nets"
     QCheck2.Gen.(pair (int_range 2 8) (int_range 0 10_000))
@@ -171,4 +186,6 @@ let suite =
       prop_roundtrip_random_networks;
       test "file io" test_file_io;
       test "atm contracts analyze end to end" test_atm_scenario_analysis;
+      test "priority plant: integrated within decomposed"
+        test_priority_plant_integrated;
     ] )

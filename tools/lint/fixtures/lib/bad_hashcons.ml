@@ -12,4 +12,3 @@ let h = Hashtbl.hash (Pwl.add f g)
 (* The blessed API is not flagged. *)
 let ok = Pwl.equal f g
 let ok_cmp = Pwl.compare f g
-let ok_hash = Pwl.hash f

@@ -9,7 +9,7 @@
      pwl-poly-eq     no polymorphic [=] / [<>] / [compare] /
                      [Hashtbl.hash] on expressions syntactically known
                      to be [Pwl.t] — use [Pwl.equal] / [Pwl.compare] /
-                     [Pwl.hash]
+                     [Pwl.uid]
      float-eq        no raw [=] / [<>] on float literals or
                      float-annotated expressions outside
                      [lib/util/float_ops.ml]
@@ -448,7 +448,8 @@ let analyze_structure ~report ~file ~role str =
             | Ldot (Lident "Hashtbl", "hash"), a :: _ when is_pwlish a ->
                 report ~loc:e.pexp_loc ~rule:"pwl-poly-eq"
                   ~msg:"Hashtbl.hash on a Pwl.t value"
-                  ~hint:"use Pwl.hash (hashes every segment's bits)"
+                  ~hint:"key on Pwl.uid (bit-exact content key) or order \
+                         with Pwl.compare"
             | _ -> ());
             (match (float_eq_op p, unlabeled args) with
             | Some op, [ a; b ]

@@ -1,5 +1,5 @@
 (* The typed backend of netcalc-lint: interprocedural dataflow over
-   compiler-libs [.cmt] typedtrees (DESIGN.md §17).
+   compiler-libs [.cmt] typedtrees (DESIGN.md §16).
 
    Per compilation unit, [facts_of_cmt] extracts local facts — the
    module-level mutable bindings, and for every binding the global
@@ -8,9 +8,8 @@
    plus every [Par.map]/[Par.mapi]/[Par.map_reduce] call site (with
    the facts of its worker closures, scoped so that state captured
    from the enclosing function counts as non-local) and every
-   memoization site ([Incremental.memoize], [Minplus.cached],
-   [Minplus.cached_op]) with the references of its key and compute
-   arguments.  This phase is pure per file, so the driver fans it out
+   memoization site ([Incremental.memoize], [Minplus.cached]) with the
+   references of its key and compute arguments.  This phase is pure per file, so the driver fans it out
    on the [Par] pool.
 
    [analyze] then merges the facts into one symbol table and call
@@ -216,7 +215,7 @@ let fold_callee s =
 let par_callee s = List.mem s [ "Par.map"; "Par.mapi"; "Par.map_reduce" ]
 
 let memo_callee s =
-  List.mem s [ "Incremental.memoize"; "Minplus.cached"; "Minplus.cached_op" ]
+  List.mem s [ "Incremental.memoize"; "Minplus.cached" ]
 
 let raise_callee s =
   match s with
