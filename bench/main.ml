@@ -275,12 +275,13 @@ let validation () =
         let config =
           { Sim.default_config with packet_size = 0.2; horizon = 400. }
         in
+        let dd = Decomposed.analyze net in
         let bounds =
           [
-            ("D_D", Decomposed.all_flow_delays (Decomposed.analyze net));
+            ("D_D", Decomposed.all_flow_delays dd);
             ( "D_SC",
               Service_curve_method.all_flow_delays
-                (Service_curve_method.analyze net) );
+                (Service_curve_method.analyze dd) );
             ( "D_I",
               Integrated.all_flow_delays
                 (Integrated.analyze ~strategy:(Pairing.Along_route 0) net) );
@@ -715,7 +716,7 @@ let timing () =
           (fun () ->
             ignore
               (Service_curve_method.all_flow_delays
-                 (Service_curve_method.analyze net))) );
+                 (Service_curve_method.analyze (Decomposed.analyze net)))) );
       ( "integrated",
         Some
           (fun () ->
@@ -727,7 +728,10 @@ let timing () =
         if List.mem n theta_sizes then
           Some
             (fun () ->
-              ignore (Fifo_theta.flow_delay (Fifo_theta.analyze net) 0))
+              ignore
+                (Fifo_theta.flow_delay
+                   (Fifo_theta.analyze (Decomposed.analyze net))
+                   0))
         else None );
     ]
   in

@@ -44,12 +44,18 @@ let methods_table net ~flow ~options =
   let tbl =
     Table.create ~header:[ "method"; "delay bound"; "R vs Decomposed" ]
   in
-  let dd = Engine.flow_delay ~options net Engine.Decomposed flow in
+  let c =
+    Engine.compare_all ~options ~strategy:(Pairing.Along_route flow) net flow
+  in
+  let dd = c.decomposed in
   List.iter
     (fun m ->
       let d =
-        Engine.flow_delay ~options ~strategy:(Pairing.Along_route flow) net m
-          flow
+        match (m : Engine.method_) with
+        | Decomposed -> c.decomposed
+        | Service_curve -> c.service_curve
+        | Integrated -> c.integrated
+        | Fifo_theta -> c.fifo_theta
       in
       Table.add_row tbl
         [
@@ -198,17 +204,37 @@ let analyze_cmd =
         exit 1
     in
     let options = options_of link_cap in
+    (* Integrated covers FIFO and static-priority networks only.  On any
+       other feedforward scenario the decomposed bounds still stand, and
+       the library's reason is printed once. *)
+    let integrated () =
+      match Integrated.analyze ~options ~strategy:Pairing.Greedy net with
+      | integ -> Ok integ
+      | exception Invalid_argument reason -> Error reason
+    in
+    let not_applicable reason =
+      (* The library's reason already names the method. *)
+      let prefix = "Integrated: " in
+      let reason =
+        if String.starts_with ~prefix reason then
+          let k = String.length prefix in
+          String.sub reason k (String.length reason - k)
+        else reason
+      in
+      Printf.printf "Integrated: not applicable: %s\n" reason
+    in
     if report && Network.is_feedforward net then begin
       print_string (Report.decomposed (Decomposed.analyze ~options net));
       print_newline ();
-      print_string
-        (Report.integrated (Integrated.analyze ~options ~strategy:Pairing.Greedy net))
+      match integrated () with
+      | Ok integ -> print_string (Report.integrated integ)
+      | Error reason -> not_applicable reason
     end
     else begin
     Format.printf "%a@.@." Network.pp net;
     if Network.is_feedforward net then begin
       let dd = Decomposed.analyze ~options net in
-      let integ = Integrated.analyze ~options ~strategy:Pairing.Greedy net in
+      let integ = integrated () in
       let tbl =
         Table.create
           ~header:[ "flow"; "hops"; "Decomposed"; "Integrated"; "R"; "deadline ok" ]
@@ -216,20 +242,27 @@ let analyze_cmd =
       List.iter
         (fun (f : Flow.t) ->
           let d = Decomposed.flow_delay dd f.id in
-          let i = Integrated.flow_delay integ f.id in
+          let i = Result.map (fun t -> Integrated.flow_delay t f.id) integ in
+          let cell g =
+            match i with Ok i -> Table.float_cell (g i) | Error _ -> "n/a"
+          in
+          (* The deadline is judged on the Integrated bound where the
+             method applies, else on the Decomposed one. *)
+          let bound = Result.value i ~default:d in
           Table.add_row tbl
             [
               f.name;
               string_of_int (List.length f.route);
               Table.float_cell d;
-              Table.float_cell i;
-              Table.float_cell (Engine.relative_improvement d i);
+              cell Fun.id;
+              cell (Engine.relative_improvement d);
               (match f.deadline with
               | None -> "-"
-              | Some dl -> if i <= dl then "yes" else "NO");
+              | Some dl -> if bound <= dl then "yes" else "NO");
             ])
         (Network.flows net);
-      Table.print tbl
+      Table.print tbl;
+      Result.iter_error not_applicable integ
     end
     else begin
       print_endline
@@ -513,14 +546,13 @@ let admit_cmd =
     let base = List.filter (fun (f : Flow.t) -> f.deadline = None) all in
     let candidates = List.filter (fun (f : Flow.t) -> f.deadline <> None) all in
     let outcome = Admission.run ~options ~servers ~base ~candidates ~method_ () in
-    let bounds =
-      Admission.bounds_for ~options ~servers (base @ outcome.admitted) method_
+    let admitted =
+      Engine.analyze ~options
+        (Network.make ~servers ~flows:(base @ outcome.admitted))
+        method_
     in
     let rejected_reason (c : Flow.t) =
       List.find_opt (fun ((f : Flow.t), _) -> f.id = c.id) outcome.rejections
-    in
-    let admitted_net =
-      Network.make ~servers ~flows:(base @ outcome.admitted)
     in
     let tbl =
       Table.create
@@ -544,9 +576,8 @@ let admit_cmd =
         | None ->
             Table.add_row tbl
               [ c.name; deadline; budget; "admitted";
-                Table.float_cell (List.assoc c.id bounds);
-                Table.float_cell
-                  (Engine.flow_backlog ~options admitted_net method_ c.id);
+                Table.float_cell (Engine.flow_delay admitted c.id);
+                Table.float_cell (Engine.flow_backlog admitted c.id);
                 "-" ])
       candidates;
     Printf.printf

@@ -13,12 +13,13 @@ let () =
   let t = Tandem.make ~n ~utilization:u ~peak:infinity () in
   let net = t.network in
   let config = { Sim.default_config with packet_size = 0.2; horizon = 500. } in
+  let dd = Decomposed.analyze net in
   let methods =
     [
-      ("Decomposed", Decomposed.all_flow_delays (Decomposed.analyze net));
+      ("Decomposed", Decomposed.all_flow_delays dd);
       ( "Service Curve",
-        Service_curve_method.all_flow_delays
-          (Service_curve_method.analyze net) );
+        Service_curve_method.all_flow_delays (Service_curve_method.analyze dd)
+      );
       ( "Integrated",
         Integrated.all_flow_delays
           (Integrated.analyze ~strategy:(Pairing.Along_route 0) net) );

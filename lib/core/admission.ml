@@ -10,7 +10,7 @@ type reject_reason =
     }
 
 type verdict =
-  | Accepted of { bounds : (int * float) list }
+  | Accepted of { bounds : (int * float) list; analysis : Engine.analysis }
   | Rejected of reject_reason
 
 type outcome = {
@@ -58,48 +58,25 @@ let violation ~bound ~backlog (f : Flow.t) =
             Some (Buffer_violated { flow = f.id; server; backlog = b; buffer }))
         f.route
 
-(* A flow's backlog bound at each of its hops under a method.  Methods
-   without a backlog notion of their own (Service Curve, FIFO-theta)
-   borrow the decomposed engine's bounds, which are sound for any of
-   them. *)
-let hop_backlog ?options ?strategy net method_ flow =
-  match (method_ : Engine.method_) with
-  | Engine.Decomposed | Engine.Service_curve | Engine.Fifo_theta ->
-      let t = Decomposed.analyze ?options net in
-      fun server -> Decomposed.local_backlog t ~flow ~server
-  | Engine.Integrated ->
-      let t = Integrated.analyze ?options ?strategy net in
-      fun server -> Integrated.local_backlog t ~flow ~server
-
-let flow_violation ?options ?strategy net bounds method_ (f : Flow.t) =
+let flow_violation analysis bounds (f : Flow.t) =
   violation f
     ~bound:(fun () ->
       Option.value ~default:infinity (List.assoc_opt f.id bounds))
-    ~backlog:(fun () -> hop_backlog ?options ?strategy net method_ f.id)
+    ~backlog:(fun () server -> Engine.local_backlog analysis ~flow:f.id ~server)
 
 (* The violation a verdict reports: the lowest-id flow that fails a
    check (a flow with no bound in the list counts as unbounded), its
    deadline before its buffer.  Keyed by id, not list position, so the
    batch loop and the delta engine — which discovers violations in a
    different order — name the same culprit. *)
-let first_violation ?options ?strategy net bounds method_ flows =
+let first_violation analysis bounds flows =
   flows
   |> List.sort (fun (a : Flow.t) (b : Flow.t) -> Int.compare a.id b.id)
-  |> List.find_map (flow_violation ?options ?strategy net bounds method_)
-
-let bounds_of_net ?options ?strategy net method_ =
-  match (method_ : Engine.method_) with
-  | Engine.Decomposed -> Decomposed.all_flow_delays (Decomposed.analyze ?options net)
-  | Engine.Service_curve ->
-      Service_curve_method.all_flow_delays
-        (Service_curve_method.analyze ?options net)
-  | Engine.Integrated ->
-      Integrated.all_flow_delays (Integrated.analyze ?options ?strategy net)
-  | Engine.Fifo_theta ->
-      Fifo_theta.all_flow_delays (Fifo_theta.analyze ?options net)
+  |> List.find_map (flow_violation analysis bounds)
 
 let bounds_for ?options ?strategy ~servers flows method_ =
-  bounds_of_net ?options ?strategy (Network.make ~servers ~flows) method_
+  Engine.all_flow_delays
+    (Engine.analyze ?options ?strategy (Network.make ~servers ~flows) method_)
 
 let decide_one ?options ?strategy ~servers ~flows ~candidate ~method_ () =
   match (candidate : Flow.t).deadline with
@@ -107,11 +84,12 @@ let decide_one ?options ?strategy ~servers ~flows ~candidate ~method_ () =
   | Some _ -> (
       let all = flows @ [ candidate ] in
       let net = Network.make ~servers ~flows:all in
-      match bounds_of_net ?options ?strategy net method_ with
+      match Engine.analyze ?options ?strategy net method_ with
       | exception Network.Cyclic -> Rejected Cyclic_route
-      | bounds -> (
-          match first_violation ?options ?strategy net bounds method_ all with
-          | None -> Accepted { bounds }
+      | analysis -> (
+          let bounds = Engine.all_flow_delays analysis in
+          match first_violation analysis bounds all with
+          | None -> Accepted { bounds; analysis }
           | Some reason -> Rejected reason))
 
 let run ?options ?strategy ~servers ~base ~candidates ~method_ () =

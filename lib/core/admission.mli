@@ -34,9 +34,11 @@ type reject_reason =
           first over-budget hop along its route. *)
 
 type verdict =
-  | Accepted of { bounds : (int * float) list }
+  | Accepted of { bounds : (int * float) list; analysis : Engine.analysis }
       (** per-flow bounds of the whole population with the candidate
-          admitted, in id order (what the analysis proved) *)
+          admitted, in id order (what the analysis proved), and the
+          analysis that proved them, for further queries (e.g. the
+          candidate's backlog) without a second pass *)
   | Rejected of reject_reason
 
 type outcome = {
@@ -60,7 +62,8 @@ val decide_one :
     candidate is appended after them, matching the batch loop's
     network construction).  Admission requires both feasibility checks:
     every deadline holds, and every flow with a [buffer] budget keeps
-    its per-hop backlog bound within it (deadline ∧ buffer).
+    its per-hop backlog bound within it (deadline ∧ buffer).  Both
+    checks read one analysis of the grown network.
     @raise Invalid_argument on duplicate flow
     ids or a route through an unknown server. *)
 

@@ -1,6 +1,7 @@
 type t = Forward.t
 
 let analyze_raw ~options net =
+  Prof.span "decomposed.analyze" @@ fun () ->
   let t = Forward.create ~options net (Propagation.create net) in
   Forward.run t (Network.topological_order net);
   t

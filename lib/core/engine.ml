@@ -8,43 +8,80 @@ let method_name = function
   | Integrated -> "Integrated"
   | Fifo_theta -> "FIFO-theta"
 
-let compute ?options ?strategy net method_ flow =
-  match method_ with
-  | Decomposed -> Decomposed.flow_delay (Decomposed.analyze ?options net) flow
+(* Service Curve and FIFO-theta run on a decomposed propagation, and
+   borrow its backlog bounds: they have no backlog notion of their own,
+   and the decomposed bounds are sound for them too. *)
+type analysis =
+  | Decomposed_pass of Decomposed.t
+  | Service_curve_pass of Decomposed.t * Service_curve_method.t
+  | Integrated_pass of Integrated.t
+  | Fifo_theta_pass of Decomposed.t * Fifo_theta.t
+
+let method_of = function
+  | Decomposed_pass _ -> Decomposed
+  | Service_curve_pass _ -> Service_curve
+  | Integrated_pass _ -> Integrated
+  | Fifo_theta_pass _ -> Fifo_theta
+
+(* [m]'s analysis of [net]; [dd ()] is the decomposed pass that the
+   methods built on one share. *)
+let build ?options ?strategy net dd = function
+  | Decomposed -> Decomposed_pass (dd ())
   | Service_curve ->
-      Service_curve_method.flow_delay (Service_curve_method.analyze ?options net) flow
-  | Integrated ->
-      Integrated.flow_delay (Integrated.analyze ?options ?strategy net) flow
-  | Fifo_theta -> Fifo_theta.flow_delay (Fifo_theta.analyze ?options net) flow
+      let dd = dd () in
+      Service_curve_pass (dd, Service_curve_method.analyze dd)
+  | Integrated -> Integrated_pass (Integrated.analyze ?options ?strategy net)
+  | Fifo_theta ->
+      let dd = dd () in
+      Fifo_theta_pass (dd, Fifo_theta.analyze dd)
+
+let analyze ?options ?strategy net m =
+  build ?options ?strategy net (fun () -> Decomposed.analyze ?options net) m
+
+let delay a flow =
+  match a with
+  | Decomposed_pass t -> Decomposed.flow_delay t flow
+  | Service_curve_pass (_, t) -> Service_curve_method.flow_delay t flow
+  | Integrated_pass t -> Integrated.flow_delay t flow
+  | Fifo_theta_pass (_, t) -> Fifo_theta.flow_delay t flow
 
 let c_flow_delay = Metrics.counter "engine.flow_delay.calls"
 let d_flow_delay_ns = Metrics.dist "engine.flow_delay.ns"
 
-let flow_delay ?options ?strategy net method_ flow =
-  if not (Prof.enabled ()) then compute ?options ?strategy net method_ flow
+let flow_delay a flow =
+  if not (Prof.enabled ()) then delay a flow
   else begin
     (* One span per (method, flow) query: profiles aggregate per method
-       name, traces show the per-flow breakdown. *)
+       name, traces show the per-flow breakdown.  The passes have spans
+       of their own ([decomposed.analyze], [integrated.analyze]). *)
     Metrics.incr c_flow_delay;
-    Trace.with_span ("engine." ^ method_name method_) @@ fun () ->
+    Trace.with_span ("engine." ^ method_name (method_of a)) @@ fun () ->
     (* Wall clock (same clock as the trace spans), not [Sys.time]: CPU
        seconds aggregate over every netcalc.par domain, so they
        over-report per-query latency by up to [jobs]x. *)
     let t0 = Trace.now_us () in
-    let d = compute ?options ?strategy net method_ flow in
+    let d = delay a flow in
     Metrics.observe d_flow_delay_ns ((Trace.now_us () -. t0) *. 1e3);
     d
   end
 
-(* Buffer requirement (worst per-hop backlog bound) of one flow under
-   one method.  Service Curve and FIFO-theta have no backlog notion of
-   their own; the decomposed engine's bound is sound for them too. *)
-let flow_backlog ?options ?strategy net method_ flow =
-  match method_ with
-  | Decomposed | Service_curve | Fifo_theta ->
-      Decomposed.flow_backlog (Decomposed.analyze ?options net) flow
-  | Integrated ->
-      Integrated.flow_backlog (Integrated.analyze ?options ?strategy net) flow
+let all_flow_delays = function
+  | Decomposed_pass t -> Decomposed.all_flow_delays t
+  | Service_curve_pass (_, t) -> Service_curve_method.all_flow_delays t
+  | Integrated_pass t -> Integrated.all_flow_delays t
+  | Fifo_theta_pass (_, t) -> Fifo_theta.all_flow_delays t
+
+let local_backlog a ~flow ~server =
+  match a with
+  | Decomposed_pass t | Service_curve_pass (t, _) | Fifo_theta_pass (t, _) ->
+      Decomposed.local_backlog t ~flow ~server
+  | Integrated_pass t -> Integrated.local_backlog t ~flow ~server
+
+let flow_backlog a flow =
+  match a with
+  | Decomposed_pass t | Service_curve_pass (t, _) | Fifo_theta_pass (t, _) ->
+      Decomposed.flow_backlog t flow
+  | Integrated_pass t -> Integrated.flow_backlog t flow
 
 type comparison = {
   flow : int;
@@ -57,22 +94,21 @@ type comparison = {
 }
 
 let compare_all ?options ?strategy ?(with_theta = true) net flow =
-  (* The four methods are independent whole-network analyses, so run
-     them on the netcalc.par pool.  [Par.map] returns results in list
+  (* One decomposed pass serves Decomposed, Service Curve and
+     FIFO-theta.  The methods' remaining work is independent, so it
+     runs on the netcalc.par pool; [Par.map] returns results in list
      order whatever the schedule, so the comparison record (and every
-     table built from it) is identical at any jobs count.  Backlogs
-     ride along with the delay of the engine that produced them, so the
-     comparison costs no extra analyses. *)
+     table built from it) is identical at any jobs count.  Backlogs ride
+     along with the delay of the engine that produced them. *)
+  let dd = Decomposed.analyze ?options net in
   let run = function
-    | Some Fifo_theta -> (flow_delay ?options net Fifo_theta flow, nan)
-    | Some Integrated ->
-        ( flow_delay ?options ?strategy net Integrated flow,
-          flow_backlog ?options ?strategy net Integrated flow )
-    | Some Decomposed ->
-        ( flow_delay ?options net Decomposed flow,
-          flow_backlog ?options net Decomposed flow )
-    | Some m -> (flow_delay ?options net m flow, nan)
     | None -> (nan, nan)
+    | Some m ->
+        let a = build ?options ?strategy net (fun () -> dd) m in
+        ( flow_delay a flow,
+          match m with
+          | Decomposed | Integrated -> flow_backlog a flow
+          | Service_curve | Fifo_theta -> nan )
   in
   match
     Par.map run

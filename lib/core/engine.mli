@@ -12,26 +12,37 @@ type method_ =
 val all_methods : method_ list
 val method_name : method_ -> string
 
-val flow_delay :
-  ?options:Options.t ->
-  ?strategy:Pairing.strategy ->
-  Network.t ->
-  method_ ->
-  int ->
-  float
-(** Delay bound of one flow under one method.  [strategy] (default
-    [Pairing.Greedy]) only affects [Integrated]. *)
+type analysis
+(** One method's analysis of one network: a single pass that answers
+    every delay and per-hop backlog query.  Service Curve and
+    FIFO-theta run on a decomposed propagation and borrow its backlog
+    bounds, which are sound for them too. *)
 
-val flow_backlog :
+val analyze :
   ?options:Options.t ->
   ?strategy:Pairing.strategy ->
   Network.t ->
   method_ ->
-  int ->
-  float
-(** Buffer requirement of one flow under one method: its worst per-hop
-    backlog bound over its route.  Service Curve and FIFO-theta borrow
-    the decomposed engine's bounds, which are sound for them too. *)
+  analysis
+(** Run one method on a network.  [strategy] (default
+    [Pairing.Greedy]) only affects [Integrated].
+    @raise Network.Cyclic on non-feedforward routing.
+    @raise Invalid_argument where the method does not apply (see
+    {!Integrated.analyze}). *)
+
+val flow_delay : analysis -> int -> float
+(** Delay bound of one flow. *)
+
+val all_flow_delays : analysis -> (int * float) list
+(** [(flow id, bound)] for every flow, in id order. *)
+
+val local_backlog : analysis -> flow:int -> server:int -> float
+(** The flow's backlog bound at one of its hops.
+    @raise Invalid_argument when the flow does not cross the server. *)
+
+val flow_backlog : analysis -> int -> float
+(** Buffer requirement of one flow: its worst per-hop backlog bound
+    over its route. *)
 
 type comparison = {
   flow : int;
@@ -50,8 +61,10 @@ val compare_all :
   Network.t ->
   int ->
   comparison
-(** All methods on one flow.  [with_theta = false] (default [true])
-    skips the more expensive extension and reports [nan] for it. *)
+(** All methods on one flow, from one decomposed pass (shared by
+    Decomposed, Service Curve and FIFO-theta) and one integrated pass.
+    [with_theta = false] (default [true]) skips the more expensive
+    extension and reports [nan] for it. *)
 
 val relative_improvement : float -> float -> float
 (** [relative_improvement dx dy = (dx - dy) / dx] — the paper's

@@ -1,6 +1,6 @@
 type t = { net : Network.t; prop : Decomposed.t }
 
-let analyze ?options net = { net; prop = Decomposed.analyze ?options net }
+let analyze prop = { net = Decomposed.network prop; prop }
 let network t = t.net
 
 (* Per-hop data: server rate and cross-traffic envelope. *)

@@ -18,8 +18,9 @@
 
 type t
 
-val analyze : ?options:Options.t -> Network.t -> t
-(** @raise Network.Cyclic on non-feedforward routing. *)
+val analyze : Decomposed.t -> t
+(** The method on top of a decomposed propagation of the network,
+    which supplies the cross-traffic envelopes. *)
 
 val network : t -> Network.t
 

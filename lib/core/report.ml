@@ -111,7 +111,7 @@ let comparison ?options ?(strategy = Pairing.Greedy) net =
   let buf = Buffer.create 1024 in
   header buf net "Method comparison";
   let dd = Decomposed.analyze ?options net in
-  let sc = Service_curve_method.analyze ?options net in
+  let sc = Service_curve_method.analyze dd in
   let integ = Integrated.analyze ?options ~strategy net in
   let tbl =
     Table.create

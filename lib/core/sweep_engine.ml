@@ -33,21 +33,19 @@
    [Engine.compare_all] per cell — the determinism tests pin that both
    paths produce byte-identical tables. *)
 
-let scratch ?options ~with_theta ~sigma ~peak u n =
+let scratch ~sigma ~peak u n =
   let t = Tandem.make ~n ~utilization:u ~sigma ~peak () in
-  Engine.compare_all ?options ~strategy:(Pairing.Along_route 0) ~with_theta
+  Engine.compare_all ~strategy:(Pairing.Along_route 0) ~with_theta:false
     t.network 0
 
-let per_load ?options ~with_theta ~sigma ~peak ~hops u =
+let per_load ~sigma ~peak ~hops u =
   let n_max = List.fold_left max 2 hops in
   let t = Tandem.make ~n:n_max ~utilization:u ~sigma ~peak () in
   let net = t.network in
   let alpha = Flow.source_curve t.conn0 in
-  let dd = Decomposed.analyze ?options net in
-  let integ =
-    Integrated.analyze ?options ~strategy:(Pairing.Along_route 0) net
-  in
-  let scm = Service_curve_method.analyze ?options net in
+  let dd = Decomposed.analyze net in
+  let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
+  let scm = Service_curve_method.analyze dd in
   (* Running prefix sums/convolutions over the middle servers, indexed
      by prefix length. *)
   let dd_delay = Array.make (n_max + 1) 0. in
@@ -97,8 +95,7 @@ let per_load ?options ~with_theta ~sigma ~peak ~hops u =
     else
       let tp = Tandem.make ~n:n' ~utilization:u ~sigma ~peak () in
       Integrated.flow_delay
-        (Integrated.analyze ?options ~strategy:(Pairing.Along_route 0)
-           tp.network)
+        (Integrated.analyze ~strategy:(Pairing.Along_route 0) tp.network)
         0
   in
   let integ_backlog n' =
@@ -115,15 +112,8 @@ let per_load ?options ~with_theta ~sigma ~peak ~hops u =
     else
       let tp = Tandem.make ~n:n' ~utilization:u ~sigma ~peak () in
       Integrated.flow_backlog
-        (Integrated.analyze ?options ~strategy:(Pairing.Along_route 0)
-           tp.network)
+        (Integrated.analyze ~strategy:(Pairing.Along_route 0) tp.network)
         0
-  in
-  let theta_delay n' =
-    if not with_theta then nan
-    else
-      let tp = Tandem.make ~n:n' ~utilization:u ~sigma ~peak () in
-      Fifo_theta.flow_delay (Fifo_theta.analyze ?options tp.network) 0
   in
   List.map
     (fun n' ->
@@ -133,20 +123,17 @@ let per_load ?options ~with_theta ~sigma ~peak ~hops u =
         decomposed = dd_delay.(n');
         service_curve = sc_delay.(n');
         integrated = integ_delay n';
-        fifo_theta = theta_delay n';
+        fifo_theta = nan;
         decomposed_backlog = dd_backlog.(n');
         integrated_backlog = integ_backlog n';
       })
     hops
 
-let tandem_grid ?options ?(with_theta = false) ?(sigma = 1.) ?(peak = 1.)
-    ~hops ~loads () =
+let tandem_grid ?(sigma = 1.) ?(peak = 1.) ~hops ~loads () =
   if hops = [] || loads = [] then []
   else if not (Incremental.enabled ()) then
     let cells =
       List.concat_map (fun u -> List.map (fun n -> (u, n)) hops) loads
     in
-    Par.map (fun (u, n) -> scratch ?options ~with_theta ~sigma ~peak u n) cells
-  else
-    List.concat
-      (Par.map (fun u -> per_load ?options ~with_theta ~sigma ~peak ~hops u) loads)
+    Par.map (fun (u, n) -> scratch ~sigma ~peak u n) cells
+  else List.concat (Par.map (per_load ~sigma ~peak ~hops) loads)

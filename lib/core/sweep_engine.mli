@@ -10,8 +10,6 @@
     producing byte-identical tables either way. *)
 
 val tandem_grid :
-  ?options:Options.t ->
-  ?with_theta:bool ->
   ?sigma:float ->
   ?peak:float ->
   hops:int list ->
@@ -22,7 +20,7 @@ val tandem_grid :
     Connection 0 per grid cell, in the order
     [List.concat_map (fun u -> List.map (fun n -> (u, n)) hops) loads]
     (the row-major order the bench tables print in).  The pairing
-    strategy is the paper's [Pairing.Along_route 0]; [with_theta]
-    (default [false], like the figures) additionally runs the
-    FIFO-theta extension per cell.  [sigma] and [peak] (defaults [1.])
-    are passed to {!Tandem.make}. *)
+    strategy is the paper's [Pairing.Along_route 0], the options are
+    {!Options.default}, and the FIFO-theta extension is not run: its
+    cells are [nan], as in the figures.  [sigma] and [peak] (defaults
+    [1.]) are passed to {!Tandem.make}. *)

@@ -155,15 +155,11 @@ let do_admit t (cand : Flow.t) =
           Admission.decide_one ~options:f.f_options ~servers:f.f_servers
             ~flows:f.f_flows ~candidate:cand ~method_:f.f_method ()
         with
-        | Admission.Accepted { bounds } ->
+        | Admission.Accepted { bounds; analysis } ->
             f.f_flows <- f.f_flows @ [ cand ];
             f.f_admits <- f.f_admits + 1;
             let bound = List.assoc cand.id bounds in
-            let backlog =
-              Engine.flow_backlog ~options:f.f_options
-                (Network.make ~servers:f.f_servers ~flows:f.f_flows)
-                f.f_method cand.id
-            in
+            let backlog = Engine.flow_backlog analysis cand.id in
             obj
               ((ok true :: head)
               @ ("bound", Sjson.float_repr bound)
@@ -220,16 +216,12 @@ let do_query t id =
       match List.find_opt (fun (g : Flow.t) -> g.Flow.id = id) f.f_flows with
       | None -> unknown_flow "query" id
       | Some flow ->
-          let bounds =
-            Admission.bounds_for ~options:f.f_options ~servers:f.f_servers
-              f.f_flows f.f_method
-          in
-          let backlog =
-            Engine.flow_backlog ~options:f.f_options
+          let a =
+            Engine.analyze ~options:f.f_options
               (Network.make ~servers:f.f_servers ~flows:f.f_flows)
-              f.f_method id
+              f.f_method
           in
-          query_response flow (List.assoc id bounds) backlog)
+          query_response flow (Engine.flow_delay a id) (Engine.flow_backlog a id))
 
 let do_stats t =
   let engine_name, servers, flows, rate, admits, rejects, teardowns, cone, reused

@@ -297,7 +297,7 @@ let test_service_curve_matches_closed_form () =
   List.iter
     (fun (n, u) ->
       let t = tandem ~peak:infinity n u in
-      let a = Service_curve_method.analyze t.network in
+      let a = Service_curve_method.analyze (Decomposed.analyze t.network) in
       approx
         (Printf.sprintf "closed form n=%d U=%g" n u)
         (Closed_form.service_curve ~n ~sigma:1. ~rho:(u /. 4.))
@@ -430,7 +430,7 @@ let test_service_curve_blowup_at_high_load () =
      than D_D (Fig. 4's message). *)
   let r u =
     let t = tandem 4 u in
-    let dsc = Service_curve_method.flow_delay (Service_curve_method.analyze t.network) 0 in
+    let dsc = Service_curve_method.flow_delay (Service_curve_method.analyze (Decomposed.analyze t.network)) 0 in
     let dd = Decomposed.flow_delay (Decomposed.analyze t.network) 0 in
     dsc /. dd
   in
@@ -442,17 +442,17 @@ let test_fifo_theta_beats_service_curve () =
       let t = tandem n u in
       let dsc =
         Service_curve_method.flow_delay
-          (Service_curve_method.analyze t.network)
+          (Service_curve_method.analyze (Decomposed.analyze t.network))
           0
       in
-      let dth = Fifo_theta.flow_delay (Fifo_theta.analyze t.network) 0 in
+      let dth = Fifo_theta.flow_delay (Fifo_theta.analyze (Decomposed.analyze t.network)) 0 in
       check_bool (Printf.sprintf "theta <= SFA at n=%d U=%g" n u) true
         (dth <= dsc +. 1e-9))
     [ (2, 0.5); (4, 0.8); (6, 0.9) ]
 
 let test_network_service_curve_composition () =
   let t = tandem 3 0.5 in
-  let a = Service_curve_method.analyze t.network in
+  let a = Service_curve_method.analyze (Decomposed.analyze t.network) in
   let net_curve = Service_curve_method.network_service_curve a ~flow:0 in
   (* The network curve is below every hop curve (convolution). *)
   List.iter

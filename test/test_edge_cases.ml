@@ -28,7 +28,9 @@ let test_single_server_single_flow () =
   approx "single hop burst" 1. d;
   let i = Integrated.flow_delay (Integrated.analyze net) 0 in
   approx "integrated single hop" 1. i;
-  let sc = Service_curve_method.flow_delay (Service_curve_method.analyze net) 0 in
+  let sc = Service_curve_method.flow_delay
+      (Service_curve_method.analyze (Decomposed.analyze net))
+      0 in
   approx "sfa single hop (no cross)" 1. sc
 
 let test_flow_with_zero_rate () =
@@ -150,7 +152,9 @@ let test_engine_all_methods_on_tandem () =
   List.iter
     (fun m ->
       let d =
-        Engine.flow_delay ~strategy:(Pairing.Along_route 0) t.network m 0
+        Engine.flow_delay
+          (Engine.analyze ~strategy:(Pairing.Along_route 0) t.network m)
+          0
       in
       check_bool (Engine.method_name m ^ " finite") true (Float.is_finite d);
       check_bool (Engine.method_name m ^ " positive") true (d > 0.))
@@ -165,7 +169,7 @@ let test_relative_improvement_corners () =
 
 let test_fifo_theta_thetas_accessor () =
   let t = Tandem.make ~n:3 ~utilization:0.6 () in
-  let a = Fifo_theta.analyze t.network in
+  let a = Fifo_theta.analyze (Decomposed.analyze t.network) in
   let thetas = Fifo_theta.thetas a ~flow:0 in
   Alcotest.(check int) "one theta per hop" 3 (List.length thetas);
   List.iter (fun th -> check_bool "nonnegative" true (th >= 0.)) thetas

@@ -1,6 +1,7 @@
 (* The incremental sweep engine must be invisible except for speed:
    memoized analyses and prefix-served sweep cells return the same bits
-   as from-scratch computation.  The bench tables rely on that. *)
+   as from-scratch computation.  The bench tables rely on that.  Apart
+   from the memo, every caller runs each whole-network pass once. *)
 
 open Testutil
 
@@ -145,7 +146,11 @@ let test_sweep_prefix_identity () =
       exact_cell n u "decomposed" a.decomposed b.Engine.decomposed;
       exact_cell n u "service_curve" a.service_curve b.service_curve;
       exact_cell n u "integrated" a.integrated b.integrated;
-      exact_cell n u "fifo_theta" a.fifo_theta b.fifo_theta)
+      exact_cell n u "fifo_theta" a.fifo_theta b.fifo_theta;
+      exact_cell n u "decomposed_backlog" a.decomposed_backlog
+        b.decomposed_backlog;
+      exact_cell n u "integrated_backlog" a.integrated_backlog
+        b.integrated_backlog)
     cells (List.combine on off)
 
 let test_sweep_saturated_load () =
@@ -202,6 +207,137 @@ let test_net_key_coverage () =
            net);
       Alcotest.(check int) "a different strategy is keyed apart" 5 !calls)
 
+(* ------------------------------------------------------------------ *)
+(* Passes, counted                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Calls of a span so far; spans record only while Obs is on. *)
+let span_calls name =
+  match List.assoc_opt name (Trace.aggregates ()) with
+  | Some a -> a.Trace.calls
+  | None -> 0
+
+let passes_so_far () =
+  ( Metrics.value (Metrics.counter "incremental.recompute"),
+    span_calls "decomposed.analyze",
+    span_calls "integrated.analyze" )
+
+let with_obs f =
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Metrics.reset ();
+      Trace.clear ())
+    f
+
+(* Figure 4's grid, Figure 6's repeat of it and Figure 5's hops on the
+   same largest tandem: the repeats are served from the memoized
+   per-load passes and compute no new pass.  Every cell must still
+   match a per-cell analysis with the memo off, bit for bit. *)
+let test_repeated_grid_memo () =
+  with_incremental true @@ fun () ->
+  Incremental.clear ();
+  let sigma = 1.375 and loads = Sweep.steps ~lo:0.1 ~hi:0.9 ~step:0.1 in
+  let fig4 = [ 2; 4; 6; 8 ] and fig5 = [ 2; 4; 8 ] in
+  let grid hops = Sweep_engine.tandem_grid ~sigma ~hops ~loads () in
+  let g1, g2, g3, (c0, c1, c2) =
+    with_obs @@ fun () ->
+    let c0 = passes_so_far () in
+    let g1 = grid fig4 in
+    let c1 = passes_so_far () in
+    let g2 = grid fig4 in
+    let g3 = grid fig5 in
+    (g1, g2, g3, (c0, c1, passes_so_far ()))
+  in
+  let (r0, d0, i0), (r1, d1, i1), (r2, d2, i2) = (c0, c1, c2) in
+  let per_load = List.length loads in
+  Alcotest.(check int) "cold grid: one decomposed pass per load" per_load
+    (d1 - d0);
+  Alcotest.(check int) "cold grid: one integrated pass per load" per_load
+    (i1 - i0);
+  Alcotest.(check int) "cold grid: two memo misses per load" (2 * per_load)
+    (r1 - r0);
+  Alcotest.(check int) "repeats: no memo miss" 0 (r2 - r1);
+  Alcotest.(check int) "repeats: no decomposed pass" 0 (d2 - d1);
+  Alcotest.(check int) "repeats: no integrated pass" 0 (i2 - i1);
+  let check hops g =
+    let cells =
+      List.concat_map (fun u -> List.map (fun n -> (u, n)) hops) loads
+    in
+    List.iter2
+      (fun (u, n) (a : Engine.comparison) ->
+        let b =
+          with_incremental false (fun () ->
+              let t = Tandem.make ~n ~utilization:u ~sigma ~peak:1. () in
+              Engine.compare_all ~with_theta:false
+                ~strategy:(Pairing.Along_route 0) t.network 0)
+        in
+        exact_cell n u "decomposed" a.decomposed b.Engine.decomposed;
+        exact_cell n u "service_curve" a.service_curve b.service_curve;
+        exact_cell n u "integrated" a.integrated b.integrated;
+        exact_cell n u "decomposed_backlog" a.decomposed_backlog
+          b.decomposed_backlog;
+        exact_cell n u "integrated_backlog" a.integrated_backlog
+          b.integrated_backlog)
+      cells g
+  in
+  check fig4 g1;
+  check fig4 g2;
+  check fig5 g3
+
+(* Outside the sweep every method runs each whole-network pass once,
+   with no memo to hide a second one: counted with the memo off. *)
+let test_one_pass_per_network () =
+  with_incremental false @@ fun () ->
+  let net = (Tandem.make ~n:4 ~utilization:0.7 ()).network in
+  let passes f =
+    with_obs @@ fun () ->
+    let _, d0, i0 = passes_so_far () in
+    ignore (f ());
+    let _, d1, i1 = passes_so_far () in
+    (d1 - d0, i1 - i0)
+  in
+  let check what (d, i) (d', i') =
+    Alcotest.(check int) (what ^ ": decomposed passes") d d';
+    Alcotest.(check int) (what ^ ": integrated passes") i i'
+  in
+  check "compare_all" (1, 1)
+    (passes (fun () ->
+         Engine.compare_all ~strategy:(Pairing.Along_route 0) net 0));
+  (* Every flow carries a deadline and a buffer budget, both loose, so
+     the admission test reads every flow's bound and every hop's
+     backlog. *)
+  let buffered (f : Flow.t) =
+    Flow.make ~id:f.id ~name:f.name ~arrival:f.arrival ~route:f.route
+      ~deadline:1e6 ~buffer:1e6 ()
+  in
+  let servers = Network.servers net in
+  let flows = List.map buffered (Network.flows net) in
+  let candidate =
+    Flow.make ~id:100
+      ~arrival:(Arrival.token_bucket ~sigma:0.5 ~rho:0.01 ~peak:1. ())
+      ~route:[ 2; 3 ] ~deadline:1e6 ~buffer:1e6 ()
+  in
+  List.iter
+    (fun (m, want) ->
+      let verdict = ref None in
+      let got =
+        passes (fun () ->
+            verdict :=
+              Some
+                (Admission.decide_one ~servers ~flows ~candidate ~method_:m ()))
+      in
+      (match !verdict with
+      | Some (Admission.Accepted _) -> ()
+      | _ -> Alcotest.failf "%s: candidate not admitted" (Engine.method_name m));
+      check ("decide_one " ^ Engine.method_name m) want got)
+    [
+      (Engine.Decomposed, (1, 0));
+      (Engine.Service_curve, (1, 0));
+      (Engine.Integrated, (0, 1));
+    ]
+
 let suite =
   ( "incremental",
     [
@@ -214,4 +350,7 @@ let suite =
       test "structural rebuild hits the memo" test_memo_reuse;
       test "sweep grid = scratch grid, bit for bit" test_sweep_prefix_identity;
       test "largest prefix matches compare_all" test_sweep_saturated_load;
+      test "repeated grid is served from the memo" test_repeated_grid_memo;
+      test "compare_all and decide_one: one pass per network"
+        test_one_pass_per_network;
     ] )

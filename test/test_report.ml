@@ -86,7 +86,9 @@ let test_bounds_monotone_in_population () =
         (Integrated.analyze ~strategy:(Pairing.Along_route 0) n)
         id);
   check_engine "service-curve" (fun n id ->
-      Service_curve_method.flow_delay (Service_curve_method.analyze n) id)
+      Service_curve_method.flow_delay
+        (Service_curve_method.analyze (Decomposed.analyze n))
+        id)
 
 let test_bounds_monotone_in_burst () =
   let bound sigma =

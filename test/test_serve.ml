@@ -224,7 +224,7 @@ let test_delta_matches_decide_one () =
           ~method_:Engine.Decomposed ()
       in
       match (Delta_engine.admit e cand, batch) with
-      | Delta_engine.Admitted { bound; _ }, Admission.Accepted { bounds } ->
+      | Delta_engine.Admitted { bound; _ }, Admission.Accepted { bounds; _ } ->
           Alcotest.(check int64)
             "admitted bound matches batch analysis"
             (bits (List.assoc cand.Flow.id bounds))

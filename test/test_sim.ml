@@ -204,7 +204,7 @@ let validate_tandem n u =
   let t = Tandem.make ~n ~utilization:u ~peak:infinity () in
   let net = t.network in
   let dd = Decomposed.analyze net in
-  let sc = Service_curve_method.analyze net in
+  let sc = Service_curve_method.analyze dd in
   let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
   let config = { Sim.default_config with packet_size = 0.25; horizon = 300. } in
   List.iter
