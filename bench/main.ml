@@ -1180,19 +1180,6 @@ let run_experiment ~obs (id, f) =
     | None -> ()
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Schema netcalc-bench/3: /2 plus per-experiment memory accounting —
    "peak_rss_kb" (VmHWM from /proc/self/status; the key is absent on
    platforms without it, and monotone across experiments since it is a
@@ -1201,49 +1188,49 @@ let json_escape s =
    "pwl", the engines' only curve representation; it stays until the
    next schema version. *)
 let write_perf_json path ~total_wall_s =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"netcalc-bench/3\",\"backend\":\"pwl\",\
-        \"par_backend\":\"%s\",\"jobs\":%d,\
-        \"total_wall_s\":%.6f,\"experiments\":["
-       (json_escape Par.backend) (Par.jobs ()) total_wall_s);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"id\":\"%s\",\"wall_s\":%.6f,\"peak_segments\":%d,\
-            \"segments_per_sec\":%.6g,"
-           (json_escape r.id) r.wall_s r.peak_segments
-           (if Float.is_finite r.segments_per_sec then r.segments_per_sec
-            else 0.));
-      (match r.peak_rss_kb with
-      | Some kb -> Buffer.add_string b (Printf.sprintf "\"peak_rss_kb\":%d," kb)
-      | None -> ());
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"gc\":{\"major_words\":%.6g,\"top_heap_words\":%d},\"counters\":{"
-           r.major_words r.top_heap_words);
-      List.iteri
-        (fun j (name, n) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":%d" (json_escape name) n))
-        r.counters;
-      Buffer.add_string b "},\"values\":{";
-      List.iteri
-        (fun j (name, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":%.6g" (json_escape name) v))
-        (* inf/nan are not JSON numbers; a failed OLS fit just drops out. *)
-        (List.filter (fun (_, v) -> Float.is_finite v) r.values);
-      Buffer.add_string b "}}")
-    (List.rev !perf_records);
-  Buffer.add_string b "]}";
+  let num = Sjson.num_of_int in
+  let experiment r =
+    Sjson.Obj
+      ([
+         ("id", Sjson.Str r.id); ("wall_s", Sjson.Num r.wall_s);
+         ("peak_segments", num r.peak_segments);
+         ( "segments_per_sec",
+           Sjson.Num
+             (if Float.is_finite r.segments_per_sec then r.segments_per_sec
+              else 0.) );
+       ]
+      @ (match r.peak_rss_kb with
+        | Some kb -> [ ("peak_rss_kb", num kb) ]
+        | None -> [])
+      @ [
+          ( "gc",
+            Sjson.Obj
+              [
+                ("major_words", Sjson.Num r.major_words);
+                ("top_heap_words", num r.top_heap_words);
+              ] );
+          ( "counters",
+            Sjson.Obj (List.map (fun (name, n) -> (name, num n)) r.counters) );
+          (* inf/nan are not JSON numbers; a failed OLS fit just drops out. *)
+          ( "values",
+            Sjson.Obj
+              (List.filter_map
+                 (fun (name, v) ->
+                   if Float.is_finite v then Some (name, Sjson.Num v) else None)
+                 r.values) );
+        ])
+  in
+  let doc =
+    Sjson.Obj
+      [
+        ("schema", Sjson.Str "netcalc-bench/3"); ("backend", Sjson.Str "pwl");
+        ("par_backend", Sjson.Str Par.backend); ("jobs", num (Par.jobs ()));
+        ("total_wall_s", Sjson.Num total_wall_s);
+        ("experiments", Sjson.List (List.rev_map experiment !perf_records));
+      ]
+  in
   let oc = open_out path in
-  output_string oc (Buffer.contents b);
+  output_string oc (Sjson.render doc);
   output_char oc '\n';
   close_out oc
 

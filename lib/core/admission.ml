@@ -26,17 +26,6 @@ let deadline_ok ~bound ~deadline =
 let buffer_ok ~backlog ~buffer =
   Float.is_finite backlog && backlog <= buffer +. Float_ops.eps
 
-let deadline_met bounds flows =
-  List.for_all
-    (fun (f : Flow.t) ->
-      match f.deadline with
-      | None -> true
-      | Some dl -> (
-          match List.assoc_opt f.id bounds with
-          | Some b -> deadline_ok ~bound:b ~deadline:dl
-          | None -> false))
-    flows
-
 let violation ~bound ~backlog (f : Flow.t) =
   let late =
     match f.deadline with

@@ -82,19 +82,6 @@ val run :
     Candidates without a deadline are rejected outright.
     @raise Invalid_argument on duplicate flow ids. *)
 
-val deadline_met : (int * float) list -> Flow.t list -> bool
-(** [deadline_met bounds flows]: every flow with a deadline has a
-    finite bound at most its deadline. *)
-
-val deadline_ok : bound:float -> deadline:float -> bool
-(** The single deadline feasibility predicate: finite and within
-    tolerance ({!Float_ops.eps}) of the deadline. *)
-
-val buffer_ok : backlog:float -> buffer:float -> bool
-(** The single buffer feasibility predicate: finite backlog bound
-    within tolerance of the budget.  Shared with the serve delta engine
-    so both admission paths agree bit-for-bit. *)
-
 val violation :
   bound:(unit -> float) ->
   backlog:(unit -> int -> float) ->

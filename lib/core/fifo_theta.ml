@@ -1,7 +1,6 @@
 type t = { net : Network.t; prop : Decomposed.t }
 
 let analyze prop = { net = Decomposed.network prop; prop }
-let network t = t.net
 
 (* Per-hop data: server rate and cross-traffic envelope. *)
 let hop_data t ~(flow : Flow.t) =

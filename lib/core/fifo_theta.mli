@@ -22,8 +22,6 @@ val analyze : Decomposed.t -> t
 (** The method on top of a decomposed propagation of the network,
     which supplies the cross-traffic envelopes. *)
 
-val network : t -> Network.t
-
 val flow_delay : ?sweeps:int -> t -> int -> float
 (** Delay bound for a flow after tuning thetas ([sweeps] coordinate-
     descent passes, default 2).  Never worse than the theta = 0

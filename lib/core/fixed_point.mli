@@ -37,4 +37,3 @@ val flow_delay : t -> int -> float
     (or a server is outright unstable). *)
 
 val all_flow_delays : t -> (int * float) list
-val local_delay : t -> flow:int -> server:int -> float

@@ -340,11 +340,6 @@ let local_backlog t ~flow ~server =
            "Integrated.local_backlog: flow %d does not cross server %d" flow
            server)
 
-let server_flow_backlogs t sid =
-  Network.flows_at (network t) sid
-  |> List.map (fun (f : Flow.t) -> (f.id, local_backlog t ~flow:f.id ~server:sid))
-  |> List.sort compare
-
 let flow_backlog t id =
   let f = Network.flow (network t) id in
   List.fold_left

@@ -78,11 +78,6 @@ val server_backlog : t -> int -> float
     service.  [0.] for an idle server, [infinity] past an unstable
     one. *)
 
-val server_flow_backlogs : t -> int -> (int * float) list
-(** Per-flow backlog bounds at a server ({!Deviation.vdev_per_flow}
-    against the integrated window of the flow's class, inside which
-    service is FIFO), [(flow id, bound)] in id order. *)
-
 val local_backlog : t -> flow:int -> server:int -> float
 (** The flow's backlog bound at one of its hops.
     @raise Invalid_argument when the flow does not cross the server. *)

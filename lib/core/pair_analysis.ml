@@ -36,7 +36,6 @@ let unbounded =
     b2 = infinity;
   }
 
-let single ~rate ~envelopes = Fifo.local_delay ~rate ~agg:(Pwl.sum envelopes)
 let single_general ~beta ~agg = Deviation.hdev ~alpha:agg ~beta
 
 let identity = Pwl.affine ~y0:0. ~slope:1.

@@ -73,9 +73,6 @@ val analyze_general : general_input -> result
     nondecreasing with positive final slope (checked); the FIFO case
     [beta_i = lambda_(c_i)] makes this coincide with {!analyze}. *)
 
-val single : rate:float -> envelopes:Pwl.t list -> float
-(** Delay bound of a singleton subnetwork (one FIFO server). *)
-
 val single_general : beta:Pwl.t -> agg:Pwl.t -> float
 (** Delay bound of a singleton service-curve server for an aggregate:
     [hdev agg beta]. *)

@@ -41,9 +41,7 @@ type frontier_stats = {
 
 type t = { fw : Forward.t; stats : frontier_stats }
 
-let network t = Forward.network t.fw
 let frontier_stats t = t.stats
-let local_delay t = Forward.local_delay t.fw
 let flow_delay t = Forward.flow_delay t.fw
 let all_flow_delays t = Forward.all_flow_delays t.fw
 

@@ -45,12 +45,7 @@ val analyze : ?options:Options.t -> ?jobs:int -> Network.t -> t
     byte-identical).  @raise Network.Cyclic on non-feedforward
     routing. *)
 
-val network : t -> Network.t
 val frontier_stats : t -> frontier_stats
-
-val local_delay : t -> flow:int -> server:int -> float
-(** Local bound of a flow at a server on its route ([infinity] when the
-    upstream is unstable).  @raise Invalid_argument off the flow's route. *)
 
 val flow_delay : t -> int -> float
 (** End-to-end bound: sum of local bounds along the route — bit-equal

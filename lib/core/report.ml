@@ -106,36 +106,3 @@ let integrated a =
     (Network.flows net);
   buffer_add_table buf flows;
   Buffer.contents buf
-
-let comparison ?options ?(strategy = Pairing.Greedy) net =
-  let buf = Buffer.create 1024 in
-  header buf net "Method comparison";
-  let dd = Decomposed.analyze ?options net in
-  let sc = Service_curve_method.analyze dd in
-  let integ = Integrated.analyze ?options ~strategy net in
-  let tbl =
-    Table.create
-      ~header:
-        [ "flow"; "Decomposed"; "Service Curve"; "Integrated"; "best" ]
-  in
-  List.iter
-    (fun (f : Flow.t) ->
-      let d = Decomposed.flow_delay dd f.id in
-      let s = Service_curve_method.flow_delay sc f.id in
-      let i = Integrated.flow_delay integ f.id in
-      let best =
-        if i <= Float.min d s then "Integrated"
-        else if d <= s then "Decomposed"
-        else "Service Curve"
-      in
-      Table.add_row tbl
-        [
-          f.name;
-          Table.float_cell d;
-          Table.float_cell s;
-          Table.float_cell i;
-          best;
-        ])
-    (Network.flows net);
-  buffer_add_table buf tbl;
-  Buffer.contents buf

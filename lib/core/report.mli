@@ -12,9 +12,3 @@ val decomposed : Decomposed.t -> string
 val integrated : Integrated.t -> string
 (** Full report of an integrated analysis, with the pairing and
     per-subnetwork delay contributions. *)
-
-val comparison :
-  ?options:Options.t -> ?strategy:Pairing.strategy -> Network.t -> string
-(** Run Decomposed, Service Curve and Integrated on the network and
-    tabulate all flows side by side ([strategy] defaults to greedy
-    pairing). *)

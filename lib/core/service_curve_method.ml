@@ -1,7 +1,6 @@
 type t = { net : Network.t; prop : Decomposed.t }
 
 let analyze prop = { net = Decomposed.network prop; prop }
-let network t = t.net
 
 (* Envelope of a cross flow at a server, from the decomposed sweep. *)
 let cross_envelopes t ~server ~(flow : Flow.t) =

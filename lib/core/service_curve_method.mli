@@ -24,8 +24,6 @@ val analyze : Decomposed.t -> t
 (** The method on top of a decomposed propagation of the network,
     which supplies the cross-traffic envelopes. *)
 
-val network : t -> Network.t
-
 val network_service_curve : t -> flow:int -> Pwl.t
 (** The end-to-end service curve [beta_1 (x) ... (x) beta_m] of a flow.
     @raise Invalid_argument when some hop offers no service (unstable

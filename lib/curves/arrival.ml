@@ -4,7 +4,7 @@ type spec =
   | Multi of spec list
   | General of Pwl.t
 
-type t = { spec : spec; curve : Pwl.t }
+type t = Pwl.t
 
 let rec curve_of_spec = function
   | Token_bucket { sigma; rho; peak } ->
@@ -31,21 +31,19 @@ let rec validate = function
 
 let make spec =
   validate spec;
-  { spec; curve = curve_of_spec spec }
+  curve_of_spec spec
 
 let token_bucket ?(peak = infinity) ~sigma ~rho () =
   make (Token_bucket { sigma; rho; peak })
 
 let paper_source ~sigma ~rho = token_bucket ~peak:1. ~sigma ~rho ()
 let of_curve c = make (General c)
-let curve a = a.curve
-let spec a = a.spec
-let rate a = Pwl.final_slope a.curve
-let burst a = Pwl.value_at_zero a.curve
-let eval a t = Pwl.eval a.curve t
+let curve a = a
+let rate a = Pwl.final_slope a
+let burst a = Pwl.value_at_zero a
+let eval a t = Pwl.eval a t
 
-let token_params a =
-  let c = a.curve in
+let token_params c =
   let rho = Pwl.final_slope c in
   let x_last = Pwl.last_breakpoint c in
   let sigma = Pwl.eval c x_last -. (rho *. x_last) in
@@ -57,17 +55,3 @@ let token_params a =
       | _ -> infinity
   in
   (sigma, rho, peak)
-
-let add a b = of_curve (Pwl.add a.curve b.curve)
-
-let sum = function
-  | [] -> of_curve Pwl.zero
-  | a :: rest -> List.fold_left add a rest
-
-let shift a d =
-  if Float_ops.eq_exact d 0. then a else of_curve (Pwl.shift_left a.curve d)
-
-let cap_rate a ~rate =
-  of_curve (Pwl.min_pw (Pwl.affine ~y0:0. ~slope:rate) a.curve)
-
-let pp ppf a = Pwl.pp ppf a.curve

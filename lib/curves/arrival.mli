@@ -5,9 +5,9 @@
     sources are token buckets with unit peak rate (Eq. (4)):
     [b I = min { I, sigma + rho I }].
 
-    This module keeps a symbolic description alongside the
-    piecewise-linear curve so that simulators and closed-form formulas
-    can recover the parameters. *)
+    A symbolic {!spec} builds and validates the piecewise-linear curve;
+    only the curve is kept, and {!token_params} reads token-bucket
+    parameters back off it. *)
 
 type spec =
   | Token_bucket of { sigma : float; rho : float; peak : float }
@@ -41,8 +41,6 @@ val of_curve : Pwl.t -> t
 val curve : t -> Pwl.t
 (** The envelope as a piecewise-linear function. *)
 
-val spec : t -> spec
-
 val rate : t -> float
 (** Long-run rate [lim b(I)/I] — the final slope of the curve. *)
 
@@ -58,22 +56,3 @@ val token_params : t -> float * float * float
     has played out), and [peak] the initial slope ([infinity] when the
     curve jumps at 0).  Exact for token-bucket specs; used by the
     simulator's conforming emitters. *)
-
-val add : t -> t -> t
-(** Envelope of the aggregate of two flows (pointwise sum). *)
-
-val sum : t list -> t
-(** Aggregate of a list; the zero envelope for [\[\]]. *)
-
-val shift : t -> float -> t
-(** [shift a d] is the envelope of the flow after it suffered at most
-    [d] of delay: [fun I -> eval a (I + d)] (Cruz's output
-    characterization for FIFO-per-aggregate servers).  The symbolic spec
-    degrades to [General]. *)
-
-val cap_rate : t -> rate:float -> t
-(** [cap_rate a ~rate] adds the constraint that the flow (or aggregate)
-    has just traversed a link of speed [rate]: pointwise minimum with
-    [rate * I].  Used by the link-capacity sharpening ablation. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,4 +1,4 @@
-type counter = { cname : string; mutable n : int }
+type counter = { mutable n : int }
 
 (* The running sum and extremes live in an all-float record, which
    OCaml stores unboxed: an update writes the value in place.  Kept in
@@ -11,9 +11,9 @@ type moments = {
   mutable vmax : float;
 }
 
-type dist = { dname : string; mutable count : int; moments : moments }
+type dist = { mutable count : int; moments : moments }
 
-type peak = { pname : string; mutable pmax : int }
+type peak = { mutable pmax : int }
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 let dists : (string, dist) Hashtbl.t = Hashtbl.create 32
@@ -34,7 +34,7 @@ let counter name =
       match Hashtbl.find_opt counters name with
       | Some c -> c
       | None ->
-          let c = { cname = name; n = 0 } in
+          let c = { n = 0 } in
           Hashtbl.replace counters name c;
           c)
 
@@ -45,7 +45,6 @@ let add c n =
   Obs_sync.with_lock m (fun () -> c.n <- c.n + n)
 
 let value c = Obs_sync.with_lock m (fun () -> c.n)
-let counter_name c = c.cname
 
 let dist name =
   Obs_sync.with_lock m (fun () ->
@@ -53,7 +52,7 @@ let dist name =
       | Some d -> d
       | None ->
           let d =
-            { dname = name; count = 0;
+            { count = 0;
               moments = { sum = 0.; vmin = infinity; vmax = neg_infinity } }
           in
           Hashtbl.replace dists name d;
@@ -71,15 +70,13 @@ let peak name =
       match Hashtbl.find_opt peaks name with
       | Some p -> p
       | None ->
-          let p = { pname = name; pmax = 0 } in
+          let p = { pmax = 0 } in
           Hashtbl.replace peaks name p;
           p)
 
 let observe_peak p v =
   Obs_sync.with_lock m (fun () -> if v > p.pmax then p.pmax <- v)
 
-let peak_value p = Obs_sync.with_lock m (fun () -> p.pmax)
-let peak_name p = p.pname
 
 type dist_stats = {
   count : int;
@@ -101,7 +98,6 @@ let dist_stats_unlocked (d : dist) =
   }
 
 let dist_stats d = Obs_sync.with_lock m (fun () -> dist_stats_unlocked d)
-let dist_name d = d.dname
 
 let reset () =
   Obs_sync.with_lock m (fun () ->
@@ -160,5 +156,3 @@ let to_table ?(all = false) () =
         Table.add_row tbl [ name; "peak"; ""; ""; ""; ""; string_of_int v ])
     s.peaks;
   tbl
-
-let render () = Table.to_string (to_table ())

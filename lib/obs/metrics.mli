@@ -25,7 +25,6 @@ val add : counter -> int -> unit
     increments raise [Invalid_argument]. *)
 
 val value : counter -> int
-val counter_name : counter -> string
 
 val dist : string -> dist
 (** Find-or-create the distribution with this name. *)
@@ -41,7 +40,6 @@ type dist_stats = {
 }
 
 val dist_stats : dist -> dist_stats
-val dist_name : dist -> string
 
 val peak : string -> peak
 (** Find-or-create the high-watermark gauge with this name.  A peak
@@ -50,9 +48,6 @@ val peak : string -> peak
 
 val observe_peak : peak -> int -> unit
 (** Raise the recorded maximum to [v] if larger; no-op otherwise. *)
-
-val peak_value : peak -> int
-val peak_name : peak -> string
 
 val reset : unit -> unit
 (** Zero every counter and empty every distribution.  Registered names
@@ -72,6 +67,3 @@ val to_table : ?all:bool -> unit -> Table.t
     [count], [sum], [mean], [min], [max].  Counters fill [count] only;
     peaks fill [max] only.  By default rows with zero count (zero
     value, for peaks) are omitted; pass [~all:true] to keep them. *)
-
-val render : unit -> string
-(** [Table.to_string (to_table ())]. *)

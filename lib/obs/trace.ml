@@ -61,8 +61,6 @@ let clear () =
      during clear is a caller bug). *)
   Obs_sync.get_local stack := []
 
-let capacity () = Obs_sync.with_lock m (fun () -> !cap)
-
 let set_capacity n =
   if n <= 0 then invalid_arg "Trace.set_capacity: capacity must be positive";
   Obs_sync.with_lock m (fun () -> cap := n);
@@ -160,38 +158,24 @@ let summary_table () =
     (aggregates ());
   tbl
 
-(* Chrome trace-event JSON.  Only strings we emit are span names, but
-   escape fully so arbitrary labels cannot corrupt the file. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Chrome trace-event JSON: one "X" (complete) event per span. *)
 let to_chrome_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"netcalc\",\"ph\":\"X\",\"ts\":%.3f,\
-            \"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"depth\":%d}}"
-           (json_escape ev.name) ev.ts_us ev.dur_us ev.depth))
-    (events ());
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
+  let event ev =
+    Sjson.Obj
+      [
+        ("name", Sjson.Str ev.name); ("cat", Sjson.Str "netcalc");
+        ("ph", Sjson.Str "X"); ("ts", Sjson.Num ev.ts_us);
+        ("dur", Sjson.Num ev.dur_us); ("pid", Sjson.num_of_int 1);
+        ("tid", Sjson.num_of_int 1);
+        ("args", Sjson.Obj [ ("depth", Sjson.num_of_int ev.depth) ]);
+      ]
+  in
+  Sjson.render
+    (Sjson.Obj
+       [
+         ("traceEvents", Sjson.List (List.map event (events ())));
+         ("displayTimeUnit", Sjson.Str "ms");
+       ])
 
 let save_chrome_json path =
   let oc = open_out path in

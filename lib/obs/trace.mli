@@ -1,11 +1,11 @@
 (** Nestable timing spans with a bounded ring buffer and a Chrome
     [trace_event] exporter.
 
-    Spans nest on an explicit stack: {!begin_span} pushes, {!end_span}
+    Spans nest on an explicit stack: {!with_span} pushes, {!end_span}
     pops the innermost open span and records a completed event, so
-    closing is LIFO by construction.  Prefer {!with_span}, which closes
-    on exceptions too.  Completed events land in a ring buffer (newest
-    kept, oldest dropped once {!capacity} is exceeded) for export, and
+    closing is LIFO by construction; {!with_span} closes on exceptions
+    too.  Completed events land in a ring buffer (newest kept, oldest
+    dropped once {!set_capacity}'s bound is exceeded) for export, and
     in an exact per-name aggregate (calls / total / max duration) that
     is immune to ring drops.
 
@@ -39,7 +39,6 @@ val now_us : unit -> float
 val now_s : unit -> float
 (** [now_us () /. 1e6], for callers reporting seconds. *)
 
-val begin_span : string -> unit
 val end_span : unit -> unit
 (** @raise Invalid_argument when no span is open. *)
 
@@ -55,8 +54,6 @@ val events : unit -> event list
 
 val dropped : unit -> int
 (** Events evicted from the ring since the last {!clear}. *)
-
-val capacity : unit -> int
 
 val set_capacity : int -> unit
 (** Resize the ring (clears it).  @raise Invalid_argument on [n <= 0]. *)

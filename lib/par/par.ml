@@ -3,7 +3,6 @@
    lives in Par_backend (Domain pool on OCaml 5, inline on 4.x). *)
 
 let backend = Par_backend.name
-let parallel_available = Par_backend.available
 
 let env_jobs =
   lazy

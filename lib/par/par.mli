@@ -12,9 +12,8 @@
     order) never reaches the caller.
 
     On OCaml 4.x the library degrades to a sequential backend with the
-    same API ({!backend} = ["sequential"], {!parallel_available} =
-    [false]), so code written against it builds on the whole CI
-    matrix.
+    same API ({!backend} = ["sequential"]), so code written against
+    it builds on the whole CI matrix.
 
     Worker count resolution, in decreasing priority:
     + the [?jobs] argument of the call;
@@ -31,23 +30,17 @@
 val backend : string
 (** ["domains"] (OCaml 5 pool) or ["sequential"] (fallback). *)
 
-val parallel_available : bool
-(** True when {!backend} can actually run work concurrently. *)
-
-val default_jobs : unit -> int
-(** [NETCALC_JOBS] if set to a positive integer, otherwise the
-    hardware recommendation.  Always [>= 1]. *)
-
 val set_jobs : int -> unit
 (** Override the default worker count for the whole process (CLI
     [--jobs]).  @raise Invalid_argument on [n < 1]. *)
 
 val clear_jobs : unit -> unit
-(** Drop the {!set_jobs} override, returning to {!default_jobs}. *)
+(** Drop the {!set_jobs} override, returning to the default:
+    [NETCALC_JOBS], else the hardware recommendation. *)
 
 val jobs : unit -> int
 (** The effective worker count: the {!set_jobs} override when present,
-    {!default_jobs} otherwise. *)
+    the default of {!clear_jobs} otherwise. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] is [List.map f xs], computed with up to [jobs] domains.

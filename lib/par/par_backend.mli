@@ -15,10 +15,6 @@ val name : string
 (** ["domains"] or ["sequential"] — reported by benchmarks so recorded
     timings can be attributed to the right execution mode. *)
 
-val available : bool
-(** Whether real parallelism exists.  [false] means {!parallel_for}
-    runs everything on the calling thread regardless of [jobs]. *)
-
 val recommended_jobs : unit -> int
 (** Hardware-derived default worker count
     ([Domain.recommended_domain_count] on OCaml 5, [1] on 4.x). *)

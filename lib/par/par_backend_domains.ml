@@ -34,7 +34,6 @@ type job = {
 }
 
 let name = "domains"
-let available = true
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
 (* Domain-local "am I inside a chunk body" flag, read by Par to run

@@ -6,7 +6,6 @@
    across compilers. *)
 
 let name = "sequential"
-let available = false
 let recommended_jobs () = 1
 let in_parallel () = false
 

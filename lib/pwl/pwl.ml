@@ -349,8 +349,6 @@ let pp ppf f =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_seg)
     (Array.to_list f.segs)
 
-let to_string f = Format.asprintf "%a" pp f
-
 (* ------------------------------------------------------------------ *)
 (* Exact reconstruction from a sampler                                 *)
 (* ------------------------------------------------------------------ *)

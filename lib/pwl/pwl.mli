@@ -156,8 +156,6 @@ val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 
-val to_string : t -> string
-
 (** {1 Pointwise algebra} *)
 
 val add : t -> t -> t

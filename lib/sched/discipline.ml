@@ -5,6 +5,3 @@ let to_string = function
   | Static_priority -> "SP"
   | Edf -> "EDF"
   | Gps -> "GPS"
-
-let pp ppf d = Format.pp_print_string ppf (to_string d)
-let all = [ Fifo; Static_priority; Edf; Gps ]

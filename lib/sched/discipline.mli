@@ -13,5 +13,3 @@ type t =
   | Gps              (** generalized processor sharing, by per-flow weight *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val all : t list

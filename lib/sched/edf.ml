@@ -4,33 +4,13 @@ let demand_bound flows =
     flows;
   Pwl.sum (List.map (fun (alpha, d) -> Pwl.shift_right alpha d) flows)
 
+(* [sup_t (demand t - C t)]: nonpositive iff the deadlines are met. *)
 let slack ~rate flows =
   Pwl.sup_diff (demand_bound flows) (Service.constant_rate rate)
 
 let feasible ~rate flows =
   let open Float_ops in
   slack ~rate flows <=~ 0.
-
-let min_uniform_deadline ~rate ~curves ?(tol = 1e-9) () =
-  let agg = Pwl.sum curves in
-  if not (Minplus.stable ~agg ~rate) then infinity
-  else begin
-    let with_deadline d = List.map (fun c -> (c, d)) curves in
-    (* The FIFO aggregate delay is always a feasible uniform deadline. *)
-    let hi0 = Deviation.delay_fifo_aggregate ~agg ~rate in
-    let rec widen hi =
-      if feasible ~rate (with_deadline hi) then hi else widen (2. *. hi)
-    in
-    let hi = widen (Float.max hi0 tol) in
-    let rec bisect lo hi =
-      if hi -. lo <= tol then hi
-      else
-        let mid = (lo +. hi) /. 2. in
-        if feasible ~rate (with_deadline mid) then bisect lo mid
-        else bisect mid hi
-    in
-    bisect 0. hi
-  end
 
 let local_delay ~rate flows ~deadline =
   if feasible ~rate flows then deadline else infinity

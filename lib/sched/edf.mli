@@ -6,24 +6,9 @@
     [sum_i alpha_i (t - d_i) <= C t] for all [t >= 0]
     (Liebeherr/Wrege/Ferrari; Firoiu et al.). *)
 
-val demand_bound : (Pwl.t * float) list -> Pwl.t
-(** [demand_bound flows] is [t -> sum_i alpha_i (t - d_i)] where each
-    flow is given as [(alpha_i, d_i)] with [d_i >= 0.]. *)
-
 val feasible : rate:float -> (Pwl.t * float) list -> bool
 (** Whether the deadline assignment is schedulable on a rate-[C] EDF
     server. *)
-
-val slack : rate:float -> (Pwl.t * float) list -> float
-(** [sup_t (demand t - C t)]: negative or zero iff feasible; useful as a
-    margin metric for admission control. *)
-
-val min_uniform_deadline :
-  rate:float -> curves:Pwl.t list -> ?tol:float -> unit -> float
-(** Smallest common local deadline [d] such that giving every flow
-    deadline [d] is feasible; [infinity] when the server is unstable.
-    Bisection to absolute tolerance [tol] (default [1e-9]) — the
-    feasibility frontier is monotone in [d]. *)
 
 val local_delay : rate:float -> (Pwl.t * float) list -> deadline:float -> float
 (** Delay bound for a flow with local deadline [deadline]: the deadline

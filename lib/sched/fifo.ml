@@ -5,12 +5,4 @@ let backlog ~rate ~agg =
 
 let busy_period ~rate ~agg = Minplus.busy_period ~agg ~rate
 
-let output_aggregate ~rate ~agg =
-  Pwl.min_pw (Service.constant_rate rate) agg
-
-let output_flow ~rate ~agg ~flow =
-  let d = local_delay ~rate ~agg in
-  if d = infinity then invalid_arg "Fifo.output_flow: unstable server"
-  else Pwl.min_pw (Pwl.shift_left flow d) (output_aggregate ~rate ~agg)
-
 let leftover ~rate ~cross = Service.leftover ~rate ~cross

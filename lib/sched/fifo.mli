@@ -15,17 +15,6 @@ val backlog : rate:float -> agg:Pwl.t -> float
 val busy_period : rate:float -> agg:Pwl.t -> float
 (** Bound on the busy-period length (see {!Minplus.busy_period}). *)
 
-val output_aggregate : rate:float -> agg:Pwl.t -> Pwl.t
-(** Envelope of the aggregate output (paper Lemma 1):
-    [W t = min_{0<=s<=t} (rate (t-s) + agg s)], computed as the
-    min-plus convolution [lambda_rate (x) agg]. *)
-
-val output_flow : rate:float -> agg:Pwl.t -> flow:Pwl.t -> Pwl.t
-(** Envelope of one flow's output: the flow envelope shifted by the
-    local delay bound (Cruz's FIFO output characterization),
-    additionally capped by the whole server output when the flow is
-    alone. *)
-
 val leftover : rate:float -> cross:Pwl.t -> Pwl.t
 (** Induced per-flow service curve [ (C t - cross t)^+ ] — the curve
     Algorithm Service Curve uses for FIFO (DESIGN.md §3.2). *)

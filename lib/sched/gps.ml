@@ -11,7 +11,3 @@ let flow_service ~rate ~weight ~total_weight ?(packet_latency = 0.) () =
 let local_delay ~rate ~weight ~total_weight ~alpha ?packet_latency () =
   Deviation.hdev ~alpha
     ~beta:(flow_service ~rate ~weight ~total_weight ?packet_latency ())
-
-let output_flow ~rate ~weight ~total_weight ~alpha ?packet_latency () =
-  Minplus.deconv alpha
-    (flow_service ~rate ~weight ~total_weight ?packet_latency ())

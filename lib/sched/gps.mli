@@ -7,8 +7,6 @@
     [l_max / C] (the "guaranteed-rate" server model of Goyal et al. that
     the paper contrasts with FIFO). *)
 
-val guaranteed_rate : rate:float -> weight:float -> total_weight:float -> float
-
 val flow_service :
   rate:float ->
   weight:float ->
@@ -28,14 +26,3 @@ val local_delay :
   unit ->
   float
 (** Horizontal deviation of [alpha] from the flow's service curve. *)
-
-val output_flow :
-  rate:float ->
-  weight:float ->
-  total_weight:float ->
-  alpha:Pwl.t ->
-  ?packet_latency:float ->
-  unit ->
-  Pwl.t
-(** Output envelope [alpha (/) beta] — tighter than delay-shifting
-    because GPS isolates the flow. *)

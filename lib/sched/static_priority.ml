@@ -7,8 +7,3 @@ let class_service ~rate ~higher ?(blocking = 0.) () =
 
 let local_delay ~rate ~higher ~own ?blocking () =
   Deviation.hdev ~alpha:own ~beta:(class_service ~rate ~higher ?blocking ())
-
-let output_flow ~rate ~higher ~own ~flow ?blocking () =
-  let d = local_delay ~rate ~higher ~own ?blocking () in
-  if d = infinity then invalid_arg "Static_priority.output_flow: unstable class"
-  else Pwl.shift_left flow d

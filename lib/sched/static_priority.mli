@@ -19,14 +19,3 @@ val local_delay :
 (** Worst-case delay of the class aggregate [own]:
     horizontal deviation from {!class_service}.  [infinity] when the
     class is unstable. *)
-
-val output_flow :
-  rate:float ->
-  higher:Pwl.t ->
-  own:Pwl.t ->
-  flow:Pwl.t ->
-  ?blocking:float ->
-  unit ->
-  Pwl.t
-(** Output envelope of one flow of the class: the flow envelope shifted
-    by the class delay bound. *)

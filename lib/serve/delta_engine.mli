@@ -60,9 +60,6 @@ val teardown : t -> int -> (op_stats, [ `Unknown_flow ]) result
 val query : t -> int -> (Flow.t * float) option
 (** A present flow and its current end-to-end bound. *)
 
-val flow_delay : t -> int -> float
-(** @raise Invalid_argument for an absent flow. *)
-
 val all_flow_delays : t -> (int * float) list
 (** [(flow id, bound)] for every flow, in id order — same shape as
     [Decomposed.all_flow_delays]. *)
@@ -75,10 +72,6 @@ val server_backlog : t -> int -> float
 val server_flow_backlogs : t -> int -> (int * float) list
 (** Per-flow backlog bounds at a server, [(flow id, bound)] in id order
     — bit-identical to [Decomposed.server_flow_backlogs]. *)
-
-val local_backlog : t -> flow:int -> server:int -> float
-(** The flow's backlog bound at one of its hops.
-    @raise Invalid_argument when the flow does not cross the server. *)
 
 val flow_backlog : t -> int -> float
 (** The flow's buffer requirement: its worst per-hop backlog bound over

@@ -64,5 +64,3 @@ let pop h =
     end;
     Some (top.time, top.payload)
   end
-
-let peek_time h = if h.len = 0 then None else Some h.data.(0).time

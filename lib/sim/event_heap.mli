@@ -14,5 +14,3 @@ val push : 'a t -> time:float -> 'a -> unit
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)
-
-val peek_time : 'a t -> float option

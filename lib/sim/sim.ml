@@ -275,9 +275,6 @@ let server_max_backlog result sid =
 
 let packets_delivered result = result.delivered
 
-let drops result sid =
-  match Hashtbl.find_opt result.drops sid with Some n -> n | None -> 0
-
 let total_drops result = Hashtbl.fold (fun _ n acc -> acc + n) result.drops 0
 
 let departures result ~flow ~server =

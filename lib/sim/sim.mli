@@ -39,27 +39,16 @@ val run : ?config:config -> Network.t -> result
 (** @raise Invalid_argument when a flow's packet size exceeds its
     burst (the conforming emitter needs [packet_size <= sigma]). *)
 
-val flow_stats : result -> int -> Stats.t
-(** End-to-end delay statistics of a flow.  @raise Not_found for an
-    unknown id. *)
-
 val max_delay : result -> int -> float
 (** [Stats.max_value] of the flow (0. if it emitted no packets). *)
 
 val server_max_backlog : result -> int -> float
 (** Peak backlog (bytes) observed at a server. *)
 
-val server_stats : result -> int -> Stats.t
-(** Single-hop delay statistics at a server (arrival at the server to
-    departure from it).  @raise Not_found for an unknown id. *)
-
 val server_max_delay : result -> int -> float
 (** [Stats.max_value] of the per-hop delays at a server. *)
 
 val packets_delivered : result -> int
-
-val drops : result -> int -> int
-(** Packets dropped at a server due to buffer overflow. *)
 
 val total_drops : result -> int
 

@@ -1,15 +1,5 @@
-type t = { mutable n : int; mutable sum : float; mutable max : float }
+type t = { mutable max : float }
 
-let create () = { n = 0; sum = 0.; max = 0. }
-
-let record t x =
-  t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  if x > t.max then t.max <- x
-
-let count t = t.n
+let create () = { max = 0. }
+let record t x = if x > t.max then t.max <- x
 let max_value t = t.max
-let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g max=%.4g" t.n (mean t) t.max

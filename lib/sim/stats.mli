@@ -1,14 +1,8 @@
-(** Online per-flow delay statistics. *)
+(** Online per-flow delay statistics: the running maximum. *)
 
 type t
 
 val create : unit -> t
 val record : t -> float -> unit
-val count : t -> int
 val max_value : t -> float
 (** [0.] when empty. *)
-
-val mean : t -> float
-(** [0.] when empty. *)
-
-val pp : Format.formatter -> t -> unit

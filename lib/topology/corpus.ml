@@ -15,15 +15,6 @@ let to_string = function
   | Edge_cloud -> "edge-cloud"
   | Heavytail -> "heavytail"
 
-let of_string = function
-  | "leaf-spine" -> Some Leaf_spine
-  | "fat-tree" -> Some Fat_tree
-  | "edge-cloud" -> Some Edge_cloud
-  | "heavytail" -> Some Heavytail
-  | _ -> None
-
-let names = List.map to_string all
-
 (* Sizing: hit the target server count as closely as the family's
    structure allows, with a flow population proportional to the
    network so per-server fan-in stays moderate at any scale. *)

@@ -8,13 +8,8 @@
 type family = Leaf_spine | Fat_tree | Edge_cloud | Heavytail
 
 val all : family list
-val names : string list
 
 val to_string : family -> string
-
-val of_string : string -> family option
-(** Accepts ["leaf-spine"], ["fat-tree"], ["edge-cloud"],
-    ["heavytail"]. *)
 
 val generate : family:family -> target_servers:int -> seed:int -> Network.t
 (** A network of roughly [target_servers] servers (exactly on families

@@ -33,8 +33,6 @@ let default =
     seed = 42;
   }
 
-let size p = (2 * p.leaves) + p.spines
-
 let generate p =
   if p.leaves < 1 then invalid_arg "Leaf_spine.generate: leaves < 1";
   if p.spines < 1 then invalid_arg "Leaf_spine.generate: spines < 1";

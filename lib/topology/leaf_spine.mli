@@ -20,9 +20,6 @@ val default : params
 (** 8 leaves x 4 spines (20 servers), 32 flows, utilization 0.6,
     seed 42. *)
 
-val size : params -> int
-(** Number of servers [generate] will produce: [2*leaves + spines]. *)
-
 val generate : params -> Network.t
 (** All servers FIFO; spine rate is [leaves/spines] (never below 1) so
     the fabric is not an artificial bottleneck; source rates scaled to

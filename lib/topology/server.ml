@@ -5,7 +5,3 @@ let make ~id ?name ~rate ?(discipline = Discipline.Fifo) () =
   if id < 0 then invalid_arg "Server.make: negative id";
   let name = match name with Some n -> n | None -> "s" ^ string_of_int id in
   { id; name; rate; discipline }
-
-let pp ppf s =
-  Format.fprintf ppf "%s(id=%d, C=%g, %a)" s.name s.id s.rate Discipline.pp
-    s.discipline

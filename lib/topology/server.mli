@@ -17,5 +17,3 @@ val make :
   id:int -> ?name:string -> rate:float -> ?discipline:Discipline.t -> unit -> t
 (** [discipline] defaults to [Fifo]; [name] to ["s<id>"].
     @raise Invalid_argument when [rate <= 0.] or [id < 0]. *)
-
-val pp : Format.formatter -> t -> unit

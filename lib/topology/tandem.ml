@@ -51,6 +51,3 @@ let make ~n ~utilization ?(sigma = 1.) ?(peak = 1.)
   in
   let network = Network.make ~servers ~flows in
   { network; conn0; n; mid_servers = List.init n mid }
-
-let cross_flows t =
-  List.filter (fun (f : Flow.t) -> f.id <> 0) (Network.flows t.network)

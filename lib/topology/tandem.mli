@@ -49,6 +49,3 @@ val make :
     sessions are urgent (0), Connection 0 is middle (1), the [B_k]
     sessions are background (2).
     @raise Invalid_argument on out-of-range parameters. *)
-
-val cross_flows : t -> Flow.t list
-(** All flows except [conn0]. *)

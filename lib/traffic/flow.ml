@@ -29,7 +29,6 @@ let make ~id ?name ~arrival ~route ?deadline ?(priority = 0) ?(weight = 1.)
 let source_curve f = Arrival.curve f.arrival
 let rate f = Arrival.rate f.arrival
 let burst f = Arrival.burst f.arrival
-let traverses f s = List.mem s f.route
 
 let rec next_in_list s = function
   | a :: (b :: _ as rest) -> if a = s then Some b else next_in_list s rest
@@ -39,7 +38,6 @@ let next_hop f s = next_in_list s f.route
 let prev_hop f s = next_in_list s (List.rev f.route)
 
 let first_hop f = List.hd f.route
-let last_hop f = List.nth f.route (List.length f.route - 1)
 
 let hop_pairs f =
   let rec pairs = function
@@ -47,10 +45,3 @@ let hop_pairs f =
     | _ -> []
   in
   pairs f.route
-
-let pp ppf f =
-  Format.fprintf ppf "%s: route [%a], sigma=%g rho=%g" f.name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-       Format.pp_print_int)
-    f.route (burst f) (rate f)

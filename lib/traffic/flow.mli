@@ -40,18 +40,12 @@ val source_curve : t -> Pwl.t
 val rate : t -> float
 val burst : t -> float
 
-val traverses : t -> int -> bool
-(** Whether the route contains the given server id. *)
-
 val next_hop : t -> int -> int option
 (** [next_hop f s] is the server after [s] on the route ([None] when
     [s] is the last hop or not on the route). *)
 
 val prev_hop : t -> int -> int option
 val first_hop : t -> int
-val last_hop : t -> int
 
 val hop_pairs : t -> (int * int) list
 (** Consecutive pairs of the route, in order. *)
-
-val pp : Format.formatter -> t -> unit

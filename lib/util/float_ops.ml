@@ -13,14 +13,5 @@ let ( <~ ) a b = a < b && not (a =~ b)
 let ( <=~ ) a b = a < b || a =~ b
 let is_finite = Float.is_finite
 
-let div a b =
-  if b = 0. then if a = 0. then 0. else if a > 0. then infinity else neg_infinity
-  else a /. b
-
-let clamp ~lo ~hi x =
-  assert (lo <= hi);
-  Float.min hi (Float.max lo x)
-
 let positive_part x = Float.max x 0.
 let max_list = List.fold_left Float.max neg_infinity
-let min_list = List.fold_left Float.min infinity

@@ -29,19 +29,8 @@ val ( <=~ ) : float -> float -> bool
 val is_finite : float -> bool
 (** True for ordinary floats; false for [nan] and both infinities. *)
 
-val div : float -> float -> float
-(** [div a b] is [a /. b] with the conventions [div 0. 0. = 0.] and
-    [div a 0. = infinity] for [a > 0.].  Negative numerators with zero
-    denominator yield [neg_infinity]. *)
-
-val clamp : lo:float -> hi:float -> float -> float
-(** Clamp into [\[lo, hi\]].  Requires [lo <= hi]. *)
-
 val positive_part : float -> float
 (** [positive_part x] is [max x 0.]. *)
 
 val max_list : float list -> float
 (** Maximum of a list, [neg_infinity] on the empty list. *)
-
-val min_list : float list -> float
-(** Minimum of a list, [infinity] on the empty list. *)

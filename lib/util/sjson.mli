@@ -1,10 +1,11 @@
-(** Minimal JSON for the serve line protocol.
+(** Minimal JSON: the serve line protocol, the bench perf JSON and the
+    Chrome trace export all build and render documents with it.
 
-    The container ships no JSON library, and the protocol only needs
-    flat requests/responses, so this is a small self-contained value
-    type with a strict parser and a deterministic renderer (object keys
-    keep their construction order; numbers render through a shortest
-    round-trip format), which is what makes golden-transcript tests
+    The container ships no JSON library, and these documents are small
+    and flat, so this is a self-contained value type with a strict
+    parser and a deterministic renderer (object keys keep their
+    construction order; numbers render through a shortest round-trip
+    format), which is what makes golden-transcript tests
     byte-stable. *)
 
 type t =

@@ -1,10 +1,3 @@
-let linspace ~lo ~hi ~n =
-  assert (n >= 1);
-  if n = 1 then [ lo ]
-  else
-    List.init n (fun i ->
-        lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
-
 let steps ~lo ~hi ~step =
   assert (step > 0.);
   (* Generate by integer index, not by repeated addition: accumulating

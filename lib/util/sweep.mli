@@ -1,9 +1,5 @@
 (** Parameter sweeps for experiments. *)
 
-val linspace : lo:float -> hi:float -> n:int -> float list
-(** [linspace ~lo ~hi ~n] is [n] evenly spaced points from [lo] to [hi]
-    inclusive.  Requires [n >= 2] (or [n = 1], giving [\[lo\]]). *)
-
 val steps : lo:float -> hi:float -> step:float -> float list
 (** Points [lo, lo+step, ...] up to and including [hi] (within tolerance).
     Generated by integer index (no float accumulation drift) and snapped

@@ -42,26 +42,6 @@ let test_validation () =
   expect_invalid (fun () ->
       Arrival.of_curve (rate_latency ~rate:1. ~latency:1.))
 
-let test_shift () =
-  let a = Arrival.token_bucket ~sigma:1. ~rho:0.5 () in
-  let b = Arrival.shift a 3. in
-  approx "shift burst" 2.5 (Arrival.burst b);
-  approx "shift eval" (1. +. (0.5 *. 7.)) (Arrival.eval b 4.)
-
-let test_cap_rate () =
-  let a = Arrival.token_bucket ~sigma:4. ~rho:0.5 () in
-  let b = Arrival.cap_rate a ~rate:1. in
-  approx "capped near 0" 1. (Arrival.eval b 1.);
-  approx "uncapped far" 8. (Arrival.eval b 8.)
-
-let test_aggregate () =
-  let a = Arrival.token_bucket ~sigma:1. ~rho:0.5 () in
-  let b = Arrival.token_bucket ~sigma:2. ~rho:0.25 () in
-  let s = Arrival.sum [ a; b ] in
-  approx "sum burst" 3. (Arrival.burst s);
-  approx "sum rate" 0.75 (Arrival.rate s);
-  approx "empty sum" 0. (Arrival.eval (Arrival.sum []) 10.)
-
 let test_token_params () =
   let sigma, rho, peak =
     Arrival.token_params (Arrival.paper_source ~sigma:1. ~rho:0.25)
@@ -134,9 +114,6 @@ let suite =
       test "multi leaky bucket" test_multi;
       test "validation" test_validation;
       test "rejects decreasing envelopes" test_rejects_decreasing_envelope;
-      test "shift (output characterization)" test_shift;
-      test "cap_rate" test_cap_rate;
-      test "aggregation" test_aggregate;
       test "token_params extraction" test_token_params;
       test "rate-latency service" test_rate_latency_service;
       test "leftover service" test_leftover;

@@ -205,15 +205,6 @@ let test_source_rejects_oversized_packet () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
-let test_deadline_met_helper () =
-  let f = Flow.make ~id:0 ~arrival ~route:[ 0 ] ~deadline:5. () in
-  let g = Flow.make ~id:1 ~arrival ~route:[ 0 ] () in
-  check_bool "met" true (Admission.deadline_met [ (0, 4.); (1, 99.) ] [ f; g ]);
-  check_bool "missed" false (Admission.deadline_met [ (0, 6.) ] [ f ]);
-  check_bool "missing bound counts as miss" false
-    (Admission.deadline_met [] [ f ]);
-  check_bool "no deadline always ok" true (Admission.deadline_met [] [ g ])
-
 let suite =
   ( "edge-cases",
     [
@@ -233,5 +224,4 @@ let suite =
       test "fifo-theta accessor" test_fifo_theta_thetas_accessor;
       test "simulator with no emissions" test_sim_no_emissions;
       test "oversized packets rejected" test_source_rejects_oversized_packet;
-      test "deadline_met helper" test_deadline_met_helper;
     ] )

@@ -113,6 +113,7 @@ let expected_typed_findings =
     ("tools/lint/fixtures_typed/bad_exn_escape.ml", 8, "exn-escape");
     ("tools/lint/fixtures_typed/bad_fold_flow.ml", 7, "unsorted-fold-flow");
     ("tools/lint/fixtures_typed/bad_par_escape.ml", 18, "par-escape");
+    ("tools/lint/fixtures_typed/bad_unused_export.mli", 3, "unused-export");
     ("tools/lint/fixtures_typed/fixture_state.ml", 12, "par-escape")
   ]
 

@@ -87,10 +87,18 @@ let prop_crossing_under_is_sound =
 (* ------------------------------------------------------------------ *)
 
 let brute_deconv f g t =
-  (* sup over s of f (t + s) - g s on a generous grid. *)
+  (* sup over s >= 0 of f (t + s) - g s: on a generous grid, at g's
+     breakpoints, and where t + s meets one of f's.  The sup can sit at
+     a breakpoint of f far beyond the grid. *)
+  let at_f =
+    List.filter_map
+      (fun x -> if x >= t then Some (x -. t) else None)
+      (Pwl.breakpoints f)
+  in
   List.fold_left
     (fun acc s -> Float.max acc (Pwl.eval f (t +. s) -. Pwl.eval g s))
-    neg_infinity (grid 0. 60. 600)
+    neg_infinity
+    (grid 0. 60. 600 @ Pwl.breakpoints g @ at_f)
 
 let prop_deconv_matches_brute_force =
   qtest ~count:60 "deconvolution matches brute force"
@@ -105,7 +113,9 @@ let prop_deconv_matches_brute_force =
       && exact -. brute <= 0.05 *. Float.max 1. (Float.abs exact) +. 0.2)
 
 let brute_hdev alpha beta =
-  (* sup over t of inf over d of { alpha t <= beta (t + d) }. *)
+  (* sup over t of inf over d of { alpha t <= beta (t + d) }, with t at
+     0, at either curve's breakpoints and on the grid.  The sup can sit
+     at a breakpoint of alpha far beyond the grid. *)
   List.fold_left
     (fun acc t ->
       let target = Pwl.eval alpha t in
@@ -117,7 +127,8 @@ let brute_hdev alpha beta =
           else find_d mid hi
       in
       Float.max acc (find_d 0. 200.))
-    0. (grid 0. 60. 600)
+    0.
+    ((0. :: Pwl.breakpoints alpha) @ Pwl.breakpoints beta @ grid 0. 60. 600)
 
 let prop_hdev_matches_brute_force =
   qtest ~count:40 "horizontal deviation matches brute force"

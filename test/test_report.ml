@@ -27,13 +27,6 @@ let test_integrated_report () =
       check_bool ("report mentions " ^ needle) true (contains r needle))
     [ "Integrated"; "Pairing:"; "{0,1}"; "per-subnetwork" ]
 
-let test_comparison_report () =
-  let t = Tandem.make ~n:3 ~utilization:0.6 () in
-  let r = Report.comparison ~strategy:(Pairing.Along_route 0) t.network in
-  check_bool "integrated wins for conn0" true (contains r "Integrated");
-  check_bool "all methods present" true
-    (contains r "Decomposed" && contains r "Service Curve")
-
 let test_adversarial_dominates_single_run () =
   let t = Tandem.make ~n:3 ~utilization:0.7 ~peak:infinity () in
   let net = t.network in
@@ -109,7 +102,6 @@ let suite =
     [
       test "decomposed report" test_decomposed_report;
       test "integrated report" test_integrated_report;
-      test "comparison report" test_comparison_report;
       test "adversarial phase search" test_adversarial_dominates_single_run;
       test "bounds monotone in population" test_bounds_monotone_in_population;
       test "bounds monotone in burst" test_bounds_monotone_in_burst;

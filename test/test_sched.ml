@@ -15,18 +15,6 @@ let test_fifo_backlog_and_busy () =
   approx "backlog" 2. (Fifo.backlog ~rate:1. ~agg);
   approx "busy period" 4. (Fifo.busy_period ~rate:1. ~agg)
 
-let test_fifo_output () =
-  let agg = tb ~sigma:2. ~rho:0.5 in
-  let out = Fifo.output_aggregate ~rate:1. ~agg in
-  (* min(t, 2 + 0.5 t): link-limited before the crossing at 4. *)
-  approx "early" 1. (Pwl.eval out 1.);
-  approx "late" 5. (Pwl.eval out 6.);
-  let flow = tb ~sigma:1. ~rho:0.25 in
-  let fout = Fifo.output_flow ~rate:1. ~agg ~flow in
-  (* shift by local delay 2: burst 1.5, but capped by aggregate output. *)
-  approx "flow out burst" (Float.min (Pwl.eval out 0.) 1.5) (Pwl.eval fout 0.);
-  approx "flow out later" (1. +. (0.25 *. 6.)) (Pwl.eval fout 4.)
-
 let test_static_priority () =
   let higher = tb ~sigma:2. ~rho:0.25 in
   let own = tb ~sigma:1. ~rho:0.25 in
@@ -63,38 +51,23 @@ let test_edf_feasible () =
   approx "infeasible local delay" infinity
     (Edf.local_delay ~rate:1. [ (a1, 1.); (a2, 1.) ] ~deadline:1.)
 
-let test_edf_min_uniform_deadline () =
-  let curves = [ tb ~sigma:1. ~rho:0.25; tb ~sigma:1. ~rho:0.25 ] in
-  let d = Edf.min_uniform_deadline ~rate:1. ~curves () in
-  check_bool "min deadline feasible" true
-    (Edf.feasible ~rate:1. (List.map (fun c -> (c, d)) curves));
-  check_bool "slightly smaller infeasible" false
-    (Edf.feasible ~rate:1. (List.map (fun c -> (c, d -. 1e-3)) curves));
-  (* With equal deadlines EDF behaves like FIFO: the minimal uniform
-     deadline equals the FIFO aggregate delay (total burst here). *)
-  approx ~tol:1e-3 "equals FIFO delay" 2. d
-
 let test_edf_unstable () =
-  approx "unstable" infinity
-    (Edf.min_uniform_deadline ~rate:0.4
-       ~curves:[ tb ~sigma:1. ~rho:0.25; tb ~sigma:1. ~rho:0.25 ]
-       ())
+  (* Two rate-0.25 flows overload a rate-0.4 server: no deadline is
+     feasible, however late. *)
+  let flows d = [ (tb ~sigma:1. ~rho:0.25, d); (tb ~sigma:1. ~rho:0.25, d) ] in
+  check_bool "infeasible" false (Edf.feasible ~rate:0.4 (flows 1e6));
+  approx "unbounded" infinity
+    (Edf.local_delay ~rate:0.4 (flows 1e6) ~deadline:1e6)
 
 let test_gps () =
-  approx "guaranteed rate" 0.25
-    (Gps.guaranteed_rate ~rate:1. ~weight:1. ~total_weight:4.);
   let alpha = tb ~sigma:1. ~rho:0.2 in
-  (* delay = sigma / r_i for fluid GPS. *)
+  (* delay = sigma / r_i for fluid GPS, with r_i = 1 * 1/4. *)
   approx "fluid delay" 4.
     (Gps.local_delay ~rate:1. ~weight:1. ~total_weight:4. ~alpha ());
   (* PGPS adds the packet latency. *)
   approx "pgps delay" 4.5
     (Gps.local_delay ~rate:1. ~weight:1. ~total_weight:4. ~alpha
-       ~packet_latency:0.5 ());
-  (* Output: burst grows by rho * latency only (deconvolution), i.e.
-     sigma + rho * 0 for fluid. *)
-  let out = Gps.output_flow ~rate:1. ~weight:1. ~total_weight:4. ~alpha () in
-  approx "output burst" 1. (Pwl.eval out 0.)
+       ~packet_latency:0.5 ())
 
 let prop_edf_deadline_monotone =
   qtest "EDF feasibility is monotone in the deadline"
@@ -128,11 +101,9 @@ let suite =
     [
       test "fifo local delay" test_fifo_local_delay;
       test "fifo backlog/busy period" test_fifo_backlog_and_busy;
-      test "fifo output envelopes" test_fifo_output;
       test "static priority" test_static_priority;
       test "sp top class isolation" test_sp_priority_isolation;
       test "edf feasibility" test_edf_feasible;
-      test "edf minimal uniform deadline" test_edf_min_uniform_deadline;
       test "edf unstable" test_edf_unstable;
       test "gps" test_gps;
       prop_edf_deadline_monotone;

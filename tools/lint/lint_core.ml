@@ -169,10 +169,10 @@ let rec collect_ml acc path =
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
 
-(* All [.cmt] files below [root] (dune keeps them in per-library
-   [.<lib>.objs/byte/] and per-executable [.<exe>.eobjs/byte/]
-   directories, which start with a dot — so unlike [collect_ml] this
-   walk must descend into dot-directories). *)
+(* All [.cmt] and [.cmti] files below [root] (dune keeps them in
+   per-library [.<lib>.objs/byte/] and per-executable
+   [.<exe>.eobjs/byte/] directories, which start with a dot — so unlike
+   [collect_ml] this walk must descend into dot-directories). *)
 let collect_cmt root =
   let acc = ref [] in
   let rec go rel path =
@@ -184,7 +184,9 @@ let collect_cmt root =
                go
                  (if rel = "" then entry else rel ^ "/" ^ entry)
                  (Filename.concat path entry))
-    else if Filename.check_suffix path ".cmt" then acc := path :: !acc
+    else if
+      Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti"
+    then acc := path :: !acc
   in
   go "" root;
   List.sort String.compare !acc
@@ -429,7 +431,7 @@ let write_baseline path entries =
 
 let typed_rules =
   [ "par-escape"; "exn-escape"; "cache-key"; "unsorted-fold-flow";
-    "cmt-error" ]
+    "unused-export"; "cmt-error" ]
 
 let pass_of_rule rule = if List.mem rule typed_rules then "typed" else "syntactic"
 

@@ -13,7 +13,7 @@
    on the [Par] pool.
 
    [analyze] then merges the facts into one symbol table and call
-   graph and runs the four interprocedural rule families:
+   graph and runs the five whole-program rule families:
 
      par-escape          a write (without [Obs_sync.with_lock]) to
                          module-level mutable state — or to state
@@ -32,6 +32,9 @@
                          that flows into the function's return value
                          (the syntactic unsorted-fold rule only sees
                          the iteration site itself)
+     unused-export       a [val] in a library [.mli] ([.cmti]) that no
+                         other compilation unit references, applied or
+                         passed as a value
 
    Symbols are normalized to their last two dotted components
    ("Engine.compare_all", "Hashtbl.fold"); the netcalc libraries are
@@ -101,6 +104,8 @@ type unit_facts = {
   uf_fns : fn list;
   uf_pars : par_site list;
   uf_memos : memo_site list;
+  uf_refs : sym list;  (* other units' values this unit names *)
+  uf_exports : (sym * int) list;  (* a library interface's vals, by line *)
   uf_findings : finding list;  (* resolved per-unit: fold-flow, cmt-error *)
 }
 
@@ -110,6 +115,8 @@ let empty_unit file =
     uf_fns = [];
     uf_pars = [];
     uf_memos = [];
+    uf_refs = [];
+    uf_exports = [];
     uf_findings = []
   }
 
@@ -876,6 +883,23 @@ let mutable_kind_of_rhs globals e =
       Some "record with mutable fields"
   | _ -> None
 
+(* Every other unit's value that [str] names, applied or passed as a
+   value: what keeps a library export alive for unused-export.  A unit
+   cannot name itself, so only its own [Pident]s point back into it,
+   and those are skipped. *)
+let external_refs str =
+  let acc = ref [] in
+  let expr sub e =
+    (match e.exp_desc with
+    | Texp_ident (Path.Pident _, _, _) -> ()
+    | Texp_ident (p, _, _) -> acc := norm_parts (path_parts p) :: !acc
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it str;
+  List.sort_uniq String.compare !acc
+
 let facts_of_structure ~file ~unit_name str =
   (* pass A: module-level bindings -> symbols *)
   let globals : (Ident.t, sym) Hashtbl.t = Hashtbl.create 64 in
@@ -973,8 +997,24 @@ let facts_of_structure ~file ~unit_name str =
     uf_fns = !fns;
     uf_pars = ua.ua_pars;
     uf_memos = ua.ua_memos;
+    uf_refs = external_refs str;
+    uf_exports = [];
     uf_findings = ua.ua_findings
   }
+
+(* The values a library interface exports, with their [.mli] lines.
+   Dune names every executable unit Dune__exe__*, so only library
+   units declare exports. *)
+let exports_of_signature ~unit_name sg =
+  List.filter_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+          Some (unit_name ^ "." ^ vd.val_name.txt, loc_line vd.val_loc)
+      | _ -> None)
+    sg.sig_items
+
+let library_unit modname = not (String.starts_with ~prefix:"Dune__exe" modname)
 
 let facts_of_cmt path =
   match Cmt_format.read_cmt path with
@@ -998,10 +1038,14 @@ let facts_of_cmt path =
       let file =
         match cmt.Cmt_format.cmt_sourcefile with Some s -> s | None -> path
       in
+      let modname = cmt.Cmt_format.cmt_modname in
+      let unit_name = unit_name_of_modname modname in
       match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
-          let unit_name = unit_name_of_modname cmt.Cmt_format.cmt_modname in
-          facts_of_structure ~file ~unit_name str
+      | Cmt_format.Implementation str -> facts_of_structure ~file ~unit_name str
+      | Cmt_format.Interface sg when library_unit modname ->
+          { (empty_unit file) with
+            uf_exports = exports_of_signature ~unit_name sg
+          }
       | _ -> empty_unit file)
 
 (* ------------------------------------------------------------------ *)
@@ -1268,6 +1312,33 @@ let analyze (units : unit_facts list) : finding list =
                      binding with [@@lint.waive \"cache-key: reason\"]"
                 }))
         u.uf_memos)
+    units;
+
+  (* -- unused-export ------------------------------------------------ *)
+  let referenced = Hashtbl.create 1024 in
+  List.iter
+    (fun u -> List.iter (fun s -> Hashtbl.replace referenced s ()) u.uf_refs)
+    units;
+  List.iter
+    (fun u ->
+      List.iter
+        (fun (s, line) ->
+          if not (Hashtbl.mem referenced s) then
+            add
+              { file = u.uf_file;
+                line;
+                col = 0;
+                rule = "unused-export";
+                msg =
+                  Printf.sprintf
+                    "%s is exported, but no other compilation unit references \
+                     it"
+                    s;
+                hint =
+                  "delete it, or drop it from the .mli if its own module \
+                   still uses it (an export without a caller has no waiver)"
+              })
+        u.uf_exports)
     units;
 
   !findings
