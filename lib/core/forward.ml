@@ -1,9 +1,11 @@
+module Hop_tbl = Propagation.Hop_tbl
+
 type t = {
   mutable net : Network.t;
   options : Options.t;
   envs : Propagation.env_table;
-  locals : (int * int, float) Hashtbl.t; (* (flow, server) -> local bound *)
-  poisoned : (int * int, int) Hashtbl.t; (* (flow, server) -> origin server *)
+  locals : float Hop_tbl.t; (* (flow, server) -> local bound *)
+  poisoned : int Hop_tbl.t; (* (flow, server) -> origin server *)
 }
 
 let create ?(size_hint = 64) ~options net envs =
@@ -11,8 +13,8 @@ let create ?(size_hint = 64) ~options net envs =
     net;
     options;
     envs;
-    locals = Hashtbl.create size_hint;
-    poisoned = Hashtbl.create (size_hint / 16);
+    locals = Hop_tbl.create size_hint;
+    poisoned = Hop_tbl.create (size_hint / 16);
   }
 
 let network t = t.net
@@ -20,13 +22,13 @@ let options t = t.options
 let envs t = t.envs
 let set_network t net = t.net <- net
 
-let is_poisoned t ~flow ~server = Hashtbl.mem t.poisoned (flow, server)
+let is_poisoned t ~flow ~server = Hop_tbl.mem t.poisoned (flow, server)
 
 let poison_rest t (f : Flow.t) ~from =
   let rec mark = function
     | s :: rest ->
         if s = from then
-          List.iter (fun s' -> Hashtbl.replace t.poisoned (f.id, s') from) rest
+          List.iter (fun s' -> Hop_tbl.replace t.poisoned (f.id, s') from) rest
         else mark rest
     | [] -> ()
   in
@@ -46,8 +48,10 @@ let compute t sid =
   let present = Network.flows_at t.net sid in
   if
     present = []
-    || List.exists (fun (f : Flow.t) -> is_poisoned t ~flow:f.id ~server:sid)
-         present
+    || Hop_tbl.length t.poisoned > 0
+       && List.exists
+            (fun (f : Flow.t) -> is_poisoned t ~flow:f.id ~server:sid)
+            present
   then { sid; present; bounds = None }
   else
     let next (f : Flow.t) d =
@@ -67,39 +71,39 @@ let apply t { sid; present; bounds } =
   | None ->
       List.iter
         (fun (f : Flow.t) ->
-          Hashtbl.replace t.locals (f.id, sid) infinity;
+          Hop_tbl.replace t.locals (f.id, sid) infinity;
           poison_rest t f ~from:sid)
         present
   | Some bounds ->
       List.iter
         (fun ((f : Flow.t), d, next) ->
-          Hashtbl.replace t.locals (f.id, sid) d;
+          Hop_tbl.replace t.locals (f.id, sid) d;
           if d = infinity then poison_rest t f ~from:sid
           else Option.iter (Propagation.set_next t.envs f ~after:sid) next)
         bounds
 
 let evict t { sid; present; _ } =
-  List.fold_left
-    (fun n (f : Flow.t) ->
-      match Propagation.find_opt t.envs ~flow:f.id ~server:sid with
-      | Some _ ->
-          Propagation.remove t.envs ~flow:f.id ~server:sid;
-          n + 1
-      | None -> n)
-    0 present
+  (* each (flow, server) entry is held once, so the table shrinks by
+     exactly the number that were resident *)
+  let resident = Propagation.length t.envs in
+  List.iter
+    (fun (f : Flow.t) -> Propagation.remove t.envs ~flow:f.id ~server:sid)
+    present;
+  resident - Propagation.length t.envs
 
 let run t order =
   (* Marks written by a server about to be re-run are re-derived by its
      step; marks inherited from servers upstream of the list stay. *)
-  if Hashtbl.length t.poisoned > 0 then begin
+  if Hop_tbl.length t.poisoned > 0 then begin
     let redone = Hashtbl.create 64 in
     List.iter (fun sid -> Hashtbl.replace redone sid ()) order;
-    Hashtbl.fold
+    Hop_tbl.fold
       (fun key origin acc ->
         if Hashtbl.mem redone origin then key :: acc else acc)
       t.poisoned []
-    |> List.sort compare
-    |> List.iter (Hashtbl.remove t.poisoned)
+    |> List.sort (fun (f, s) (f', s') ->
+           match Int.compare f f' with 0 -> Int.compare s s' | c -> c)
+    |> List.iter (Hop_tbl.remove t.poisoned)
   end;
   List.iter (fun sid -> apply t (compute t sid)) order
 
@@ -107,12 +111,12 @@ let forget_flow t (f : Flow.t) =
   List.iter
     (fun s ->
       Propagation.remove t.envs ~flow:f.id ~server:s;
-      Hashtbl.remove t.locals (f.id, s);
-      Hashtbl.remove t.poisoned (f.id, s))
+      Hop_tbl.remove t.locals (f.id, s);
+      Hop_tbl.remove t.poisoned (f.id, s))
     f.route
 
 let local_delay t ~flow ~server =
-  match Hashtbl.find_opt t.locals (flow, server) with
+  match Hop_tbl.find_opt t.locals (flow, server) with
   | Some d -> d
   | None ->
       invalid_arg
@@ -127,7 +131,7 @@ let flow_delay t id =
 let all_flow_delays t =
   Network.flows t.net
   |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let envelope_at t ~flow ~server =
   if is_poisoned t ~flow ~server then
@@ -171,7 +175,7 @@ let hop_backlogs t sid ~targets =
 let server_flow_backlogs t sid =
   hop_backlogs t sid ~targets:(Network.flows_at t.net sid)
   |> List.map (fun ((f : Flow.t), b) -> (f.id, b))
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let local_backlog t ~flow ~server =
   match

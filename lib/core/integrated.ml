@@ -1,18 +1,20 @@
+module Hop_tbl = Propagation.Hop_tbl
+
 type t = {
   fw : Forward.t; (* the envelope table and the poison marks *)
   pairing : Pairing.subnet array;
-  contributions : (int * int, float) Hashtbl.t; (* (flow, subnet idx) *)
+  contributions : float Hop_tbl.t; (* (flow, subnet idx) *)
   server_backlogs : (int, float) Hashtbl.t; (* sum over the server's queues *)
-  flow_backlogs : (int * int, float) Hashtbl.t; (* (flow, server) *)
+  flow_backlogs : float Hop_tbl.t; (* (flow, server) *)
 }
 
 let create ~options net pairing =
   {
     fw = Forward.create ~options net (Propagation.create net);
     pairing = Array.of_list pairing;
-    contributions = Hashtbl.create 64;
+    contributions = Hop_tbl.create 64;
     server_backlogs = Hashtbl.create 16;
-    flow_backlogs = Hashtbl.create 64;
+    flow_backlogs = Hop_tbl.create 64;
   }
 
 let network t = Forward.network t.fw
@@ -82,7 +84,7 @@ let aggregate t sid flows =
    after [last]: its envelope past [last] is the entry one shifted by
    [d], or unbounded. *)
 let record t idx (f : Flow.t) ~entry ~last d =
-  Hashtbl.replace t.contributions (f.id, idx) d;
+  Hop_tbl.replace t.contributions (f.id, idx) d;
   if d = infinity then Forward.poison_rest t.fw f ~from:last
   else
     match Flow.next_hop f last with
@@ -104,7 +106,7 @@ let record_backlogs t sid ~beta ~agg ~alphas =
   add_server_backlog t sid (Deviation.vdev ~alpha:agg ~beta);
   List.iter
     (fun ((f : Flow.t), alpha_i) ->
-      Hashtbl.replace t.flow_backlogs (f.id, sid)
+      Hop_tbl.replace t.flow_backlogs (f.id, sid)
         (match alpha_i with
         | Some alpha_i -> Deviation.vdev_per_flow ~alpha_i ~agg ~beta
         | None -> infinity))
@@ -114,7 +116,7 @@ let record_backlogs t sid ~beta ~agg ~alphas =
 let record_unbounded t sid flows =
   add_server_backlog t sid infinity;
   List.iter
-    (fun (f : Flow.t) -> Hashtbl.replace t.flow_backlogs (f.id, sid) infinity)
+    (fun (f : Flow.t) -> Hop_tbl.replace t.flow_backlogs (f.id, sid) infinity)
     flows
 
 let own_envelopes t sid flows =
@@ -298,7 +300,7 @@ let flow_delay t id =
   let total = ref 0. in
   Array.iteri
     (fun idx _ ->
-      match Hashtbl.find_opt t.contributions (id, idx) with
+      match Hop_tbl.find_opt t.contributions (id, idx) with
       | Some d -> total := !total +. d
       | None -> ())
     t.pairing;
@@ -314,7 +316,7 @@ let subnet_delay_opt t ~flow ~subnet =
   Array.iteri (fun i s -> if s = subnet then idx := Some i) t.pairing;
   match !idx with
   | None -> None
-  | Some i -> Hashtbl.find_opt t.contributions (flow, i)
+  | Some i -> Hop_tbl.find_opt t.contributions (flow, i)
 
 let subnet_delay t ~flow ~subnet =
   match subnet_delay_opt t ~flow ~subnet with
@@ -332,7 +334,7 @@ let server_backlog t sid =
   match Hashtbl.find_opt t.server_backlogs sid with Some b -> b | None -> 0.
 
 let local_backlog t ~flow ~server =
-  match Hashtbl.find_opt t.flow_backlogs (flow, server) with
+  match Hop_tbl.find_opt t.flow_backlogs (flow, server) with
   | Some b -> b
   | None ->
       invalid_arg

@@ -6,6 +6,12 @@
     route.  This module holds that table and the aggregate-input
     computation, including the optional link-capacity sharpening. *)
 
+module Hop_tbl : Hashtbl.S with type key = int * int
+(** Tables keyed by a pair of ids such as [(flow, server)], hashed and
+    compared as two ints.  The envelope table is one; {!Forward} keeps
+    its local bounds and poison marks in two more, and {!Integrated} its
+    per-subnet delays and per-hop backlogs. *)
+
 type env_table
 
 val create : Network.t -> env_table
@@ -26,8 +32,6 @@ val get : env_table -> flow:int -> server:int -> Pwl.t
 (** Input envelope of a flow at a server.  @raise Not_found when the
     upstream analysis has not reached this hop yet (a bug in the
     caller's traversal order). *)
-
-val find_opt : env_table -> flow:int -> server:int -> Pwl.t option
 
 val set : env_table -> flow:int -> server:int -> Pwl.t -> unit
 

@@ -183,6 +183,10 @@ let of_segs segs =
     segs;
   if not (Float_ops.eq_exact segs.(0).x 0.) then
     invalid_arg "Pwl.make: first x must be 0.";
+  (* [-0.] passes the check above; store [+0.], so every value starts
+     at the same bits whichever operand a merge took its first point
+     from. *)
+  if Float.sign_bit segs.(0).x then segs.(0) <- { (segs.(0)) with x = 0. };
   for i = 1 to Array.length segs - 1 do
     if segs.(i).x <= segs.(i - 1).x then
       invalid_arg "Pwl.make: x not strictly increasing"
@@ -208,15 +212,16 @@ let affine ~y0 ~slope = make [ (0., y0, slope) ]
 
 (* Index of the segment containing t (last i with segs.(i).x <= t). *)
 let seg_index f t =
-  let n = Array.length f.segs in
-  let rec search lo hi =
+  if t <= 0. then 0
+  else begin
+    let lo = ref 0 and hi = ref (Array.length f.segs) in
     (* invariant: segs.(lo).x <= t and (hi = n or segs.(hi).x > t) *)
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if f.segs.(mid).x <= t then search mid hi else search lo mid
-  in
-  if t <= 0. then 0 else search 0 n
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if f.segs.(mid).x <= t then lo := mid else hi := mid
+    done;
+    !lo
+  end
 
 let eval f t =
   let t = Float.max t 0. in
@@ -418,11 +423,25 @@ let of_sampler ?eval_seq:batch ~candidates ~eval:sample () =
 (* Pointwise algebra                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let merged_breakpoints f g =
-  List.sort_uniq Float.compare (breakpoints f @ breakpoints g)
+(* The value of segment [s] at [t], as [eval] reads it once it has found
+   the segment.  Every cursor scan below evaluates through this, so each
+   point gets the float operations [eval] would give it. *)
+let at s t = s.y +. (s.slope *. (t -. s.x)) [@@inline]
 
-(* Right slope at t: the slope of the segment containing t. *)
-let slope_at f t = f.segs.(seg_index f t).slope
+(* The left limit at [t] of the function whose segment [i] contains
+   [t], as [eval_left] reads it. *)
+let left_at segs i t =
+  let s = segs.(i) in
+  if t > 0. && i > 0 && Float_ops.eq_exact s.x t then at segs.(i - 1) t
+  else at s t
+[@@inline]
+
+(* The breakpoint after segment [i]; [infinity] after the last.  A
+   two-cursor scan steps each cursor whose next breakpoint is the
+   nearer one, both on a tie. *)
+let next_x segs i =
+  if i + 1 < Array.length segs then segs.(i + 1).x else infinity
+[@@inline]
 
 (* Two-cursor merge of two segment arrays on the union of their
    breakpoints: the sum, or with [~neg] the difference.  Each value and
@@ -437,19 +456,48 @@ let merge_segs ~neg a b =
   let rec go i j n =
     let sa = a.(i) and sb = b.(j) in
     let x = if sa.x >= sb.x then sa.x else sb.x in
-    let ya = sa.y +. (sa.slope *. (x -. sa.x)) in
-    let yb = sb.y +. (sb.slope *. (x -. sb.x)) in
+    let ya = at sa x and yb = at sb x in
     out.(n) <-
       (if neg then { x; y = ya -. yb; slope = sa.slope -. sb.slope }
        else { x; y = ya +. yb; slope = sa.slope +. sb.slope });
     if i + 1 = na && j + 1 = nb then
       if n + 1 = Array.length out then out else Array.sub out 0 (n + 1)
     else
-      let xa = if i + 1 < na then a.(i + 1).x else infinity in
-      let xb = if j + 1 < nb then b.(j + 1).x else infinity in
+      let xa = next_x a i and xb = next_x b j in
       go (if xa <= xb then i + 1 else i) (if xb <= xa then j + 1 else j) (n + 1)
   in
   go 0 0 0
+
+(* Where the lines of [sa] and [sb] cross strictly inside (x, next), x
+   excluded by a 1e-12 relative margin; [infinity] when they do not.
+   [h] and [sh] are the difference's right value and slope at x. *)
+let crossing sa sb x next =
+  let h = at sa x -. at sb x in
+  let sh = sa.slope -. sb.slope in
+  if Float_ops.eq_exact sh 0. then infinity
+  else
+    let t = x -. (h /. sh) in
+    if t > x +. (1e-12 *. Float.max 1. (Float.abs x)) && t < next then t
+    else infinity
+
+(* Walk the union of [a]'s and [b]'s breakpoints with two cursors and
+   call [visit x sa sb] at each merged point, then at the crossing of
+   the two segments' lines inside the interval it starts, if any, so
+   the points come in ascending order; [sa] and [sb] are the operand
+   segments that contain [x]. *)
+let iter_crossings a b visit =
+  let na = Array.length a and nb = Array.length b in
+  let rec go i j =
+    let sa = a.(i) and sb = b.(j) in
+    let x = if sa.x >= sb.x then sa.x else sb.x in
+    visit x sa sb;
+    let xa = next_x a i and xb = next_x b j in
+    let t = crossing sa sb x (if xa <= xb then xa else xb) in
+    if t < infinity then visit t sa sb;
+    if i + 1 < na || j + 1 < nb then
+      go (if xa <= xb then i + 1 else i) (if xb <= xa then j + 1 else j)
+  in
+  go 0 0
 
 (* Neutral-element fast paths, decided on content ([same]), so they
    fire for every curve bit-identical to [zero] however it was built.
@@ -487,47 +535,33 @@ let sum fs =
 let sub f g = if is_zero g then f else of_segs (merge_segs ~neg:true f.segs g.segs)
 
 let scale k f =
-  make (List.map (fun (x, y, s) -> (x, k *. y, k *. s)) (segments f))
+  of_segs (Array.map (fun s -> { s with y = k *. s.y; slope = k *. s.slope }) f.segs)
 
-(* Crossing points of f - g strictly inside each candidate interval,
-   computed from exact right values and slopes. *)
-let crossings f g candidates =
-  let cross a b =
-    let h = eval f a -. eval g a in
-    let sh = slope_at f a -. slope_at g a in
-    if Float_ops.eq_exact sh 0. then None
-    else
-      let t = a -. (h /. sh) in
-      if t > a +. (1e-12 *. Float.max 1. (Float.abs a)) && t < b then Some t
-      else None
-  in
-  let rec walk acc = function
-    | a :: (b :: _ as rest) ->
-        let acc = match cross a b with Some t -> t :: acc | None -> acc in
-        walk acc rest
-    | [ a ] -> ( match cross a infinity with Some t -> t :: acc | None -> acc)
-    | [] -> acc
-  in
-  walk [] candidates
-
-let combine_extrema pick pick_slope f g =
+(* Pointwise minimum ([~lower]) or maximum on the merged breakpoints
+   plus each interval's crossing.  Within tolerance of a tie the slope
+   is the smaller (larger) of the two; otherwise it is the picked
+   operand's. *)
+let extrema ~lower f g =
   let open Float_ops in
-  let base = merged_breakpoints f g in
-  let candidates = List.sort_uniq Float.compare (base @ crossings f g base) in
-  make
-    (List.map
-       (fun x ->
-         let yf = eval f x and yg = eval g x in
-         let slope =
-           if yf <~ yg then (if pick yf yg = yf then slope_at f x else slope_at g x)
-           else if yg <~ yf then (if pick yf yg = yg then slope_at g x else slope_at f x)
-           else pick_slope (slope_at f x) (slope_at g x)
-         in
-         (x, pick yf yg, slope))
-       candidates)
+  let a = f.segs and b = g.segs in
+  (* at most one crossing per merged interval *)
+  let out = Array.make (2 * (Array.length a + Array.length b - 1)) a.(0) in
+  let n = ref 0 in
+  let pick u v = if lower then Float.min u v else Float.max u v in
+  iter_crossings a b (fun x sa sb ->
+      let ya = at sa x and yb = at sb x in
+      let y = pick ya yb in
+      let slope =
+        if ya <~ yb then if eq_exact y ya then sa.slope else sb.slope
+        else if yb <~ ya then if eq_exact y yb then sb.slope else sa.slope
+        else pick sa.slope sb.slope
+      in
+      out.(!n) <- { x; y; slope };
+      Stdlib.incr n);
+  of_segs (if !n = Array.length out then out else Array.sub out 0 !n)
 
-let min_pw f g = if same f g then f else combine_extrema Float.min Float.min f g
-let max_pw f g = if same f g then f else combine_extrema Float.max Float.max f g
+let min_pw f g = if same f g then f else extrema ~lower:true f g
+let max_pw f g = if same f g then f else extrema ~lower:false f g
 let nonneg f = max_pw f zero
 
 let min_list = function
@@ -544,21 +578,24 @@ let shift_left f d =
   else
     (* Exact: drop the segments entirely left of d, split the one
        containing d, translate the rest. *)
-    let rec build = function
-      | (_, _, _) :: ((nx, _, _) :: _ as rest) when nx <= d -> build rest
-      | (x, y, s) :: rest ->
-          (0., y +. (s *. (d -. x)), s)
-          :: List.map (fun (x, y, s) -> (x -. d, y, s)) rest
-      | [] -> assert false
-    in
-    make (build (segments f))
+    let segs = f.segs in
+    let i = seg_index f d in
+    let s = segs.(i) in
+    let out = Array.make (Array.length segs - i) { x = 0.; y = at s d; slope = s.slope } in
+    for k = 1 to Array.length out - 1 do
+      let s = segs.(i + k) in
+      out.(k) <- { s with x = s.x -. d }
+    done;
+    of_segs out
 
 let shift_right f d =
   if d < 0. then invalid_arg "Pwl.shift_right: negative shift";
   if Float_ops.eq_exact d 0. then f
   else
-    let shifted = List.map (fun (x, y, s) -> (x +. d, y, s)) (segments f) in
-    make ((0., 0., 0.) :: shifted)
+    let segs = f.segs in
+    let out = Array.make (Array.length segs + 1) { x = 0.; y = 0.; slope = 0. } in
+    Array.iteri (fun k s -> out.(k + 1) <- { s with x = s.x +. d }) segs;
+    of_segs out
 
 let compose ~outer ~inner =
   if not (is_nondecreasing inner) then
@@ -755,29 +792,56 @@ let lower_convex_hull f =
 (* Suprema and crossings                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The left-limit difference is read at every merged breakpoint too, so
+   the supremum covers both the right- and left-continuous versions. *)
 let sup_diff f g =
   let open Float_ops in
   if final_slope g <~ final_slope f then infinity
   else
-    let candidates = merged_breakpoints f g in
-    let at t =
-      Float.max (eval f t -. eval g t) (eval_left f t -. eval_left g t)
-    in
-    Float_ops.max_list (List.map at candidates)
+    let a = f.segs and b = g.segs in
+    let na = Array.length a and nb = Array.length b in
+    (* a loop on refs, so the running maximum stays an unboxed float *)
+    let i = ref 0 and j = ref 0 and acc = ref neg_infinity in
+    let more = ref true in
+    while !more do
+      let sa = a.(!i) and sb = b.(!j) in
+      let x = if sa.x >= sb.x then sa.x else sb.x in
+      let d = Float.max (at sa x -. at sb x) (left_at a !i x -. left_at b !j x) in
+      acc := Float.max !acc d;
+      if !i + 1 = na && !j + 1 = nb then more := false
+      else begin
+        let xa = next_x a !i and xb = next_x b !j in
+        if xa <= xb then Stdlib.incr i;
+        if xb <= xa then Stdlib.incr j
+      end
+    done;
+    !acc
 
 let sup_on f ~lo ~hi =
   if hi < lo then invalid_arg "Pwl.sup_on: hi < lo";
+  let segs = f.segs in
+  let n = Array.length segs in
+  let point acc t = Float.max (Float.max acc (eval f t)) (eval_left f t) in
+  (* The breakpoints from [k] on while [keep] holds, each read off its
+     own segment and the one before it. *)
+  let rec breakpoints_from k keep acc =
+    if k = n || not (keep segs.(k).x) then acc
+    else
+      let t = segs.(k).x in
+      breakpoints_from (k + 1) keep
+        (Float.max (Float.max acc (at segs.(k) t)) (left_at segs k t))
+  in
+  (* segment [i] contains [lo] (it is 0 for [lo <= 0.]); the scans
+     start at the first breakpoint at, or past, [lo] *)
+  let i = seg_index f lo in
   if hi = infinity then
     if final_slope f > 0. then infinity
     else
-      let candidates = lo :: List.filter (fun x -> x >= lo) (breakpoints f) in
-      Float_ops.max_list
-        (List.concat_map (fun t -> [ eval f t; eval_left f t ]) candidates)
+      let k = if segs.(i).x >= lo then i else i + 1 in
+      breakpoints_from k (fun _ -> true) (point neg_infinity lo)
   else
-    let inside = List.filter (fun x -> x > lo && x < hi) (breakpoints f) in
-    let candidates = lo :: hi :: inside in
-    Float_ops.max_list
-      (List.concat_map (fun t -> [ eval f t; eval_left f t ]) candidates)
+    let k = if segs.(i).x > lo then i else i + 1 in
+    breakpoints_from k (fun x -> x < hi) (point (point neg_infinity lo) hi)
 
 let first_crossing_below f ~rate =
   let open Float_ops in
@@ -808,43 +872,54 @@ let first_crossing_under f ~below =
      a busy period, mirroring first_crossing_below: a candidate counts
      only if the difference stays <= 0 just after it, which we decide
      by probing the midpoint to the next candidate. *)
-  let base = merged_breakpoints f below in
-  let candidates =
-    List.sort Float.compare (base @ crossings f below base)
-    |> List.filter (fun t -> t >= 0.)
-  in
+  let a = f.segs and b = below.segs in
+  let candidates = Array.make (2 * (Array.length a + Array.length b - 1)) 0. in
+  let n = ref 0 in
+  iter_crossings a b (fun x _ _ ->
+      candidates.(!n) <- x;
+      Stdlib.incr n);
+  let n = !n in
   let h t = eval f t -. eval below t in
-  let stays_below t next =
-    let probe = match next with Some n -> (t +. n) /. 2. | None -> t +. 1. in
-    h probe <=~ 0.
+  let rec scan k =
+    if k = n then
+      (* after the last candidate the difference is affine *)
+      if final_slope f <~ final_slope below then
+        let t0 = candidates.(n - 1) in
+        let slope = final_slope f -. final_slope below in
+        t0 +. (h t0 /. -.slope)
+      else infinity
+    else
+      let t = candidates.(k) in
+      let probe () =
+        if k + 1 < n then (t +. candidates.(k + 1)) /. 2. else t +. 1.
+      in
+      if h t <~ 0. then t
+      else if h t =~ 0. && h (probe ()) <=~ 0. then t
+      else scan (k + 1)
   in
-  let rec scan = function
-    | t :: rest ->
-        let next = match rest with n :: _ -> Some n | [] -> None in
-        if h t <~ 0. then t
-        else if h t =~ 0. && stays_below t next then t
-        else scan rest
-    | [] ->
-        (* after the last candidate the difference is affine *)
-        if final_slope f <~ final_slope below then
-          let t0 = Float_ops.max_list candidates in
-          let slope = final_slope f -. final_slope below in
-          t0 +. (h t0 /. -.slope)
-        else infinity
-  in
-  scan candidates
+  scan 0
 
 let equal f g =
-  if same f g then true
-  else
+  same f g
+  ||
   let open Float_ops in
-  let candidates = merged_breakpoints f g in
-  let mids =
-    let rec between = function
-      | a :: (b :: _ as rest) -> ((a +. b) /. 2.) :: between rest
-      | [ a ] -> [ a +. 1.; a +. 2. ]
-      | [] -> []
-    in
-    between candidates
+  let a = f.segs and b = g.segs in
+  let na = Array.length a and nb = Array.length b in
+  (* [eval] at a [t] from the merged point that segment [i] contains
+     up to the next merged point, which a midpoint can round up onto *)
+  let value segs i t = if next_x segs i <= t then at segs.(i + 1) t else at segs.(i) t in
+  let agree i j t = value a i t =~ value b j t in
+  (* every merged breakpoint, the midpoint of each interval, and two
+     points past the last breakpoint *)
+  let rec go i j =
+    let sa = a.(i) and sb = b.(j) in
+    let x = if sa.x >= sb.x then sa.x else sb.x in
+    agree i j x
+    &&
+    if i + 1 = na && j + 1 = nb then agree i j (x +. 1.) && agree i j (x +. 2.)
+    else
+      let xa = next_x a i and xb = next_x b j in
+      agree i j ((x +. Float.min xa xb) /. 2.)
+      && go (if xa <= xb then i + 1 else i) (if xb <= xa then j + 1 else j)
   in
-  List.for_all (fun t -> eval f t =~ eval g t) (candidates @ mids)
+  go 0 0

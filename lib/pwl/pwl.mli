@@ -61,7 +61,10 @@ val make : (float * float * float) list -> t
     [f t = y + slope * (t - x)] for [t] in [\[x, next_x)].  Requirements:
     the list is nonempty, the first [x] is [0.], the [x] are strictly
     increasing, and all numbers are finite.  Collinear adjacent segments
-    are merged.  @raise Invalid_argument on violation. *)
+    are merged.  A first [x] of [-0.] is accepted and stored as [+0.], so
+    every value starts at the same bits and a merge's first point does
+    not depend on which operand it was read from.
+    @raise Invalid_argument on violation. *)
 
 val zero : t
 (** The constant 0 function. *)
@@ -139,7 +142,10 @@ val shape : t -> [ `Affine | `Concave | `Convex | `General ]
 
 val equal : t -> t -> bool
 (** Pointwise equality up to the {!Float_ops.eps}
-    tolerance; [true] at once on bit-identical operands. *)
+    tolerance; [true] at once on bit-identical operands.  Otherwise one
+    two-cursor scan compares the values at every merged breakpoint, at
+    the midpoint of each interval between them, and at two points past
+    the last one. *)
 
 val compare : t -> t -> int
 (** Total order on curves: physical-equality fast path, then
@@ -182,10 +188,24 @@ val sub : t -> t -> t
 (** [add] with the second operand negated, through the same merge. *)
 
 val scale : float -> t -> t
+(** [scale k f] multiplies every value and slope by [k], one pass over
+    the segment array. *)
+
 val min_pw : t -> t -> t
-(** Pointwise minimum (crossing points become breakpoints). *)
+(** Pointwise minimum (crossing points become breakpoints), by one
+    two-cursor pass: at each merged breakpoint, and at the crossing of
+    the two operand segments inside the interval it starts, the values
+    and slopes are read off the segments that contain the point, with
+    {!eval}'s float operations.  A crossing within [1e-12] (relative) of
+    the breakpoint before it is dropped.  Where the two values agree
+    within tolerance the slope is the smaller one; elsewhere it is the
+    smaller operand's.  Bit-identical operands return the first
+    unchanged.  A peaked token bucket is one such pass over two affine
+    curves. *)
 
 val max_pw : t -> t -> t
+(** Pointwise maximum, as {!min_pw} with the larger value and slope. *)
+
 val nonneg : t -> t
 (** [nonneg f = max_pw f zero], written [\[f\]^+] in the papers. *)
 
@@ -196,11 +216,14 @@ val min_list : t list -> t
 
 val shift_left : t -> float -> t
 (** [shift_left f d] is [fun t -> eval f (t +. d)] for [d >= 0.] — the
-    envelope of traffic that has suffered at most [d] of delay/jitter. *)
+    envelope of traffic that has suffered at most [d] of delay/jitter.
+    The segments left of [d] are dropped, the one containing [d] is cut
+    there, and the rest are written translated into the output array. *)
 
 val shift_right : t -> float -> t
 (** [shift_right f d] is [fun t -> if t < d then 0. else eval f (t -. d)]
-    for [d >= 0.] — e.g. delaying a service curve. *)
+    for [d >= 0.] — e.g. delaying a service curve.  One pass writes a
+    zero segment and the translated segments. *)
 
 val compose : outer:t -> inner:t -> t
 (** [compose ~outer ~inner] is [fun t -> eval outer (eval inner t)].
@@ -238,11 +261,15 @@ val sup_diff : t -> t -> float
 (** [sup_diff f g = sup_{t >= 0} (f t -. g t)], which is [infinity] when
     [final_slope f > final_slope g].  Left limits at jumps are taken into
     account, so the result is a true supremum over the right- and
-    left-continuous versions. *)
+    left-continuous versions.  One two-cursor scan over the merged
+    breakpoints, reading each value and left limit as {!eval} and
+    {!eval_left} would. *)
 
 val sup_on : t -> lo:float -> hi:float -> float
 (** Supremum of [f] on [\[lo, hi\]] ([hi] may be [infinity] only if the
-    final slope is [<= 0.]). *)
+    final slope is [<= 0.]): the values and left limits at [lo], at
+    [hi], and at the breakpoints in between, found by a binary search
+    for [lo] and a scan from there. *)
 
 val first_crossing_below : t -> rate:float -> float
 (** [first_crossing_below f ~rate] is [inf { t > 0 : f t <= rate *. t }]
@@ -256,4 +283,6 @@ val first_crossing_under : t -> below:t -> float
     the busy-period bound of an envelope [f] served according to a
     service curve [g] (generalizes {!first_crossing_below} to
     non-constant-rate service, e.g. the leftover curve of a
-    static-priority class).  [infinity] when [f] stays above [g]. *)
+    static-priority class).  [infinity] when [f] stays above [g].  The
+    candidates are {!min_pw}'s points (merged breakpoints and the
+    crossing inside each interval), from one two-cursor pass. *)

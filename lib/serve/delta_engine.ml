@@ -30,10 +30,11 @@
    Network.add_flow/remove_flow update the index entries of the route's
    servers only, the cone walk and its topological order read the
    successor lists of cone servers, and only the flows at cone servers
-   have their feasibility re-checked.  Two whole-population steps
-   remain, both small next to one server's recompute: the flow list's
-   append/filter inside Network (pointer copying) and the scan of the
-   poison marks (skipped while every server is stable). *)
+   have their feasibility re-checked.  Three whole-population steps
+   remain, all small next to one server's recompute: inside Network,
+   the flow list's append/filter and the copies of the two slot arrays
+   (flows per server and successors), both pointer copying; and the
+   scan of the poison marks (skipped while every server is stable). *)
 
 let c_cone = Metrics.counter "serve.delta.cone_nodes"
 let c_reused = Metrics.counter "serve.delta.reused_nodes"

@@ -1,20 +1,50 @@
 module Int_map = Map.Make (Int)
 
+(* Servers live in an array sorted by id, and each per-server index is
+   an array over the same slots.  [slot] finds a server's slot: at once
+   when ids are dense from 0 (the generators' case), by binary search
+   otherwise.  Updates copy the slot arrays, so a value never changes
+   once built. *)
 type t = {
-  servers : Server.t Int_map.t;
-  size : int;  (* cardinal of [servers], which no update changes *)
+  servers : Server.t array;  (* ascending id *)
   flow_list : Flow.t list;
   flow_map : Flow.t Int_map.t;
-  (* Eager incidence index, built once in [make]: the analyses query
+  (* Flows crossing each server, in flow-list order: the analyses query
      [flows_at] once per server per pass, and the O(flows) list filter
      it used to be dominates everything past a few hundred servers. *)
-  by_server : Flow.t list Int_map.t;
-  (* Routing-DAG adjacency (deduplicated successors, ascending), the
+  flows_by_slot : Flow.t list array;
+  (* Routing-DAG adjacency (deduplicated successor ids, ascending), the
      one-pass replacement for filtering the global edge list. *)
-  succ_map : int list Int_map.t;
+  succ_by_slot : int list array;
 }
 
 exception Cyclic
+
+(* The slot of server [id], or -1 when there is none. *)
+let slot_in (servers : Server.t array) id =
+  let n = Array.length servers in
+  if id >= 0 && id < n && servers.(id).id = id then id
+  else
+    let rec search lo hi =
+      (* the slot, if any, is in [lo, hi) *)
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let m = servers.(mid).id in
+        if m = id then mid
+        else if m < id then search (mid + 1) hi
+        else search lo mid
+    in
+    search 0 n
+
+let slot net id = slot_in net.servers id
+
+(* [visit a b] for each consecutive pair (a, b) of a route. *)
+let rec iter_hops visit = function
+  | a :: (b :: _ as rest) ->
+      visit a b;
+      iter_hops visit rest
+  | _ -> ()
 
 (* The checks a flow passes on its way into a network, shared by the
    bulk constructor and [add_flow] so the two paths cannot drift.  The
@@ -23,7 +53,7 @@ exception Cyclic
 let check_flow servers flow_map (f : Flow.t) =
   List.iter
     (fun sid ->
-      if not (Int_map.mem sid servers) then
+      if slot_in servers sid < 0 then
         invalid_arg
           (Printf.sprintf "Network.make: flow %s routes via unknown server %d"
              f.name sid))
@@ -31,62 +61,50 @@ let check_flow servers flow_map (f : Flow.t) =
   if Int_map.mem f.id flow_map then
     invalid_arg (Printf.sprintf "Network.make: duplicate flow id %d" f.id)
 
-let make ~servers ~flows =
-  let server_map =
-    List.fold_left
-      (fun acc (s : Server.t) ->
-        if Int_map.mem s.id acc then
-          invalid_arg
-            (Printf.sprintf "Network.make: duplicate server id %d" s.id)
-        else Int_map.add s.id s acc)
-      Int_map.empty servers
-  in
-  let size = Int_map.cardinal server_map in
+(* Every index in one pass over all routes, on servers already sorted
+   and checked. *)
+let build servers flows =
   let flow_map =
     List.fold_left
       (fun acc (f : Flow.t) ->
-        check_flow server_map acc f;
+        check_flow servers acc f;
         Int_map.add f.id f acc)
       Int_map.empty flows
   in
-  (* One pass over all routes builds both indices.  Accumulate reversed
-     (cons is O(1)), then flip so [flows_at] preserves [flow_list]
-     order and successors come out ascending and deduplicated. *)
-  let by_server_rev = Hashtbl.create (max 16 size) in
-  let succ_sets = Hashtbl.create (max 16 size) in
+  let n = Array.length servers in
+  let flows_by_slot = Array.make n [] and succ_by_slot = Array.make n [] in
+  (* Cons while walking the flows backwards, so each server's flows come
+     out in flow-list order. *)
   List.iter
     (fun (f : Flow.t) ->
       List.iter
         (fun sid ->
-          let cur = try Hashtbl.find by_server_rev sid with Not_found -> [] in
-          Hashtbl.replace by_server_rev sid (f :: cur))
+          let s = slot_in servers sid in
+          flows_by_slot.(s) <- f :: flows_by_slot.(s))
         f.route;
-      List.iter
-        (fun (a, b) ->
-          let cur = try Hashtbl.find succ_sets a with Not_found -> [] in
-          Hashtbl.replace succ_sets a (b :: cur))
-        (Flow.hop_pairs f))
-    flows;
-  let by_server =
-    Hashtbl.fold
-      (fun sid fs acc -> Int_map.add sid (List.rev fs) acc)
-      by_server_rev Int_map.empty
-  in
-  let succ_map =
-    Hashtbl.fold
-      (fun sid ss acc -> Int_map.add sid (List.sort_uniq compare ss) acc)
-      succ_sets Int_map.empty
-  in
-  { servers = server_map; size; flow_list = flows; flow_map; by_server;
-    succ_map }
+      iter_hops
+        (fun a b ->
+          let s = slot_in servers a in
+          succ_by_slot.(s) <- b :: succ_by_slot.(s))
+        f.route)
+    (List.rev flows);
+  Array.iteri
+    (fun s succs ->
+      if succs <> [] then succ_by_slot.(s) <- List.sort_uniq Int.compare succs)
+    succ_by_slot;
+  { servers; flow_list = flows; flow_map; flows_by_slot; succ_by_slot }
 
-(* [make] never stores an empty list, so an update that empties one
-   drops its key instead. *)
-let set_list key = function
-  | [] -> Int_map.remove key
-  | l -> Int_map.add key l
-
-let find_list key m = Option.value ~default:[] (Int_map.find_opt key m)
+let make ~servers ~flows =
+  let servers = Array.of_list servers in
+  Array.stable_sort
+    (fun (a : Server.t) (b : Server.t) -> Int.compare a.id b.id)
+    servers;
+  for s = 1 to Array.length servers - 1 do
+    if servers.(s).id = servers.(s - 1).id then
+      invalid_arg
+        (Printf.sprintf "Network.make: duplicate server id %d" servers.(s).id)
+  done;
+  build servers flows
 
 let rec insert_sorted (x : int) = function
   | y :: rest when y < x -> y :: insert_sorted x rest
@@ -95,22 +113,24 @@ let rec insert_sorted (x : int) = function
 
 let add_flow net (f : Flow.t) =
   check_flow net.servers net.flow_map f;
-  let by_server =
-    List.fold_left
-      (fun m sid -> Int_map.add sid (find_list sid m @ [ f ]) m)
-      net.by_server f.route
-  in
-  let succ_map =
-    List.fold_left
-      (fun m (a, b) -> Int_map.add a (insert_sorted b (find_list a m)) m)
-      net.succ_map (Flow.hop_pairs f)
-  in
+  let flows_by_slot = Array.copy net.flows_by_slot in
+  List.iter
+    (fun sid ->
+      let s = slot net sid in
+      flows_by_slot.(s) <- flows_by_slot.(s) @ [ f ])
+    f.route;
+  let succ_by_slot = Array.copy net.succ_by_slot in
+  iter_hops
+    (fun a b ->
+      let s = slot net a in
+      succ_by_slot.(s) <- insert_sorted b succ_by_slot.(s))
+    f.route;
   {
     net with
     flow_list = net.flow_list @ [ f ];
     flow_map = Int_map.add f.id f net.flow_map;
-    by_server;
-    succ_map;
+    flows_by_slot;
+    succ_by_slot;
   }
 
 let remove_flow net id =
@@ -119,39 +139,39 @@ let remove_flow net id =
       invalid_arg (Printf.sprintf "Network.remove_flow: unknown flow id %d" id)
   | Some f ->
       let other (g : Flow.t) = g.id <> id in
-      let by_server =
-        List.fold_left
-          (fun m sid -> set_list sid (List.filter other (find_list sid m)) m)
-          net.by_server f.route
-      in
+      let flows_by_slot = Array.copy net.flows_by_slot in
+      List.iter
+        (fun sid ->
+          let s = slot net sid in
+          flows_by_slot.(s) <- List.filter other flows_by_slot.(s))
+        f.route;
       (* Every flow using edge (a, b) crosses a, so the edge survives
          iff a remaining flow at a continues to b. *)
-      let succ_map =
-        List.fold_left
-          (fun m (a, b) ->
-            if
-              List.exists
-                (fun g -> Flow.next_hop g a = Some b)
-                (find_list a by_server)
-            then m
-            else set_list a (List.filter (( <> ) b) (find_list a m)) m)
-          net.succ_map (Flow.hop_pairs f)
-      in
+      let succ_by_slot = Array.copy net.succ_by_slot in
+      iter_hops
+        (fun a b ->
+          let s = slot net a in
+          let continues (g : Flow.t) =
+            match Flow.next_hop g a with Some c -> c = b | None -> false
+          in
+          if not (List.exists continues flows_by_slot.(s)) then
+            succ_by_slot.(s) <- List.filter (fun c -> c <> b) succ_by_slot.(s))
+        f.route;
       {
         net with
         flow_list = List.filter other net.flow_list;
         flow_map = Int_map.remove id net.flow_map;
-        by_server;
-        succ_map;
+        flows_by_slot;
+        succ_by_slot;
       }
 
 let server net id =
-  match Int_map.find_opt id net.servers with
-  | Some s -> s
-  | None ->
-      invalid_arg (Printf.sprintf "Network.server: unknown server id %d" id)
+  let s = slot net id in
+  if s < 0 then
+    invalid_arg (Printf.sprintf "Network.server: unknown server id %d" id)
+  else net.servers.(s)
 
-let servers net = List.map snd (Int_map.bindings net.servers)
+let servers net = Array.to_list net.servers
 let flows net = net.flow_list
 
 let flow_opt net id = Int_map.find_opt id net.flow_map
@@ -161,70 +181,86 @@ let flow net id =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Network.flow: unknown flow id %d" id)
 
-let size net = net.size
+let size net = Array.length net.servers
 
-let flows_at net sid = find_list sid net.by_server
-let successors net sid = find_list sid net.succ_map
+let flows_at net sid =
+  let s = slot net sid in
+  if s < 0 then [] else net.flows_by_slot.(s)
+
+let successors net sid =
+  let s = slot net sid in
+  if s < 0 then [] else net.succ_by_slot.(s)
 
 let edges net =
-  (* succ_map iterates in ascending source order with ascending
-     successor lists, so this is already the lexicographically sorted,
-     deduplicated edge list the old sort_uniq produced. *)
-  Int_map.fold
-    (fun src succs acc ->
-      List.fold_left (fun acc dst -> (src, dst) :: acc) acc succs)
-    net.succ_map []
-  |> List.rev
+  (* Slots run in ascending id order with ascending successor lists, so
+     this is the lexicographically sorted, deduplicated edge list. *)
+  let acc = ref [] in
+  for s = Array.length net.servers - 1 downto 0 do
+    let src = net.servers.(s).id in
+    acc := List.fold_right (fun dst acc -> (src, dst) :: acc) net.succ_by_slot.(s) !acc
+  done;
+  !acc
 
 let total_hop_count net =
   List.fold_left
     (fun acc (f : Flow.t) -> acc + List.length f.route)
     0 net.flow_list
 
-(* Kahn's algorithm over the server set [ids], where edges from
-   outside the set do not count: the set's sources in ascending order,
-   and [release], which takes a server out and prepends to [acc] the
+(* Kahn's algorithm over the distinct servers [ids], where [pos id] is
+   an id's index in [ids], or -1 outside the set: edges from outside do
+   not count.  Returns the set's sources in ascending order, and
+   [release], which takes a server out and prepends to [acc] the
    successors it leaves with no remaining predecessor in the set. *)
-let kahn_start net ids =
-  let indegree = Hashtbl.create (max 16 (List.length ids)) in
-  List.iter (fun id -> Hashtbl.replace indegree id 0) ids;
-  List.iter
+let kahn_start net ids pos =
+  let indegree = Array.make (Array.length ids) 0 in
+  Array.iter
     (fun id ->
       List.iter
         (fun b ->
-          match Hashtbl.find_opt indegree b with
-          | Some d -> Hashtbl.replace indegree b (d + 1)
-          | None -> ())
+          let p = pos b in
+          if p >= 0 then indegree.(p) <- indegree.(p) + 1)
         (successors net id))
     ids;
   let release acc id =
     List.fold_left
       (fun acc b ->
-        match Hashtbl.find_opt indegree b with
-        | Some d ->
-            Hashtbl.replace indegree b (d - 1);
-            if d = 1 then b :: acc else acc
-        | None -> acc)
+        let p = pos b in
+        if p < 0 then acc
+        else begin
+          indegree.(p) <- indegree.(p) - 1;
+          if indegree.(p) = 0 then b :: acc else acc
+        end)
       acc (successors net id)
   in
-  let ready =
-    List.filter (fun id -> Hashtbl.find indegree id = 0) ids
-    |> List.sort compare
-  in
-  (ready, release)
+  let ready = ref [] in
+  for i = Array.length ids - 1 downto 0 do
+    if indegree.(i) = 0 then ready := ids.(i) :: !ready
+  done;
+  (List.sort Int.compare !ready, release)
 
-let server_ids net = Int_map.fold (fun id _ acc -> id :: acc) net.servers []
+let server_ids net = Array.map (fun (s : Server.t) -> s.id) net.servers
 
 let topological_order ?servers net =
-  let ids = match servers with Some ids -> ids | None -> server_ids net in
-  let ready, release = kahn_start net ids in
+  let ids, pos =
+    match servers with
+    | None -> (server_ids net, slot net)
+    | Some ids ->
+        (* only the listed servers are visited, so an online engine pays
+           for its cone and not for the network *)
+        let index = Hashtbl.create (max 16 (List.length ids)) in
+        List.iteri (fun i id -> Hashtbl.replace index id i) ids;
+        ( Array.of_list ids,
+          fun id -> Option.value ~default:(-1) (Hashtbl.find_opt index id) )
+  in
+  let ready, release = kahn_start net ids pos in
   let rec kahn order = function
     | [] -> List.rev order
     | id :: rest ->
-        kahn (id :: order) (List.sort compare (release [] id) @ rest)
+        kahn (id :: order) (List.sort Int.compare (release [] id) @ rest)
   in
   let order = kahn [] ready in
-  if List.compare_lengths order ids <> 0 then raise Cyclic else order
+  if List.compare_length_with order (Array.length ids) <> 0 then raise Cyclic
+  else order
 
 let levels net =
   (* Longest-path layering: level 0 is the sources, and every edge goes
@@ -232,14 +268,14 @@ let levels net =
      level is an antichain of the routing DAG.  A node becomes ready in
      the Kahn wave after its last predecessor's, so the waves are
      exactly the longest-path levels; one pass, O(V + E). *)
-  let ready, release = kahn_start net (server_ids net) in
+  let ready, release = kahn_start net (server_ids net) (slot net) in
   let count = ref 0 in
   let rec walk acc = function
     | [] -> List.rev acc
     | frontier ->
         count := !count + List.length frontier;
         walk (frontier :: acc)
-          (List.fold_left release [] frontier |> List.sort compare)
+          (List.fold_left release [] frontier |> List.sort Int.compare)
   in
   let ls = walk [] ready in
   if !count <> size net then raise Cyclic else ls
@@ -258,29 +294,29 @@ let utilization net sid =
   input_rate /. s.rate
 
 let max_utilization net =
-  Int_map.fold
-    (fun id _ acc -> Float.max acc (utilization net id))
-    net.servers 0.
+  Array.fold_left
+    (fun acc (s : Server.t) -> Float.max acc (utilization net s.id))
+    0. net.servers
 
 let stable net =
   let open Float_ops in
   max_utilization net <~ 1.
 
-let with_flows net flows = make ~servers:(servers net) ~flows
+let with_flows net flows = build net.servers flows
 
 let restrict net ~flow_ids =
   let keep =
     List.filter_map
       (fun id -> Int_map.find_opt id net.flow_map)
-      (List.sort_uniq compare flow_ids)
+      (List.sort_uniq Int.compare flow_ids)
   in
-  let wanted = Hashtbl.create 64 in
+  let wanted = Array.make (size net) false in
   List.iter
     (fun (f : Flow.t) ->
-      List.iter (fun sid -> Hashtbl.replace wanted sid ()) f.route)
+      List.iter (fun sid -> wanted.(slot net sid) <- true) f.route)
     keep;
   let sub_servers =
-    List.filter (fun (s : Server.t) -> Hashtbl.mem wanted s.id) (servers net)
+    List.filter (fun (s : Server.t) -> wanted.(slot net s.id)) (servers net)
   in
   make ~servers:sub_servers ~flows:keep
 

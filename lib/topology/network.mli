@@ -3,7 +3,13 @@
     The analyses in this library require {e feedforward} routing: the
     directed graph whose edges are the consecutive server pairs of all
     routes must be acyclic (the paper, Sec. 5, explicitly restricts the
-    integrated method to cycle-free configurations). *)
+    integrated method to cycle-free configurations).
+
+    Servers are held in an array sorted by id, and every per-server
+    index ({!flows_at}, {!successors}) is an array over the same
+    positions.  A lookup by id finds the position at once when the ids
+    are dense from 0, as every generator makes them, and by binary
+    search otherwise. *)
 
 type t
 
@@ -25,10 +31,12 @@ val add_flow : t -> Flow.t -> t
 
     Cost: only the index entries of [f]'s route servers change, in
     O(r * (k + log servers)) for a route of r servers carrying at most
-    k flows each, plus an O(flows) pointer copy of the flow list.  No
-    other server or edge is visited, which is what lets an online
-    admission engine pay for the affected cone rather than the whole
-    network.
+    k flows each.  Beside that, a write copies pointers: the flow
+    list's O(flows) append, and the two slot arrays of {!flows_at} and
+    {!successors}, O(servers), so that [net] keeps reading as before.
+    No other server's entry or edge is read, which is what lets an
+    online admission engine pay for the affected cone rather than
+    re-analyze the whole network.
     @raise Invalid_argument before building anything, with the message
     {!make} gives, on a duplicate flow id or a route through an
     unknown server. *)
@@ -39,13 +47,15 @@ val remove_flow : t -> int -> t
     [(a, b)] of its route goes only when no remaining flow at [a]
     continues to [b]; index entries the removal empties go too.
 
-    Cost: as {!add_flow}, except that the edge check walks the routes
-    of the flows at each route server (O(r * k * l) for routes of at
-    most l servers), and the flow list is filtered.
+    Cost: as {!add_flow}, with the same two slot-array copies, except
+    that the edge check walks the routes of the flows at each route
+    server (O(r * k * l) for routes of at most l servers), and the flow
+    list is filtered.
     @raise Invalid_argument for an unknown id. *)
 
 val server : t -> int -> Server.t
-(** @raise Invalid_argument for an unknown id (a descriptive error
+(** O(1) for dense ids, O(log servers) otherwise.
+    @raise Invalid_argument for an unknown id (a descriptive error
     rather than an ambient [Not_found], so a bad id surfaces with
     context even when the lookup happens on a [Par] worker). *)
 
@@ -65,17 +75,19 @@ val size : t -> int
 (** Number of servers; O(1). *)
 
 val flows_at : t -> int -> Flow.t list
-(** All flows whose route contains the server, in flow-list order.
-    Served from an index built once in {!make}, so it is O(1) — the
-    analyses call it once per server per pass, and a list filter here
-    used to dominate everything past a few hundred servers. *)
+(** All flows whose route contains the server, in flow-list order;
+    [\[\]] for an unknown id.  Served from a slot-indexed array built in
+    {!make}, so it costs one lookup — the analyses call it once per
+    server per pass, and a list filter here used to dominate
+    everything past a few hundred servers. *)
 
 val edges : t -> (int * int) list
 (** Deduplicated consecutive route pairs, the routing DAG,
     lexicographically sorted. *)
 
 val successors : t -> int -> int list
-(** Deduplicated routing-DAG successors of a server, ascending. *)
+(** Deduplicated routing-DAG successors of a server, ascending; [\[\]]
+    for an unknown id. *)
 
 val total_hop_count : t -> int
 (** Sum of route lengths over all flows — the number of
@@ -86,7 +98,8 @@ val topological_order : ?servers:int list -> t -> int list
     broken by ascending id.  With [servers] (distinct ids), only those
     servers, ordered by the edges among them: an online engine orders
     the downstream cone of a change this way, reading only the
-    successor lists of the cone's servers.
+    successor lists of the cone's servers and allocating in proportion
+    to the cone.
     @raise Cyclic when the routing graph (or the sub-graph) has a
     cycle. *)
 
@@ -96,7 +109,9 @@ val levels : t -> int list list
     a strictly lower level to a strictly higher one, so no two servers
     of a level depend on each other — the unit of parallel sharding in
     the streaming propagation engine.  Levels are the longest-path
-    layering; each level is sorted ascending.  O(V + E).
+    layering; each level is sorted ascending.  Kahn's algorithm on an
+    indegree array indexed like the servers: O(V + E) plus the sorts of
+    the levels.
     @raise Cyclic when the routing graph is not feedforward. *)
 
 val widest_antichain : t -> int

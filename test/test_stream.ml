@@ -149,6 +149,31 @@ let test_frontier_metrics () =
   check_bool "evicted counter > 0" true (evicted > 0);
   check_bool "peak gauge > 0" true (peak > 0)
 
+(* Allocation per constructed segment, as a count rather than a time:
+   minor words over [pwl.segments.total] for one pass over the
+   2000-server heavytail corpus net.  The list-based kernel and the
+   [Int_map]/polymorphic-[Hashtbl] data layer read 182.7 here; the array
+   scans and slot-indexed tables read about 130 on OCaml 5.1, and the
+   bound leaves room for compiler and runtime drift.  [~jobs:1]: on
+   OCaml 5 [Gc.minor_words] counts only the calling domain. *)
+let test_stream_words_per_segment () =
+  let net =
+    Corpus.generate ~family:Corpus.Heavytail ~target_servers:2000 ~seed:1
+  in
+  let segments = Metrics.counter "pwl.segments.total" in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let s0 = Metrics.value segments and w0 = Gc.minor_words () in
+  ignore (Propagation_stream.analyze ~jobs:1 net);
+  let words = Gc.minor_words () -. w0 in
+  let segs = Metrics.value segments - s0 in
+  let per_segment = words /. float_of_int segs in
+  check_bool
+    (Printf.sprintf "%.0f minor words over %d segments: %.1f per segment < 160"
+       words segs per_segment)
+    true
+    (segs > 10_000 && per_segment < 160.)
+
 (* --- antichain levels --------------------------------------------- *)
 
 let test_levels () =
@@ -312,6 +337,7 @@ let suite =
       test "jobs 1 = jobs 4 at 10^4 servers" test_jobs_determinism;
       test "frontier bounded on a deep tandem" test_frontier_bounded;
       test "frontier metrics published" test_frontier_metrics;
+      test "minor words per constructed segment" test_stream_words_per_segment;
       test "antichain levels" test_levels;
       test "levels reject cycles" test_levels_cyclic;
       test "restrict induced sub-network" test_restrict;

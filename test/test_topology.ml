@@ -100,6 +100,63 @@ let test_lookup_errors () =
   | Some f -> Alcotest.(check int) "flow_opt: present" 0 f.Flow.id
   | None -> Alcotest.fail "flow_opt lost an existing flow"
 
+(* Servers sit in slots sorted by id, found by an identity check and
+   then a binary search.  Sparse ids given out of order take the search
+   path for every lookup; every accessor must still read by id. *)
+let test_sparse_slots () =
+  let server id = Server.make ~id ~rate:1. () in
+  let net =
+    Network.make
+      ~servers:(List.map server [ 40; 3; 11; 10 ])
+      ~flows:[ flow 0 [ 3; 11; 40 ]; flow 1 [ 10; 40 ]; flow 2 [ 10; 11 ] ]
+  in
+  let open Alcotest in
+  let ids = List.map (fun (s : Server.t) -> s.id) in
+  let at net sid = List.map (fun (f : Flow.t) -> f.id) (Network.flows_at net sid) in
+  check (list int) "servers ascending" [ 3; 10; 11; 40 ] (ids (Network.servers net));
+  check (list (list int)) "flows_at"
+    [ [ 0 ]; [ 1; 2 ]; [ 0; 2 ]; [ 0; 1 ] ]
+    (List.map (at net) [ 3; 10; 11; 40 ]);
+  check (list (list int)) "successors"
+    [ [ 11 ]; [ 11; 40 ]; [ 40 ]; [] ]
+    (List.map (Network.successors net) [ 3; 10; 11; 40 ]);
+  check (list (pair int int)) "edges"
+    [ (3, 11); (10, 11); (10, 40); (11, 40) ]
+    (Network.edges net);
+  check (list (list int)) "levels" [ [ 3; 10 ]; [ 11 ]; [ 40 ] ] (Network.levels net);
+  check (list int) "topological order" [ 3; 10; 11; 40 ] (Network.topological_order net);
+  check (list int) "topological order of a subset" [ 10; 11; 40 ]
+    (Network.topological_order ~servers:[ 40; 11; 10 ] net);
+  check int "server 11" 11 (Network.server net 11).id;
+  List.iter
+    (fun id ->
+      (match Network.server net id with
+      | _ -> failf "server %d: expected Invalid_argument" id
+      | exception Invalid_argument _ -> ());
+      check (list int) (Printf.sprintf "flows_at %d" id) [] (at net id);
+      check (list int) (Printf.sprintf "successors %d" id) [] (Network.successors net id))
+    [ -1; 0; 1; 2; 4; 5; 12; 39; 41; 2000 ];
+  (* Updates copy the slot arrays: the value they were applied to reads
+     as before. *)
+  let added = Network.add_flow net (flow 3 [ 3; 10 ]) in
+  let removed = Network.remove_flow added 2 in
+  check (list int) "add_flow: old flows_at 10" [ 1; 2 ] (at net 10);
+  check (list int) "add_flow: old successors 3" [ 11 ] (Network.successors net 3);
+  check (list (list int)) "add_flow: old levels" [ [ 3; 10 ]; [ 11 ]; [ 40 ] ] (Network.levels net);
+  check (list int) "add_flow: new flows_at 10" [ 1; 2; 3 ] (at added 10);
+  check (list int) "add_flow: new successors 3" [ 10; 11 ] (Network.successors added 3);
+  check (list (list int)) "add_flow: new levels"
+    [ [ 3 ]; [ 10 ]; [ 11 ]; [ 40 ] ]
+    (Network.levels added);
+  check (list int) "remove_flow: old flows_at 10" [ 1; 2; 3 ] (at added 10);
+  check (list int) "remove_flow: old successors 10" [ 11; 40 ] (Network.successors added 10);
+  check (list int) "remove_flow: new flows_at 10" [ 1; 3 ] (at removed 10);
+  check (list int) "remove_flow: new flows_at 11" [ 0 ] (at removed 11);
+  check (list int) "remove_flow: new successors 10" [ 40 ] (Network.successors removed 10);
+  check (list (pair int int)) "remove_flow: new edges"
+    [ (3, 10); (3, 11); (10, 40); (11, 40) ]
+    (Network.edges removed)
+
 (* ------------------------------------------------------------------ *)
 (* Persistent updates: add_flow / remove_flow = the bulk constructor  *)
 (* ------------------------------------------------------------------ *)
@@ -340,6 +397,7 @@ let suite =
       test "cycle detection" test_network_cycle;
       test "network validation" test_network_validation;
       test "lookup errors are descriptive" test_lookup_errors;
+      test "sparse ids out of order: slot lookups" test_sparse_slots;
       test "add_flow/remove_flow = make (edge-cloud walk)"
         test_updates_match_rebuild;
       test "remove_flow drops only unused edges" test_remove_flow_edges;

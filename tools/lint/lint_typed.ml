@@ -763,12 +763,8 @@ and record_par_site sc ~ua ~binding_waivers ~callee ~loc args =
           (fun id () -> Hashtbl.replace locals id ())
           (bound_idents_of_expr w);
         walk wsc ~ua ~binding_waivers w;
-        (* pull in local helpers the worker calls *)
-        List.iter
-          (fun c ->
-            ignore c;
-            ())
-          [];
+        (* queue each local function the worker mentions, so its body
+           is walked as part of the worker too *)
         Hashtbl.iter
           (fun id body ->
             if
