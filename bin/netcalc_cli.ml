@@ -187,6 +187,19 @@ let random_cmd =
   ("random", "Analyze a random feedforward network",
    Term.(const run $ seed_arg $ flows_arg $ layers_arg $ util_arg $ link_cap_arg))
 
+(* A method refused the network (Integrated on a GPS server, say).  The
+   library's reason already names the method; print it once. *)
+let not_applicable oc method_ reason =
+  let name = Engine.method_name method_ in
+  let prefix = name ^ ": " in
+  let reason =
+    if String.starts_with ~prefix reason then
+      let k = String.length prefix in
+      String.sub reason k (String.length reason - k)
+    else reason
+  in
+  Printf.fprintf oc "%s: not applicable: %s\n" name reason
+
 let analyze_cmd =
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -212,17 +225,7 @@ let analyze_cmd =
       | integ -> Ok integ
       | exception Invalid_argument reason -> Error reason
     in
-    let not_applicable reason =
-      (* The library's reason already names the method. *)
-      let prefix = "Integrated: " in
-      let reason =
-        if String.starts_with ~prefix reason then
-          let k = String.length prefix in
-          String.sub reason k (String.length reason - k)
-        else reason
-      in
-      Printf.printf "Integrated: not applicable: %s\n" reason
-    in
+    let not_applicable = not_applicable stdout Engine.Integrated in
     if report && Network.is_feedforward net then begin
       print_string (Report.decomposed (Decomposed.analyze ~options net));
       print_newline ();
@@ -545,11 +548,18 @@ let admit_cmd =
     let all = Network.flows net in
     let base = List.filter (fun (f : Flow.t) -> f.deadline = None) all in
     let candidates = List.filter (fun (f : Flow.t) -> f.deadline <> None) all in
-    let outcome = Admission.run ~options ~servers ~base ~candidates ~method_ () in
-    let admitted =
-      Engine.analyze ~options
-        (Network.make ~servers ~flows:(base @ outcome.admitted))
-        method_
+    let outcome, admitted =
+      try
+        let outcome =
+          Admission.run ~options ~servers ~base ~candidates ~method_ ()
+        in
+        ( outcome,
+          Engine.analyze ~options
+            (Network.make ~servers ~flows:(base @ outcome.admitted))
+            method_ )
+      with Invalid_argument reason ->
+        not_applicable stderr method_ reason;
+        exit 1
     in
     let rejected_reason (c : Flow.t) =
       List.find_opt (fun ((f : Flow.t), _) -> f.id = c.id) outcome.rejections

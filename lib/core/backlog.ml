@@ -34,7 +34,7 @@ let per_flow ~options net envs ~server:sid ~flows ~targets ~local_delay =
           let own = of_class (fun p -> p = f.priority) in
           let beta =
             Static_priority.class_service ~rate ~higher
-              ~blocking:options.Options.sp_blocking ()
+              ~blocking:options.Options.sp_blocking
           in
           ( f,
             Float.min b_agg

@@ -17,6 +17,7 @@ let analyze ?(options = Options.default) net =
     (fun () -> analyze_raw ~options net)
 
 let network = Forward.network
+let options = Forward.options
 let local_delay = Forward.local_delay
 let flow_delay = Forward.flow_delay
 let all_flow_delays = Forward.all_flow_delays

@@ -30,6 +30,10 @@ val analyze : ?options:Options.t -> Network.t -> t
 
 val network : t -> Network.t
 
+val options : t -> Options.t
+(** The options the propagation ran with (Algorithm Service Curve
+    reads its [sp_blocking]). *)
+
 val flow_delay : t -> int -> float
 (** End-to-end delay bound of a flow (by id). *)
 

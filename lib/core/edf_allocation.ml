@@ -28,9 +28,14 @@ let env_opt envs ~flow ~server =
 
 let equal_share f = deadline f /. float_of_int (List.length f.route)
 
+(* Allocation/propagation rounds, and the bisection tolerance of each
+   minimal local deadline. *)
+let max_iter = 50
+let tol = 1e-6
+
 (* Minimal local deadline for one flow at one server, holding the other
    flows' assignments fixed (feasibility is monotone in the deadline). *)
-let minimal_local ~tol ~rate ~own_env ~others =
+let minimal_local ~rate ~own_env ~others =
   let feasible d = Edf.feasible ~rate ((own_env, d) :: others) in
   let rec widen hi =
     if feasible hi then hi else if hi > 1e6 then infinity else widen (2. *. hi)
@@ -93,20 +98,25 @@ let verify net order locals =
     order;
   verified
 
-let all_ok net verified locals =
-  List.for_all
-    (fun (f : Flow.t) ->
-      let bound =
-        List.fold_left
-          (fun acc sid -> acc +. Hashtbl.find locals (f.id, sid))
-          0. f.route
-      in
-      Float.is_finite bound
-      && bound <= deadline f +. Float_ops.eps
-      && List.for_all (fun sid -> Hashtbl.find verified sid) f.route)
-    (Network.flows net)
+let local_deadline t ~flow ~server = Hashtbl.find t.locals (flow, server)
 
-let allocate ?(max_iter = 50) ?(tol = 1e-6) net =
+let flow_bound t id =
+  let f = Network.flow t.net id in
+  List.fold_left
+    (fun acc sid -> acc +. local_deadline t ~flow:id ~server:sid)
+    0. f.route
+
+let flow_feasible t id =
+  let f = Network.flow t.net id in
+  let bound = flow_bound t id in
+  Float.is_finite bound
+  && bound <= deadline f +. Float_ops.eps
+  && List.for_all (fun sid -> Hashtbl.find t.verified sid) f.route
+
+let all_feasible t =
+  List.for_all (fun (f : Flow.t) -> flow_feasible t f.id) (Network.flows t.net)
+
+let allocate net =
   require_edf net;
   let order = Network.topological_order net in
   let flows = Network.flows net in
@@ -148,7 +158,7 @@ let allocate ?(max_iter = 50) ?(tol = 1e-6) net =
                     present
                 in
                 Hashtbl.replace minimal (f.id, sid)
-                  (minimal_local ~tol ~rate ~own_env ~others))
+                  (minimal_local ~rate ~own_env ~others))
           present)
       order;
     List.iter
@@ -176,34 +186,14 @@ let allocate ?(max_iter = 50) ?(tol = 1e-6) net =
             f.route)
       flows
   done;
-  let verified = verify net order locals in
-  if all_ok net verified locals then { net; locals; verified }
+  let adaptive = { net; locals; verified = verify net order locals } in
+  if all_feasible adaptive then adaptive
   else begin
     (* Never worse than the naive policy: keep the equal split when it
        verifies and the adaptive allocation does not. *)
-    let everified = verify net order equal in
-    if all_ok net everified equal then
-      { net; locals = equal; verified = everified }
-    else { net; locals; verified }
+    let split = { net; locals = equal; verified = verify net order equal } in
+    if all_feasible split then split else adaptive
   end
-
-let local_deadline t ~flow ~server = Hashtbl.find t.locals (flow, server)
-
-let flow_bound t id =
-  let f = Network.flow t.net id in
-  List.fold_left
-    (fun acc sid -> acc +. local_deadline t ~flow:id ~server:sid)
-    0. f.route
-
-let flow_feasible t id =
-  let f = Network.flow t.net id in
-  let bound = flow_bound t id in
-  Float.is_finite bound
-  && bound <= deadline f +. Float_ops.eps
-  && List.for_all (fun sid -> Hashtbl.find t.verified sid) f.route
-
-let all_feasible t =
-  List.for_all (fun (f : Flow.t) -> flow_feasible t f.id) (Network.flows t.net)
 
 let equal_split_feasible net id =
   let f = Network.flow net id in

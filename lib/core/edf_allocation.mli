@@ -20,9 +20,9 @@
 
 type t
 
-val allocate : ?max_iter:int -> ?tol:float -> Network.t -> t
-(** Iterate allocation/propagation ([max_iter] default 50 rounds,
-    bisection tolerance [tol] default 1e-6).
+val allocate : Network.t -> t
+(** Iterate allocation/propagation (50 rounds, bisection tolerance
+    1e-6).
     @raise Network.Cyclic on non-feedforward routing.
     @raise Invalid_argument on a non-EDF server or a deadline-less
     flow. *)

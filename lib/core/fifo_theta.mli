@@ -9,12 +9,15 @@
     cross traffic the choice [theta = sigma_c / C] gives the strictly
     better rate-latency curve [beta_{C - rho_c, sigma_c / C}].
 
-    This method composes one family member per hop and tunes the
-    [theta] vector by per-hop candidate enumeration plus coordinate
-    descent on the end-to-end horizontal deviation.  Cross-traffic
-    envelopes come from a {!Decomposed} propagation, as in
-    {!Service_curve_method} — so the comparison against that method
-    isolates exactly the value of the [theta] degree of freedom. *)
+    This method composes one family member per FIFO hop and tunes the
+    [theta] vector by per-hop candidate enumeration plus two passes of
+    coordinate descent on the end-to-end horizontal deviation.  The
+    family holds only at FIFO servers: every other hop (static
+    priority, EDF, GPS) keeps {!Service_curve_method.hop_service_curve}
+    and has no [theta].  Cross-traffic envelopes come from a
+    {!Decomposed} propagation, as in {!Service_curve_method} — so the
+    comparison against that method isolates exactly the value of the
+    [theta] degree of freedom. *)
 
 type t
 
@@ -22,13 +25,14 @@ val analyze : Decomposed.t -> t
 (** The method on top of a decomposed propagation of the network,
     which supplies the cross-traffic envelopes. *)
 
-val flow_delay : ?sweeps:int -> t -> int -> float
-(** Delay bound for a flow after tuning thetas ([sweeps] coordinate-
-    descent passes, default 2).  Never worse than the theta = 0
-    (Algorithm Service Curve) bound, because theta = 0 is always among
-    the candidates.  [infinity] when a hop is saturated. *)
+val flow_delay : t -> int -> float
+(** Delay bound for a flow after tuning thetas.  Never worse than the
+    Algorithm Service Curve bound, because theta = 0 at every FIFO hop
+    is always among the candidates.  [infinity] when a hop is
+    saturated. *)
 
-val all_flow_delays : ?sweeps:int -> t -> (int * float) list
+val all_flow_delays : t -> (int * float) list
 
-val thetas : ?sweeps:int -> t -> flow:int -> float list
-(** The tuned per-hop theta vector (for inspection/tests). *)
+val thetas : t -> flow:int -> float list
+(** The tuned per-hop theta vector (for inspection/tests); [0.] at a
+    non-FIFO hop. *)

@@ -1,12 +1,10 @@
-type t = {
-  net : Network.t;
-  locals : (int * int, float) Hashtbl.t; (* (flow, server) -> local bound *)
-  converged : bool;
-  iterations : int;
-}
+type t = { pass : Forward.t; converged : bool; iterations : int }
 
 let converged t = t.converged
 let iterations t = t.iterations
+
+(* The iteration stops once no envelope moves by more than this. *)
+let tol = 1e-9
 
 (* Distance between two envelopes (sup norm); the envelopes share the
    same long-run rate, so this is finite whenever both are. *)
@@ -16,107 +14,62 @@ let distance a b =
 let c_runs = Metrics.counter "fixed_point.runs"
 let c_iterations = Metrics.counter "fixed_point.iterations"
 
-let analyze ?(options = Options.default) ?(max_iter = 200) ?(tol = 1e-9) net =
+let analyze ?(options = Options.default) ?(max_iter = 200) net =
   Prof.count c_runs;
   Prof.span "fixed_point.analyze" @@ fun () ->
   let flows = Network.flows net in
-  let servers = Network.servers net in
-  let locals = Hashtbl.create 64 in
+  let sids = List.map (fun (s : Server.t) -> s.id) (Network.servers net) in
   (* Optimistic seed: every flow carries its source envelope at every
      hop.  The iteration operator is monotone, so the iterates only
      grow from here. *)
-  let seed () =
-    let table = Propagation.create net in
+  let seeded () =
+    let envs = Propagation.empty () in
     List.iter
       (fun (f : Flow.t) ->
         List.iter
           (fun sid ->
-            Propagation.set table ~flow:f.id ~server:sid (Flow.source_curve f))
+            Propagation.set envs ~flow:f.id ~server:sid (Flow.source_curve f))
           f.route)
       flows;
-    table
+    Forward.create ~options net envs
   in
-  let envs = ref (seed ()) in
-  let rec iterate round =
-    if round >= max_iter then (false, round)
+  let change prev next =
+    let env pass (f : Flow.t) sid =
+      Propagation.get (Forward.envs pass) ~flow:f.id ~server:sid
+    in
+    List.fold_left
+      (fun acc (f : Flow.t) ->
+        List.fold_left
+          (fun acc sid ->
+            Float.max acc (distance (env next f sid) (env prev f sid)))
+          acc f.route)
+      0. flows
+  in
+  let rec iterate pass round =
+    if round >= max_iter then (pass, false, round)
     else begin
-      (* Jacobi step: all local delays from the current table, then all
-         envelope updates into a fresh table.  Per-server bounds only
-         read the (frozen) current table, so they are independent —
-         exactly the structure a Jacobi sweep buys over Gauss-Seidel —
-         and run on the netcalc.par pool.  [Par.map] keeps list order,
-         so the fold below applies updates in the sequential order and
-         the iterates are bit-identical at any jobs count. *)
-      let delays =
-        Par.map
-          (fun (s : Server.t) ->
-            (s.id, Local_bounds.at_server ~options net !envs ~server:s.id))
-          servers
-      in
-      let diverged = ref false in
-      List.iter
-        (fun (sid, per_flow) ->
-          List.iter
-            (fun ((f : Flow.t), d) ->
-              Hashtbl.replace locals (f.id, sid) d;
-              if d = infinity then diverged := true)
-            per_flow)
-        delays;
-      if !diverged then (false, round + 1)
-      else begin
-        let next = seed () in
-        List.iter
-          (fun (sid, per_flow) ->
-            List.iter
-              (fun ((f : Flow.t), d) ->
-                match Flow.next_hop f sid with
-                | Some s' ->
-                    Propagation.set next ~flow:f.id ~server:s'
-                      (Pwl.shift_left
-                         (Propagation.get !envs ~flow:f.id ~server:sid)
-                         d)
-                | None -> ())
-              per_flow)
-          delays;
-        let change =
-          List.fold_left
-            (fun acc (f : Flow.t) ->
-              List.fold_left
-                (fun acc sid ->
-                  Float.max acc
-                    (distance
-                       (Propagation.get next ~flow:f.id ~server:sid)
-                       (Propagation.get !envs ~flow:f.id ~server:sid)))
-                acc f.route)
-            0. flows
-        in
-        envs := next;
-        if change <= tol then (true, round + 1) else iterate (round + 1)
-      end
+      (* Jacobi step: every server's step from the frozen pass, on the
+         netcalc.par pool, then all applied to a fresh seeded pass.  A
+         step only reads the frozen pass, so the steps are independent;
+         each next-hop envelope is written by exactly one step, so the
+         iterates are bit-identical at any jobs count. *)
+      let steps = Par.map (Forward.compute pass) sids in
+      let next = seeded () in
+      List.iter (Forward.apply next) steps;
+      if List.exists (fun sid -> Forward.server_delay next sid = infinity) sids
+      then (next, false, round + 1)
+      else if change pass next <= tol then (next, true, round + 1)
+      else iterate next (round + 1)
     end
   in
-  let ok, rounds = iterate 0 in
-  Prof.count_n c_iterations rounds;
-  { net; locals; converged = ok; iterations = rounds }
-
-let local_delay t ~flow ~server =
-  match Hashtbl.find_opt t.locals (flow, server) with
-  | Some d -> if t.converged then d else infinity
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Fixed_point.local_delay: flow %d does not cross server %d" flow
-           server)
+  let pass, converged, iterations = iterate (seeded ()) 0 in
+  Prof.count_n c_iterations iterations;
+  { pass; converged; iterations }
 
 let flow_delay t id =
-  if not t.converged then infinity
-  else
-    let f = Network.flow t.net id in
-    List.fold_left
-      (fun acc sid -> acc +. local_delay t ~flow:id ~server:sid)
-      0. f.route
+  if t.converged then Forward.flow_delay t.pass id else infinity
 
 let all_flow_delays t =
-  Network.flows t.net
+  Network.flows (Forward.network t.pass)
   |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
   |> List.sort compare

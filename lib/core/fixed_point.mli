@@ -18,16 +18,24 @@
     above a load threshold even when every server is individually
     underloaded.
 
-    On a feedforward network the iteration converges after at most
-    (longest path) rounds to exactly the {!Decomposed} result. *)
+    Each round is {!Forward}'s per-server step run for every server
+    against the frozen previous round (a Jacobi sweep, on the
+    [netcalc.par] pool), applied into a fresh seeded pass.
+
+    On a feedforward network the exact fixed point is the {!Decomposed}
+    result, reached after (longest path) rounds.  The iteration stops
+    earlier, as soon as no envelope moves by more than [1e-9]
+    (sup norm), so on deep networks the deepest levels may not have
+    settled: the stopped iterate approaches the fixed point from below,
+    and its bounds can sit under Decomposed's by a relative [1e-11] or
+    so. *)
 
 type t
 
-val analyze :
-  ?options:Options.t -> ?max_iter:int -> ?tol:float -> Network.t -> t
-(** Jacobi iteration until the envelopes move less than [tol]
-    (sup-norm, default [1e-9]) or [max_iter] (default 200) rounds
-    elapse.  No feedforward requirement. *)
+val analyze : ?options:Options.t -> ?max_iter:int -> Network.t -> t
+(** Jacobi iteration until no envelope moves by more than [1e-9]
+    (sup norm), a local bound is infinite, or [max_iter] (default 200)
+    rounds elapse.  No feedforward requirement. *)
 
 val converged : t -> bool
 val iterations : t -> int

@@ -12,12 +12,15 @@
     This module holds the state of that pass — the envelope table, the
     per-[(flow, server)] local bounds and the poison marks, each tagged
     with the server whose step wrote it — the step itself, and one
-    accessor surface over the finished state.  Three drivers run it:
+    accessor surface over the finished state.  Four drivers run it:
     {!Decomposed} (every server in topological order),
     {!Propagation_stream} (level by level, steps computed on the
-    [netcalc.par] pool, then evicted) and the serve delta engine (the
-    downstream cone of a changed route).  Because every driver runs the
-    same step over the same inputs, their results agree bit for bit.
+    [netcalc.par] pool, then evicted), the serve delta engine (the
+    downstream cone of a changed route) and {!Fixed_point}'s Jacobi
+    driver (every server against the frozen previous round, applied
+    into a fresh pass, until the envelopes stop moving).  Because
+    every driver runs the same step over the same inputs, their
+    results agree bit for bit.
     {!Integrated} keeps its envelope table and poison marks here too,
     with its own per-subnet step. *)
 

@@ -57,7 +57,7 @@ let service ~options (s : Server.t) higher =
   match s.discipline with
   | Discipline.Static_priority ->
       Static_priority.class_service ~rate:s.rate ~higher:(higher ())
-        ~blocking:options.Options.sp_blocking ()
+        ~blocking:options.Options.sp_blocking
   | _ -> Service.constant_rate s.rate
 
 (* The delay bound of one class queue at a lone server. *)

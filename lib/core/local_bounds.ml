@@ -25,7 +25,7 @@ let at_server ~options net envs ~server:sid =
           let own = of_class (fun p -> p = f.priority) in
           ( f,
             Static_priority.local_delay ~rate ~higher ~own
-              ~blocking:options.Options.sp_blocking () ))
+              ~blocking:options.Options.sp_blocking ))
         present
   | Discipline.Edf ->
       let local_deadline (f : Flow.t) =
@@ -50,5 +50,5 @@ let at_server ~options net envs ~server:sid =
         (fun (f : Flow.t) ->
           ( f,
             Gps.local_delay ~rate ~weight:f.weight ~total_weight
-              ~alpha:(env f) () ))
+              ~alpha:(env f) ))
         present

@@ -1,5 +1,4 @@
-(** Per-server local delay bounds, shared by the decomposition engine
-    and the cyclic fixed-point engine.
+(** Per-server local delay bounds: the body of {!Forward.compute}.
 
     Given the current input envelopes of the flows at a server (from a
     {!Propagation.env_table}), compute each flow's local worst-case

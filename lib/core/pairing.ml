@@ -78,21 +78,17 @@ let order_subnets net subnets =
 let check_pair_has_edge net = function
   | Single _ -> ()
   | Pair (u, v) ->
-      if not (List.mem (u, v) (Network.edges net)) then
+      if not (List.mem v (Network.successors net u)) then
         invalid_arg
           (Printf.sprintf
              "Pairing: no flow traverses servers %d -> %d consecutively" u v)
 
 let validate net subnets =
   List.iter (check_pair_has_edge net) subnets;
-  let ordered = order_subnets net subnets in
   (* The supplied list must itself be a valid processing order: every
-     edge into a subnet must come from an earlier subnet. *)
-  let position = Hashtbl.create 32 in
-  List.iteri
-    (fun i subnet ->
-      List.iter (fun s -> Hashtbl.replace position s i) (servers_of subnet))
-    subnets;
+     edge into a subnet must come from an earlier subnet.  That also
+     proves the contracted graph acyclic. *)
+  let position = subnet_assignment net subnets in
   List.iter
     (fun (a, b) ->
       let ia = Hashtbl.find position a and ib = Hashtbl.find position b in
@@ -101,8 +97,7 @@ let validate net subnets =
           (Printf.sprintf
              "Pairing: subnet of server %d is listed after its downstream \
               server %d" a b))
-    (Network.edges net);
-  ignore ordered
+    (Network.edges net)
 
 let singletons net =
   List.map (fun (s : Server.t) -> Single s.id) (Network.servers net)
@@ -185,6 +180,4 @@ let build net strategy =
     | Along_route flow_id -> along_route net flow_id
     | Greedy -> greedy net
   in
-  let ordered = order_subnets net subnets in
-  validate net ordered;
-  ordered
+  order_subnets net subnets

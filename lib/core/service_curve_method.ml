@@ -15,25 +15,27 @@ let hop_service_curve t ~flow ~server =
   let cross = cross_envelopes t ~server ~flow:f in
   match s.discipline with
   | Discipline.Fifo | Discipline.Edf ->
-      Fifo.leftover ~rate:s.rate ~cross:(Pwl.sum (List.map snd cross))
+      Service.leftover ~rate:s.rate ~cross:(Pwl.sum (List.map snd cross))
   | Discipline.Static_priority ->
       (* Service left after all traffic of priority <= ours (the flow
          itself is FIFO within its class, so same-class cross traffic
-         also precedes it in the worst case). *)
+         also precedes it in the worst case), less the non-preemption
+         blocking of the propagation's options. *)
       let competing =
         List.filter_map
           (fun ((g : Flow.t), env) ->
             if g.priority <= f.priority then Some env else None)
           cross
       in
-      Static_priority.class_service ~rate:s.rate ~higher:(Pwl.sum competing) ()
+      Static_priority.class_service ~rate:s.rate ~higher:(Pwl.sum competing)
+        ~blocking:(Decomposed.options t.prop).sp_blocking
   | Discipline.Gps ->
       let total_weight =
         List.fold_left
           (fun acc ((g : Flow.t), _) -> acc +. g.weight)
           f.weight cross
       in
-      Gps.flow_service ~rate:s.rate ~weight:f.weight ~total_weight ()
+      Gps.flow_service ~rate:s.rate ~weight:f.weight ~total_weight
 
 let network_service_curve t ~flow =
   let f = Network.flow t.net flow in

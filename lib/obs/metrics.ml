@@ -129,7 +129,7 @@ let snapshot () =
         peaks = sorted_bindings peaks (fun p -> p.pmax);
       })
 
-let to_table ?(all = false) () =
+let to_table () =
   let s = snapshot () in
   let tbl =
     Table.create
@@ -137,12 +137,12 @@ let to_table ?(all = false) () =
   in
   List.iter
     (fun (name, n) ->
-      if all || n > 0 then
+      if n > 0 then
         Table.add_row tbl [ name; "counter"; string_of_int n ])
     s.counters;
   List.iter
     (fun (name, (st : dist_stats)) ->
-      if all || st.count > 0 then
+      if st.count > 0 then
         Table.add_row tbl
           [
             name; "dist"; string_of_int st.count; Table.float_cell st.sum;
@@ -152,7 +152,7 @@ let to_table ?(all = false) () =
     s.dists;
   List.iter
     (fun (name, v) ->
-      if all || v > 0 then
+      if v > 0 then
         Table.add_row tbl [ name; "peak"; ""; ""; ""; ""; string_of_int v ])
     s.peaks;
   tbl

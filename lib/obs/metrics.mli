@@ -62,8 +62,8 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 
-val to_table : ?all:bool -> unit -> Table.t
+val to_table : unit -> Table.t
 (** One row per metric, sorted by name: columns [metric], [kind],
     [count], [sum], [mean], [min], [max].  Counters fill [count] only;
-    peaks fill [max] only.  By default rows with zero count (zero
-    value, for peaks) are omitted; pass [~all:true] to keep them. *)
+    peaks fill [max] only.  Rows with zero count (zero value, for
+    peaks) are omitted. *)

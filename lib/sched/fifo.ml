@@ -4,5 +4,3 @@ let backlog ~rate ~agg =
   Deviation.vdev ~alpha:agg ~beta:(Service.constant_rate rate)
 
 let busy_period ~rate ~agg = Minplus.busy_period ~agg ~rate
-
-let leftover ~rate ~cross = Service.leftover ~rate ~cross

@@ -14,7 +14,3 @@ val backlog : rate:float -> agg:Pwl.t -> float
 
 val busy_period : rate:float -> agg:Pwl.t -> float
 (** Bound on the busy-period length (see {!Minplus.busy_period}). *)
-
-val leftover : rate:float -> cross:Pwl.t -> Pwl.t
-(** Induced per-flow service curve [ (C t - cross t)^+ ] — the curve
-    Algorithm Service Curve uses for FIFO (DESIGN.md §3.2). *)

@@ -3,11 +3,10 @@ let guaranteed_rate ~rate ~weight ~total_weight =
     invalid_arg "Gps: weights must satisfy 0 < weight <= total_weight";
   rate *. weight /. total_weight
 
-let flow_service ~rate ~weight ~total_weight ?(packet_latency = 0.) () =
+let flow_service ~rate ~weight ~total_weight =
   Service.rate_latency
     ~rate:(guaranteed_rate ~rate ~weight ~total_weight)
-    ~latency:packet_latency
+    ~latency:0.
 
-let local_delay ~rate ~weight ~total_weight ~alpha ?packet_latency () =
-  Deviation.hdev ~alpha
-    ~beta:(flow_service ~rate ~weight ~total_weight ?packet_latency ())
+let local_delay ~rate ~weight ~total_weight ~alpha =
+  Deviation.hdev ~alpha ~beta:(flow_service ~rate ~weight ~total_weight)

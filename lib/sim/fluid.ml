@@ -100,7 +100,10 @@ let flow_delay t id =
 let server_backlog t sid =
   match Hashtbl.find_opt t.backlogs sid with Some b -> b | None -> 0.
 
-let phase_search ?(tries = 8) ?(seed = 11) ?(max_phase = 5.) net =
+(* Random phases are drawn uniformly from [0, max_phase). *)
+let max_phase = 5.
+
+let phase_search ?(tries = 8) ?(seed = 11) net =
   let rng = Random.State.make [| seed |] in
   let flows = Network.flows net in
   let best = Hashtbl.create 16 in

@@ -52,8 +52,9 @@ val flow_delay : t -> int -> float
 val server_backlog : t -> int -> float
 (** Peak fluid backlog at a server in this scenario. *)
 
-val phase_search :
-  ?tries:int -> ?seed:int -> ?max_phase:float -> Network.t -> (int * float) list
-(** Per-flow maximum of {!flow_delay} over randomized phase
-    assignments (first try all-aligned).  A fluid, allowance-free
-    analogue of {!Validate.adversarial_max_delays}. *)
+val phase_search : ?tries:int -> ?seed:int -> Network.t -> (int * float) list
+(** Per-flow maximum of {!flow_delay} over [tries] (default 8) phase
+    assignments: the first all-aligned, the rest with every flow's
+    phase drawn uniformly between 0 and 5 (generator seeded with
+    [seed], default 11).  A fluid, allowance-free analogue of
+    {!Validate.adversarial_max_delays}. *)

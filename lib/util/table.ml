@@ -9,14 +9,12 @@ let add_row t row =
   let row = if n < ncols then row @ List.init (ncols - n) (fun _ -> "") else row in
   t.rows <- row :: t.rows
 
-let default_fmt x =
+let float_cell x =
   if x = infinity then "inf"
   else if x = neg_infinity then "-inf"
   else Printf.sprintf "%.4g" x
 
-let float_cell ?(fmt = default_fmt) x = fmt x
-
-let add_floats t ?fmt xs = add_row t (List.map (float_cell ?fmt) xs)
+let add_floats t xs = add_row t (List.map float_cell xs)
 
 let to_string t =
   let rows = List.rev t.rows in

@@ -12,9 +12,8 @@ val add_row : t -> string list -> unit
 (** Append a row.  Rows shorter than the header are right-padded with
     empty cells; longer rows raise [Invalid_argument]. *)
 
-val add_floats : t -> ?fmt:(float -> string) -> float list -> unit
-(** Append a row of floats rendered with [fmt] (default: [%.4g], with
-    [inf] rendered as ["inf"]). *)
+val add_floats : t -> float list -> unit
+(** Append a row of floats, each rendered by {!float_cell}. *)
 
 val to_string : t -> string
 (** Render with aligned columns, a separator under the header. *)
@@ -31,5 +30,6 @@ val to_csv : t -> string
 val save_csv : dir:string -> name:string -> t -> unit
 (** Write [to_csv] to [dir/name.csv], creating [dir] if needed. *)
 
-val float_cell : ?fmt:(float -> string) -> float -> string
-(** Render a single float the way {!add_floats} does. *)
+val float_cell : float -> string
+(** Render a float as [%.4g], with infinities as ["inf"] and
+    ["-inf"]. *)

@@ -450,6 +450,64 @@ let test_fifo_theta_beats_service_curve () =
         (dth <= dsc +. 1e-9))
     [ (2, 0.5); (4, 0.8); (6, 0.9) ]
 
+(* One static-priority server of rate 1: an urgent flow ahead of a
+   small tagged one.  The FIFO theta family does not hold here; an
+   analysis using it bounds the tagged flow by 10.2, while the packet
+   simulator observes 20.1. *)
+let test_fifo_theta_sound_at_sp_hop () =
+  let flow id ~sigma ~rho ~priority =
+    Flow.make ~id ~arrival:(Arrival.token_bucket ~sigma ~rho ()) ~route:[ 0 ]
+      ~priority ()
+  in
+  let net =
+    Network.make
+      ~servers:
+        [ Server.make ~id:0 ~rate:1. ~discipline:Discipline.Static_priority () ]
+      ~flows:
+        [
+          flow 0 ~sigma:10. ~rho:0.5 ~priority:0;
+          flow 1 ~sigma:0.1 ~rho:0.1 ~priority:1;
+        ]
+  in
+  let dd = Decomposed.analyze net in
+  let theta = Fifo_theta.analyze dd in
+  let d = Fifo_theta.flow_delay theta 1 in
+  check_bool (Printf.sprintf "tagged bound %g >= observed 20.1" d) true
+    (d >= 20.1);
+  approx "equals service curve"
+    (Service_curve_method.flow_delay (Service_curve_method.analyze dd) 1)
+    d;
+  let config = { Sim.default_config with packet_size = 0.05; horizon = 200. } in
+  let reports =
+    Validate.check ~config ~bounds:(Fifo_theta.all_flow_delays theta) net
+  in
+  check_bool "no violations" true (Validate.violations reports = [])
+
+(* Service Curve charges the non-preemption blocking term too: an
+   urgent flow waits behind one lower-priority packet at every hop. *)
+let test_service_curve_charges_sp_blocking () =
+  let t =
+    Tandem.make ~n:4 ~utilization:0.6 ~discipline:Discipline.Static_priority ()
+  in
+  let blocking = 0.5 in
+  let dd =
+    Decomposed.analyze
+      ~options:(Options.with_blocking blocking Options.default)
+      t.network
+  in
+  let sc = Service_curve_method.analyze dd in
+  let urgent =
+    List.filter (fun (f : Flow.t) -> f.priority = 0) (Network.flows t.network)
+  in
+  check_bool "has urgent flows" true (urgent <> []);
+  List.iter
+    (fun (f : Flow.t) ->
+      let d = Service_curve_method.flow_delay sc f.id in
+      check_bool
+        (Printf.sprintf "%s bound %g >= blocking %g" f.name d blocking)
+        true (d >= blocking))
+    urgent
+
 let test_network_service_curve_composition () =
   let t = tandem 3 0.5 in
   let a = Service_curve_method.analyze (Decomposed.analyze t.network) in
@@ -604,6 +662,10 @@ let suite =
       test "service-curve blow-up at high load (Fig. 4)"
         test_service_curve_blowup_at_high_load;
       test "FIFO-theta never worse than SFA" test_fifo_theta_beats_service_curve;
+      test "FIFO-theta sound at a static-priority hop"
+        test_fifo_theta_sound_at_sp_hop;
+      test "service curve charges SP blocking"
+        test_service_curve_charges_sp_blocking;
       test "network service curve composition"
         test_network_service_curve_composition;
       test "engine comparison" test_engine_comparison;

@@ -12,18 +12,64 @@ let test_ring_structure () =
     (Network.servers net)
 
 let test_matches_decomposed_on_feedforward () =
-  (* On a feedforward network the fixed point is reached in a few
-     rounds and equals the decomposition result exactly. *)
-  let t = Tandem.make ~n:4 ~utilization:0.6 () in
-  let dd = Decomposed.analyze t.network in
-  let fp = Fixed_point.analyze t.network in
-  check_bool "converged" true (Fixed_point.converged fp);
+  (* On a feedforward network the fixed point is the decomposition
+     result.  Where the longest path is short the iteration reaches it
+     before the stop rule fires, and every bound equals Decomposed's
+     bit for bit. *)
+  let bits = Int64.bits_of_float in
+  let same label net =
+    let dd = Decomposed.analyze net in
+    let fp = Fixed_point.analyze net in
+    check_bool (label ^ " converged") true (Fixed_point.converged fp);
+    List.iter
+      (fun (id, d) ->
+        let e = Decomposed.flow_delay dd id in
+        if not (Int64.equal (bits d) (bits e)) then
+          Alcotest.failf "%s: flow %d: %h against decomposed %h" label id d e)
+      (Fixed_point.all_flow_delays fp)
+  in
   List.iter
-    (fun (f : Flow.t) ->
-      approx (f.name ^ " equals decomposed")
-        (Decomposed.flow_delay dd f.id)
-        (Fixed_point.flow_delay fp f.id))
-    (Network.flows t.network)
+    (fun n ->
+      List.iter
+        (fun u ->
+          same
+            (Printf.sprintf "tandem n=%d U=%g" n u)
+            (Tandem.make ~n ~utilization:u ()).network)
+        [ 0.3; 0.6; 0.9 ])
+    [ 2; 4; 8 ];
+  for seed = 1 to 5 do
+    same
+      (Printf.sprintf "randomnet seed %d" seed)
+      (Randomnet.generate { Randomnet.default with seed })
+  done;
+  List.iter
+    (fun family ->
+      same (Corpus.to_string family)
+        (Corpus.generate ~family ~target_servers:200 ~seed:3))
+    [ Corpus.Leaf_spine; Corpus.Fat_tree; Corpus.Edge_cloud ]
+
+let test_stops_below_decomposed_on_deep_dags () =
+  (* A 200-server heavytail DAG is 44 levels deep, and the 1e-9 stop
+     rule ends the iteration before the deepest levels settle.  The
+     iterates grow monotonically from the optimistic seed, so the
+     stopped bounds sit at or just below Decomposed's. *)
+  let net =
+    Corpus.generate ~family:Corpus.Heavytail ~target_servers:200 ~seed:1
+  in
+  let dd = Decomposed.analyze net in
+  let fp = Fixed_point.analyze net in
+  check_bool "converged" true (Fixed_point.converged fp);
+  let below =
+    List.fold_left
+      (fun below (id, d) ->
+        let e = Decomposed.flow_delay dd id in
+        check_bool (Printf.sprintf "flow %d not above decomposed" id) true
+          (d <= e);
+        approx ~tol:1e-9 (Printf.sprintf "flow %d near decomposed" id) e d;
+        if d < e then below + 1 else below)
+      0 (Fixed_point.all_flow_delays fp)
+  in
+  check_bool "the stop rule fired before the fixed point" true (below > 0)
 
 let test_ring_low_load_converges () =
   let r = Ring.make ~n:5 ~hops:3 ~utilization:0.3 () in
@@ -104,6 +150,8 @@ let suite =
       test "ring generator" test_ring_structure;
       test "equals decomposed on feedforward networks"
         test_matches_decomposed_on_feedforward;
+      test "stops just below decomposed on deep DAGs"
+        test_stops_below_decomposed_on_deep_dags;
       test "ring converges at low load" test_ring_low_load_converges;
       test "ring diverges at high load" test_ring_high_load_diverges;
       test "convergence region downward closed"

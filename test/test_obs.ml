@@ -276,12 +276,10 @@ let test_metrics_table () =
   in
   check_bool "counter listed" true (contains s "test.table.ctr");
   check_bool "dist listed" true (contains s "test.table.dist");
-  (* Zero-count metrics are hidden by default but kept with ~all. *)
+  (* Zero-count metrics are hidden. *)
   Metrics.reset ();
   let hidden = Table.to_string (Metrics.to_table ()) in
-  check_bool "zero rows hidden" false (contains hidden "test.table.ctr");
-  let kept = Table.to_string (Metrics.to_table ~all:true ()) in
-  check_bool "zero rows kept with ~all" true (contains kept "test.table.ctr")
+  check_bool "zero rows hidden" false (contains hidden "test.table.ctr")
 
 (* Recording must not make the GC's work depend on the recorded
    values.  A distribution that kept its argument's box only when it

@@ -19,25 +19,25 @@ let test_static_priority () =
   let higher = tb ~sigma:2. ~rho:0.25 in
   let own = tb ~sigma:1. ~rho:0.25 in
   (* class service = (t - 2 - 0.25 t)^+ = rate-latency(0.75, 8/3). *)
-  let beta = Static_priority.class_service ~rate:1. ~higher () in
+  let beta = Static_priority.class_service ~rate:1. ~higher ~blocking:0. in
   check_bool "convex" true (Service.is_service_curve beta);
   approx "latency region" 0. (Pwl.eval beta (8. /. 3.));
   (* delay = hdev(own, beta) = T + sigma/R = 8/3 + 1/0.75. *)
   approx "class delay"
     ((8. /. 3.) +. (1. /. 0.75))
-    (Static_priority.local_delay ~rate:1. ~higher ~own ());
+    (Static_priority.local_delay ~rate:1. ~higher ~own ~blocking:0.);
   (* Blocking adds a constant to the cross traffic. *)
   let with_blocking =
-    Static_priority.local_delay ~rate:1. ~higher ~own ~blocking:0.5 ()
+    Static_priority.local_delay ~rate:1. ~higher ~own ~blocking:0.5
   in
   check_bool "blocking increases delay" true
-    (with_blocking > Static_priority.local_delay ~rate:1. ~higher ~own ())
+    (with_blocking > Static_priority.local_delay ~rate:1. ~higher ~own ~blocking:0.)
 
 let test_sp_priority_isolation () =
   (* Highest priority class sees no cross traffic. *)
   let own = tb ~sigma:1. ~rho:0.25 in
   approx "top class delay" 1.
-    (Static_priority.local_delay ~rate:1. ~higher:Pwl.zero ~own ())
+    (Static_priority.local_delay ~rate:1. ~higher:Pwl.zero ~own ~blocking:0.)
 
 let test_edf_feasible () =
   let a1 = tb ~sigma:1. ~rho:0.25 and a2 = tb ~sigma:1. ~rho:0.25 in
@@ -63,11 +63,7 @@ let test_gps () =
   let alpha = tb ~sigma:1. ~rho:0.2 in
   (* delay = sigma / r_i for fluid GPS, with r_i = 1 * 1/4. *)
   approx "fluid delay" 4.
-    (Gps.local_delay ~rate:1. ~weight:1. ~total_weight:4. ~alpha ());
-  (* PGPS adds the packet latency. *)
-  approx "pgps delay" 4.5
-    (Gps.local_delay ~rate:1. ~weight:1. ~total_weight:4. ~alpha
-       ~packet_latency:0.5 ())
+    (Gps.local_delay ~rate:1. ~weight:1. ~total_weight:4. ~alpha)
 
 let prop_edf_deadline_monotone =
   qtest "EDF feasibility is monotone in the deadline"
@@ -87,12 +83,12 @@ let prop_sp_higher_load_hurts =
       let own = tb ~sigma:1. ~rho:0.1 in
       let d_small =
         Static_priority.local_delay ~rate:1.
-          ~higher:(tb ~sigma:s1 ~rho:0.2) ~own ()
+          ~higher:(tb ~sigma:s1 ~rho:0.2) ~own ~blocking:0.
       in
       let d_big =
         Static_priority.local_delay ~rate:1.
           ~higher:(tb ~sigma:(s1 +. s2) ~rho:0.2)
-          ~own ()
+          ~own ~blocking:0.
       in
       d_big >= d_small -. 1e-6)
 
