@@ -2,8 +2,10 @@ module Hop_tbl = Propagation.Hop_tbl
 
 type t = {
   fw : Forward.t; (* the envelope table and the poison marks *)
-  pairing : Pairing.subnet array;
-  contributions : float Hop_tbl.t; (* (flow, subnet idx) *)
+  pairing : Pairing.t;
+  (* (flow, the server where it enters the subnet): the subnet and the
+     flow's delay across it *)
+  contributions : (Pairing.subnet * float) Hop_tbl.t;
   server_backlogs : (int, float) Hashtbl.t; (* sum over the server's queues *)
   flow_backlogs : float Hop_tbl.t; (* (flow, server) *)
 }
@@ -11,14 +13,14 @@ type t = {
 let create ~options net pairing =
   {
     fw = Forward.create ~options net (Propagation.create net);
-    pairing = Array.of_list pairing;
+    pairing;
     contributions = Hop_tbl.create 64;
     server_backlogs = Hashtbl.create 16;
     flow_backlogs = Hop_tbl.create 64;
   }
 
 let network t = Forward.network t.fw
-let pairing t = Array.to_list t.pairing
+let pairing t = t.pairing
 
 let require_fifo_or_sp net =
   let kinds =
@@ -80,11 +82,11 @@ let aggregate t sid flows =
     Propagation.aggregate_input ~options:(Forward.options t.fw) (network t)
       (Forward.envs t.fw) ~server:sid ~flows
 
-(* A flow's delay [d] across subnet [idx], entered at [entry] and left
+(* A flow's delay [d] across [subnet], entered at [entry] and left
    after [last]: its envelope past [last] is the entry one shifted by
    [d], or unbounded. *)
-let record t idx (f : Flow.t) ~entry ~last d =
-  Hop_tbl.replace t.contributions (f.id, idx) d;
+let record t subnet (f : Flow.t) ~entry ~last d =
+  Hop_tbl.replace t.contributions (f.id, entry) (subnet, d);
   if d = infinity then Forward.poison_rest t.fw f ~from:last
   else
     match Flow.next_hop f last with
@@ -122,7 +124,7 @@ let record_unbounded t sid flows =
 let own_envelopes t sid flows =
   List.map (fun f -> (f, Some (env_at t f sid))) flows
 
-let single_step t idx u flows queue =
+let single_step t u flows queue =
   let d =
     match queue with
     | None ->
@@ -132,7 +134,8 @@ let single_step t idx u flows queue =
         record_backlogs t u ~beta ~agg ~alphas:(own_envelopes t u flows);
         d
   in
-  List.iter (fun f -> record t idx f ~entry:u ~last:u d) flows
+  let subnet = Pairing.Single u in
+  List.iter (fun f -> record t subnet f ~entry:u ~last:u d) flows
 
 let split_pair net u v =
   let s12, s1 =
@@ -142,13 +145,12 @@ let split_pair net u v =
   in
   let s2 =
     List.filter
-      (fun (f : Flow.t) ->
-        not (List.exists (fun (g : Flow.t) -> g.id = f.id) s12))
+      (fun (f : Flow.t) -> Flow.prev_hop f v <> Some u)
       (Network.flows_at net v)
   in
   (s12, s1, s2)
 
-let pair_step t idx (u, v) ~s12 ~s1 ~s2 input =
+let pair_step t (u, v) ~s12 ~s1 ~s2 input =
   let result =
     match input with
     | None ->
@@ -182,9 +184,10 @@ let pair_step t idx (u, v) ~s12 ~s1 ~s2 input =
             @ own_envelopes t v s2);
         result
   in
-  List.iter (fun f -> record t idx f ~entry:u ~last:v result.d_pair) s12;
-  List.iter (fun f -> record t idx f ~entry:u ~last:u result.d1) s1;
-  List.iter (fun f -> record t idx f ~entry:v ~last:v result.d2) s2;
+  let subnet = Pairing.Pair (u, v) in
+  List.iter (fun f -> record t subnet f ~entry:u ~last:v result.d_pair) s12;
+  List.iter (fun f -> record t subnet f ~entry:u ~last:u result.d1) s1;
+  List.iter (fun f -> record t subnet f ~entry:v ~last:v result.d2) s2;
   result
 
 let c_pairs = Metrics.counter "integrated.subnets.pairs"
@@ -196,8 +199,8 @@ let analyze_with_pairing ?(options = Options.default) net pairing_list =
   Pairing.validate net pairing_list;
   let t = create ~options net pairing_list in
   let server = Network.server net in
-  Array.iteri
-    (fun idx subnet ->
+  List.iter
+    (fun subnet ->
       match subnet with
       | Pairing.Single u ->
           Prof.count c_singles;
@@ -207,7 +210,7 @@ let analyze_with_pairing ?(options = Options.default) net pairing_list =
             (fun p ->
               let mine = List.filter (fun f -> class_of su f = p) present
               and higher = List.filter (fun f -> class_of su f < p) present in
-              single_step t idx u mine
+              single_step t u mine
                 (if poisoned t u (mine @ higher) then None
                  else
                    let beta =
@@ -277,7 +280,7 @@ let analyze_with_pairing ?(options = Options.default) net pairing_list =
                     }
               in
               let result =
-                pair_step t idx (u, v) ~s12 ~s1 ~s2
+                pair_step t (u, v) ~s12 ~s1 ~s2
                   (if
                      poisoned t u (s12 @ s1 @ higher_u)
                      || poisoned t v (s2 @ higher_s2)
@@ -296,37 +299,21 @@ let analyze ?(options = Options.default) ?(strategy = Pairing.Greedy) net =
     (Incremental.net_key ~options ~strategy net)
     (fun () -> analyze_with_pairing ~options net (Pairing.build net strategy))
 
+(* A flow meets each subnet once, entering it at one server, and meets
+   them in pairing order, as the pairing orders the contracted graph
+   topologically. *)
+let subnet_delays t id =
+  List.filter_map
+    (fun s -> Hop_tbl.find_opt t.contributions (id, s))
+    (Network.flow (network t) id).route
+
 let flow_delay t id =
-  let total = ref 0. in
-  Array.iteri
-    (fun idx _ ->
-      match Hop_tbl.find_opt t.contributions (id, idx) with
-      | Some d -> total := !total +. d
-      | None -> ())
-    t.pairing;
-  !total
+  List.fold_left (fun acc (_, d) -> acc +. d) 0. (subnet_delays t id)
 
 let all_flow_delays t =
   Network.flows (network t)
   |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
   |> List.sort compare
-
-let subnet_delay_opt t ~flow ~subnet =
-  let idx = ref None in
-  Array.iteri (fun i s -> if s = subnet then idx := Some i) t.pairing;
-  match !idx with
-  | None -> None
-  | Some i -> Hop_tbl.find_opt t.contributions (flow, i)
-
-let subnet_delay t ~flow ~subnet =
-  match subnet_delay_opt t ~flow ~subnet with
-  | Some d -> d
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Integrated.subnet_delay: flow %d does not cross the requested \
-            subnet"
-           flow)
 
 let envelope_at t = Forward.envelope_at t.fw
 

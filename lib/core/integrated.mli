@@ -52,18 +52,16 @@ val network : t -> Network.t
 val pairing : t -> Pairing.t
 
 val flow_delay : t -> int -> float
-(** End-to-end bound for a flow. *)
+(** End-to-end bound for a flow: the sum of its {!subnet_delays}.
+    @raise Invalid_argument for an unknown flow id. *)
 
 val all_flow_delays : t -> (int * float) list
 
-val subnet_delay : t -> flow:int -> subnet:Pairing.subnet -> float
-(** The delay contribution a flow picks up in one subnetwork of the
-    pairing.  @raise Invalid_argument if the flow does not cross it. *)
-
-val subnet_delay_opt : t -> flow:int -> subnet:Pairing.subnet -> float option
-(** [None] when the flow does not cross the subnetwork: for callers
-    that enumerate the whole pairing and treat absence as data (the
-    report tables). *)
+val subnet_delays : t -> int -> (Pairing.subnet * float) list
+(** The subnetworks a flow crosses, in route order (which is pairing
+    order), each with the delay the flow picks up across it: one lookup
+    per hop, keyed by the server where the flow enters the subnetwork.
+    @raise Invalid_argument for an unknown flow id. *)
 
 val envelope_at : t -> flow:int -> server:int -> Pwl.t
 (** Input envelope of a flow at a hop as propagated by this analysis. *)

@@ -21,8 +21,6 @@ type result = {
   d2 : float;
   busy1 : float;
   busy2 : float;
-  b1 : float;
-  b2 : float;
 }
 
 let unbounded =
@@ -32,8 +30,6 @@ let unbounded =
     d2 = infinity;
     busy1 = infinity;
     busy2 = infinity;
-    b1 = infinity;
-    b2 = infinity;
   }
 
 let single_general ~beta ~agg = Deviation.hdev ~alpha:agg ~beta
@@ -83,8 +79,6 @@ let analyze_general { link1; beta1; beta2; g12; g1; g2 } =
   let a2_window = Pwl.add transit_window f2 in
   let d2 = Deviation.hdev ~alpha:a2_window ~beta:beta2 in
   let busy2 = Pwl.first_crossing_under a2_window ~below:beta2 in
-  let b1 = Deviation.vdev ~alpha:g_server1 ~beta:beta1 in
-  let b2 = Deviation.vdev ~alpha:a2_window ~beta:beta2 in
   let d_pair =
     if d1 = infinity || d2 = infinity then infinity
     else begin
@@ -150,7 +144,7 @@ let analyze_general { link1; beta1; beta2; g12; g1; g2 } =
       Float.max d1 (Float_ops.max_list (List.map bound_at s_candidates))
     end
   in
-  { d_pair; d1; d2; busy1; busy2; b1; b2 }
+  { d_pair; d1; d2; busy1; busy2 }
 
 let analyze { c1; c2; s12; s1; s2 } =
   if c1 <= 0. || c2 <= 0. then invalid_arg "Pair_analysis: nonpositive rate";

@@ -55,10 +55,6 @@ type result = {
   d2 : float;      (** server-2 bound for [s2] flows *)
   busy1 : float;   (** server-1 busy-period bound [B1] *)
   busy2 : float;   (** server-2 busy-period bound [B2] *)
-  b1 : float;      (** backlog bound of the analyzed class at server 1:
-                       [vdev (g12 + g1) beta1] *)
-  b2 : float;      (** backlog bound at server 2, for the integrated
-                       (rate-capped, delay-inflated) input window *)
 }
 
 val unbounded : result

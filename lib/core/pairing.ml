@@ -40,39 +40,17 @@ let subnet_assignment net subnets =
 let order_subnets net subnets =
   let assignment = subnet_assignment net subnets in
   let arr = Array.of_list subnets in
-  let n = Array.length arr in
-  let contracted_edges =
-    Network.edges net
-    |> List.filter_map (fun (a, b) ->
-           let ia = Hashtbl.find assignment a
-           and ib = Hashtbl.find assignment b in
-           if ia = ib then None else Some (ia, ib))
-    |> List.sort_uniq compare
+  let succ =
+    Array.mapi
+      (fun i subnet ->
+        List.concat_map (Network.successors net) (servers_of subnet)
+        |> List.filter_map (fun b ->
+               let j = Hashtbl.find assignment b in
+               if j = i then None else Some j)
+        |> List.sort_uniq Int.compare)
+      arr
   in
-  let indegree = Array.make n 0 in
-  List.iter (fun (_, b) -> indegree.(b) <- indegree.(b) + 1) contracted_edges;
-  let ready = ref [] in
-  for i = n - 1 downto 0 do
-    if indegree.(i) = 0 then ready := i :: !ready
-  done;
-  let rec kahn order = function
-    | [] -> List.rev order
-    | i :: rest ->
-        let next =
-          List.fold_left
-            (fun acc (a, b) ->
-              if a = i then begin
-                indegree.(b) <- indegree.(b) - 1;
-                if indegree.(b) = 0 then b :: acc else acc
-              end
-              else acc)
-            [] contracted_edges
-        in
-        kahn (i :: order) (List.sort compare next @ rest)
-  in
-  let order = kahn [] !ready in
-  if List.length order <> n then raise Network.Cyclic;
-  List.map (fun i -> arr.(i)) order
+  List.map (Array.get arr) (Network.kahn (Array.length arr) (Array.get succ))
 
 (* A pair is only meaningful when some flow rides the edge u -> v. *)
 let check_pair_has_edge net = function
@@ -99,84 +77,90 @@ let validate net subnets =
               server %d" a b))
     (Network.edges net)
 
-let singletons net =
-  List.map (fun (s : Server.t) -> Single s.id) (Network.servers net)
+(* The servers [covered] leaves out, as singletons in ascending id
+   order. *)
+let singletons_except covered net =
+  List.filter_map
+    (fun (s : Server.t) -> if covered s.id then None else Some (Single s.id))
+    (Network.servers net)
+
+(* Whether contracting the edge u -> v between two unpaired servers
+   into the pairs chosen so far ([partner] maps each paired server to
+   the other) closes a cycle: whether v is reachable there from another
+   successor of u. *)
+let closes_cycle net partner u v =
+  let seen = Hashtbl.create 16 in
+  let rec search = function
+    | [] -> false
+    | s :: _ when s = v -> true
+    | s :: rest when Hashtbl.mem seen s -> search rest
+    | s :: rest ->
+        (* a pair is one node of the contraction: enter it whole *)
+        let node =
+          match Hashtbl.find_opt partner s with
+          | Some p -> [ s; p ]
+          | None -> [ s ]
+        in
+        List.iter (fun s -> Hashtbl.replace seen s ()) node;
+        search (List.concat_map (Network.successors net) node @ rest)
+  in
+  search (List.filter (fun w -> w <> v) (Network.successors net u))
+
+let pair partner u v =
+  Hashtbl.replace partner u v;
+  Hashtbl.replace partner v u
 
 let along_route net flow_id =
   (* [Network.flow] itself raises a descriptive [Invalid_argument] for
      an unknown id. *)
   let f = Network.flow net flow_id in
-  let rec pair_up = function
-    | u :: v :: rest -> Pair (u, v) :: pair_up rest
-    | [ u ] -> [ Single u ]
+  let partner = Hashtbl.create 16 in
+  (* A route pair that another path joins would close a cycle: its
+     first server stays single, in its route position. *)
+  let rec walk = function
+    | u :: v :: rest when not (closes_cycle net partner u v) ->
+        pair partner u v;
+        Pair (u, v) :: walk rest
+    | u :: rest -> Single u :: walk rest
     | [] -> []
   in
-  let on_route = pair_up f.route in
-  let covered =
-    List.concat_map servers_of on_route |> List.sort_uniq compare
-  in
-  let rest =
-    Network.servers net
-    |> List.filter_map (fun (s : Server.t) ->
-           if List.mem s.id covered then None else Some (Single s.id))
-  in
-  on_route @ rest
+  let on_route = walk f.route in
+  on_route @ singletons_except (fun s -> List.mem s f.route) net
 
-(* Shared transit count: flows riding the edge u -> v. *)
-let transit_count net (u, v) =
-  Network.flows net
-  |> List.filter (fun f -> List.mem (u, v) (Flow.hop_pairs f))
-  |> List.length
-
-let singletons_of_unpaired net paired chosen =
-  let in_chosen =
-    List.concat_map servers_of chosen |> List.sort_uniq compare
+(* u's unpaired successors, the most transit flows first; ties stay in
+   ascending id order, as the sort is stable. *)
+let candidates net partner u =
+  let next =
+    List.filter_map (fun f -> Flow.next_hop f u) (Network.flows_at net u)
   in
-  Network.servers net
-  |> List.filter_map (fun (s : Server.t) ->
-         if Hashtbl.mem paired s.id || List.mem s.id in_chosen then None
-         else Some (Single s.id))
+  Network.successors net u
+  |> List.filter (fun v -> not (Hashtbl.mem partner v))
+  |> List.map (fun v -> (List.length (List.filter (Int.equal v) next), v))
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare b a)
+  |> List.map snd
 
 let greedy net =
-  let order = Network.topological_order net in
-  let paired = Hashtbl.create 32 in
+  let partner = Hashtbl.create 64 in
   let chosen = ref [] in
-  let acyclic_with extra =
-    match order_subnets net (extra @ singletons_of_unpaired net paired extra) with
-    | _ -> true
-    | exception Network.Cyclic -> false
-  in
   List.iter
     (fun u ->
-      if not (Hashtbl.mem paired u) then begin
-        let candidates =
-          Network.edges net
-          |> List.filter (fun (a, b) ->
-                 a = u && (not (Hashtbl.mem paired b)) && b <> u)
-          |> List.sort (fun e1 e2 ->
-                 compare (transit_count net e2) (transit_count net e1))
-        in
-        let rec try_candidates = function
-          | (a, b) :: rest ->
-              let tentative = Pair (a, b) :: !chosen in
-              if acyclic_with tentative then begin
-                chosen := tentative;
-                Hashtbl.replace paired a ();
-                Hashtbl.replace paired b ()
-              end
-              else try_candidates rest
-          | [] -> ()
-        in
-        try_candidates candidates
-      end)
-    order;
-  let subnets = !chosen @ singletons_of_unpaired net paired !chosen in
-  order_subnets net subnets
+      if not (Hashtbl.mem partner u) then
+        match
+          List.find_opt
+            (fun v -> not (closes_cycle net partner u v))
+            (candidates net partner u)
+        with
+        | Some v ->
+            pair partner u v;
+            chosen := Pair (u, v) :: !chosen
+        | None -> ())
+    (Network.topological_order net);
+  order_subnets net (!chosen @ singletons_except (Hashtbl.mem partner) net)
 
 let build net strategy =
   let subnets =
     match strategy with
-    | Singletons -> singletons net
+    | Singletons -> singletons_except (fun _ -> false) net
     | Along_route flow_id -> along_route net flow_id
     | Greedy -> greedy net
   in

@@ -5,7 +5,10 @@
     consecutively and contracting the pair keeps the subnetwork graph
     acyclic (otherwise the topological traversal of Step 2 would be
     impossible — this happens exactly when an alternative path
-    [u ~> v] exists through other servers). *)
+    [u ~> v] exists through other subnetworks).  The strategies test
+    this with one search per candidate: the contraction of the pairs
+    chosen so far is acyclic, so adding [(u, v)] closes a cycle exactly
+    when [v] is reachable in it from another successor of [u]. *)
 
 type subnet = Single of int | Pair of int * int
 
@@ -15,13 +18,16 @@ type t = subnet list
 
 type strategy =
   | Along_route of int
-      (** Pair consecutive servers of the given flow's route (the
-          paper's choice: conn0's route in the tandem); remaining
-          servers become singletons. *)
+      (** Pair consecutive servers of the given flow's route, front to
+          back (the paper's choice: conn0's route in the tandem).  An
+          inadmissible pair is skipped: its first server stays single
+          in its route position.  Remaining servers become
+          singletons. *)
   | Greedy
       (** Scan servers in topological order and pair each unpaired
-          server with the direct successor sharing the most transit
-          flows, when admissible. *)
+          server with its first admissible unpaired direct successor,
+          the ones sharing the most transit flows first (ties by
+          ascending id). *)
   | Singletons
       (** No pairing: Algorithm Integrated degenerates to Algorithm
           Decomposed (the ablation baseline). *)

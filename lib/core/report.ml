@@ -87,13 +87,10 @@ let integrated a =
   List.iter
     (fun (f : Flow.t) ->
       let contributions =
-        List.filter_map
-          (fun subnet ->
-            Integrated.subnet_delay_opt a ~flow:f.id ~subnet
-            |> Option.map (fun d ->
-                   Format.asprintf "%a:%s" Pairing.pp [ subnet ]
-                     (Table.float_cell d)))
-          (Integrated.pairing a)
+        List.map
+          (fun (subnet, d) ->
+            Format.asprintf "%a:%s" Pairing.pp [ subnet ] (Table.float_cell d))
+          (Integrated.subnet_delays a f.id)
       in
       Table.add_row flows
         [

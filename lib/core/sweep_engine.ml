@@ -81,14 +81,14 @@ let per_load ~sigma ~peak ~hops u =
          | Some beta -> Deviation.hdev ~alpha ~beta
          | None -> infinity)
   done;
+  (* conn0 meets the max pairing's pairs (0, 1), (2, 3), ... first, in
+     route order. *)
+  let integ_pairs = Array.of_list (Integrated.subnet_delays integ 0) in
   let integ_delay n' =
     if n' mod 2 = 0 then begin
       let total = ref 0. in
       for i = 0 to (n' / 2) - 1 do
-        total :=
-          !total
-          +. Integrated.subnet_delay integ ~flow:0
-               ~subnet:(Pairing.Pair ((2 * i), (2 * i) + 1))
+        total := !total +. snd integ_pairs.(i)
       done;
       !total
     end

@@ -399,7 +399,11 @@ let of_sampler ?eval_seq:batch ~candidates ~eval:sample () =
       if i + 1 < n then
         let w = arr.(i + 1) -. x in
         (x +. (w /. 3.), x +. (2. *. w /. 3.))
-      else (x +. 1., x +. 2.)
+      else
+        (* past 2^40 the step grows with x, so that x + step and
+           x + 2 step stay distinct floats *)
+        let step = Float.max 1. (Float.ldexp x (-40)) in
+        (x +. step, x +. (2. *. step))
     in
     probes.(3 * i) <- x;
     probes.((3 * i) + 1) <- m1;

@@ -206,79 +206,69 @@ let total_hop_count net =
     (fun acc (f : Flow.t) -> acc + List.length f.route)
     0 net.flow_list
 
-(* Kahn's algorithm over the distinct servers [ids], where [pos id] is
-   an id's index in [ids], or -1 outside the set: edges from outside do
-   not count.  Returns the set's sources in ascending order, and
-   [release], which takes a server out and prepends to [acc] the
-   successors it leaves with no remaining predecessor in the set. *)
-let kahn_start net ids pos =
-  let indegree = Array.make (Array.length ids) 0 in
-  Array.iter
-    (fun id ->
-      List.iter
-        (fun b ->
-          let p = pos b in
-          if p >= 0 then indegree.(p) <- indegree.(p) + 1)
-        (successors net id))
-    ids;
-  let release acc id =
-    List.fold_left
-      (fun acc b ->
-        let p = pos b in
-        if p < 0 then acc
-        else begin
-          indegree.(p) <- indegree.(p) - 1;
-          if indegree.(p) = 0 then b :: acc else acc
-        end)
-      acc (successors net id)
-  in
-  let ready = ref [] in
-  for i = Array.length ids - 1 downto 0 do
-    if indegree.(i) = 0 then ready := ids.(i) :: !ready
+let kahn n succ =
+  let indegree = Array.make n 0 in
+  for i = 0 to n - 1 do
+    List.iter (fun j -> indegree.(j) <- indegree.(j) + 1) (succ i)
   done;
-  (List.sort Int.compare !ready, release)
+  let release i =
+    List.fold_left
+      (fun acc j ->
+        indegree.(j) <- indegree.(j) - 1;
+        if indegree.(j) = 0 then j :: acc else acc)
+      [] (succ i)
+  in
+  let rec go order count = function
+    | [] -> if count < n then raise Cyclic else List.rev order
+    | i :: rest ->
+        go (i :: order) (count + 1) (List.sort Int.compare (release i) @ rest)
+  in
+  let sources = ref [] in
+  for i = n - 1 downto 0 do
+    if indegree.(i) = 0 then sources := i :: !sources
+  done;
+  go [] 0 !sources
 
-let server_ids net = Array.map (fun (s : Server.t) -> s.id) net.servers
+(* Each slot's successors as slots. *)
+let slot_successors net = Array.map (List.map (slot net)) net.succ_by_slot
 
 let topological_order ?servers net =
-  let ids, pos =
-    match servers with
-    | None -> (server_ids net, slot net)
-    | Some ids ->
-        (* only the listed servers are visited, so an online engine pays
-           for its cone and not for the network *)
-        let index = Hashtbl.create (max 16 (List.length ids)) in
-        List.iteri (fun i id -> Hashtbl.replace index id i) ids;
-        ( Array.of_list ids,
-          fun id -> Option.value ~default:(-1) (Hashtbl.find_opt index id) )
-  in
-  let ready, release = kahn_start net ids pos in
-  let rec kahn order = function
-    | [] -> List.rev order
-    | id :: rest ->
-        kahn (id :: order) (List.sort Int.compare (release [] id) @ rest)
-  in
-  let order = kahn [] ready in
-  if List.compare_length_with order (Array.length ids) <> 0 then raise Cyclic
-  else order
+  match servers with
+  | None ->
+      let order = kahn (size net) (Array.get (slot_successors net)) in
+      List.map (fun s -> net.servers.(s).id) order
+  | Some ids ->
+      (* only the listed servers are visited, so an online engine pays
+         for its cone and not for the network *)
+      let ids = Array.of_list (List.sort Int.compare ids) in
+      let index = Hashtbl.create (max 16 (Array.length ids)) in
+      Array.iteri (fun i id -> Hashtbl.replace index id i) ids;
+      let succ =
+        Array.map
+          (fun id ->
+            List.filter_map (Hashtbl.find_opt index) (successors net id))
+          ids
+      in
+      List.map (Array.get ids) (kahn (Array.length ids) (Array.get succ))
 
 let levels net =
   (* Longest-path layering: level 0 is the sources, and every edge goes
      from a strictly lower level to a strictly higher one, so each
-     level is an antichain of the routing DAG.  A node becomes ready in
-     the Kahn wave after its last predecessor's, so the waves are
-     exactly the longest-path levels; one pass, O(V + E). *)
-  let ready, release = kahn_start net (server_ids net) (slot net) in
-  let count = ref 0 in
-  let rec walk acc = function
-    | [] -> List.rev acc
-    | frontier ->
-        count := !count + List.length frontier;
-        walk (frontier :: acc)
-          (List.fold_left release [] frontier |> List.sort Int.compare)
-  in
-  let ls = walk [] ready in
-  if !count <> size net then raise Cyclic else ls
+     level is an antichain of the routing DAG.  One pass over a
+     topological order, O(V + E). *)
+  let succ = slot_successors net in
+  let depth = Array.make (size net) 0 in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun b -> depth.(b) <- Int.max depth.(b) (depth.(s) + 1))
+        succ.(s))
+    (kahn (size net) (Array.get succ));
+  let ls = Array.make (Array.fold_left Int.max (-1) depth + 1) [] in
+  for s = size net - 1 downto 0 do
+    ls.(depth.(s)) <- net.servers.(s).id :: ls.(depth.(s))
+  done;
+  Array.to_list ls
 
 let widest_antichain net =
   List.fold_left (fun acc l -> max acc (List.length l)) 0 (levels net)

@@ -93,13 +93,21 @@ val total_hop_count : t -> int
 (** Sum of route lengths over all flows — the number of
     [(flow, server)] pairs a table-based propagation materializes. *)
 
+val kahn : int -> (int -> int list) -> int list
+(** [kahn n succ] orders the nodes [0 .. n-1], node [i] having the
+    duplicate-free successors [succ i], by Kahn's algorithm: sources
+    first in ascending order, and the successors a node releases,
+    sorted, ahead of the nodes ready before.  The servers (in id order)
+    and Algorithm Integrated's contracted subnet graph share this rule.
+    @raise Cyclic when the graph has a cycle. *)
+
 val topological_order : ?servers:int list -> t -> int list
 (** Every server id (including isolated ones), sources first, ties
-    broken by ascending id.  With [servers] (distinct ids), only those
-    servers, ordered by the edges among them: an online engine orders
-    the downstream cone of a change this way, reading only the
-    successor lists of the cone's servers and allocating in proportion
-    to the cone.
+    broken by ascending id ({!kahn}).  With [servers] (distinct ids),
+    only those servers, ordered by the edges among them: an online
+    engine orders the downstream cone of a change this way, reading
+    only the successor lists of the cone's servers and allocating in
+    proportion to the cone.
     @raise Cyclic when the routing graph (or the sub-graph) has a
     cycle. *)
 
@@ -109,9 +117,8 @@ val levels : t -> int list list
     a strictly lower level to a strictly higher one, so no two servers
     of a level depend on each other — the unit of parallel sharding in
     the streaming propagation engine.  Levels are the longest-path
-    layering; each level is sorted ascending.  Kahn's algorithm on an
-    indegree array indexed like the servers: O(V + E) plus the sorts of
-    the levels.
+    layering, computed in one pass over the {!kahn} order; each level
+    is sorted ascending.  O(V + E) plus the {!kahn} sorts.
     @raise Cyclic when the routing graph is not feedforward. *)
 
 val widest_antichain : t -> int

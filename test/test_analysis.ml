@@ -8,6 +8,34 @@ let tb ~sigma ~rho = Pwl.affine ~y0:sigma ~slope:rho
 let tandem ?(peak = 1.) ?(sigma = 1.) n u =
   Tandem.make ~n ~utilization:u ~sigma ~peak ()
 
+(* [Integrated.subnet_delays]' contract, for every flow: the subnets
+   its route meets, in route order, which is also their pairing order,
+   summing to [flow_delay] bit for bit. *)
+let check_subnet_delays a =
+  let net = Integrated.network a and pairing = Integrated.pairing a in
+  List.iter
+    (fun (f : Flow.t) ->
+      let subnet_of s =
+        List.find (fun p -> List.mem s (Pairing.servers_of p)) pairing
+      in
+      let rec dedup = function
+        | a :: (b :: _ as rest) when a = b -> dedup rest
+        | a :: rest -> a :: dedup rest
+        | [] -> []
+      in
+      let on_route = dedup (List.map subnet_of f.route) in
+      let got = Integrated.subnet_delays a f.id in
+      check_bool "the subnets the route meets, in route order" true
+        (List.map fst got = on_route);
+      check_bool "route order is pairing order" true
+        (on_route = List.filter (fun p -> List.mem p on_route) pairing);
+      check_bool "they sum to flow_delay" true
+        (Int64.equal
+           (Int64.bits_of_float
+              (List.fold_left (fun acc (_, d) -> acc +. d) 0. got))
+           (Int64.bits_of_float (Integrated.flow_delay a f.id))))
+    (Network.flows net)
+
 (* ------------------------------------------------------------------ *)
 (* Pairing                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -59,6 +87,297 @@ let test_pairing_rejects_contraction_cycle () =
   (* Greedy must avoid that pair and still produce a valid pairing. *)
   let p = Pairing.build net Pairing.Greedy in
   Pairing.validate net p
+
+(* Flow 1 rides 0 -> 2, which flow 0 also joins through 1: pairing
+   (0, 2) would close a cycle through {1}, so 0 stays single. *)
+let test_pairing_along_route_skips_cycle () =
+  let arrival = Arrival.token_bucket ~sigma:1. ~rho:0.05 () in
+  let servers = List.init 3 (fun id -> Server.make ~id ~rate:1. ()) in
+  let flows =
+    [
+      Flow.make ~id:0 ~arrival ~route:[ 0; 1; 2 ] ();
+      Flow.make ~id:1 ~arrival ~route:[ 0; 2 ] ();
+    ]
+  in
+  let net = Network.make ~servers ~flows in
+  let strategy = Pairing.Along_route 1 in
+  Alcotest.(check string)
+    "pairing" "{0} {1} {2}"
+    (Format.asprintf "%a" Pairing.pp (Pairing.build net strategy));
+  let a = Integrated.analyze ~strategy net in
+  List.iter
+    (fun (_, d) -> check_bool "finite bound" true (Float.is_finite d))
+    (Integrated.all_flow_delays a);
+  let candidate = Flow.make ~id:2 ~arrival ~route:[ 0; 2 ] ~deadline:100. () in
+  match
+    Admission.decide_one ~strategy ~servers ~flows ~candidate
+      ~method_:Engine.Integrated ()
+  with
+  | Admission.Accepted _ -> ()
+  | Admission.Rejected r -> Alcotest.fail (Admission.reason_to_string r)
+
+(* Whether contracting each subnet to one node leaves a cycle: a
+   depth-first search over the subnet graph that meets a node still on
+   its stack. *)
+let contraction_has_cycle net subnets =
+  let arr = Array.of_list subnets in
+  let node = Hashtbl.create 16 in
+  Array.iteri
+    (fun i subnet ->
+      List.iter (fun s -> Hashtbl.replace node s i) (Pairing.servers_of subnet))
+    arr;
+  let succ i =
+    List.concat_map (Network.successors net) (Pairing.servers_of arr.(i))
+    |> List.map (Hashtbl.find node)
+    |> List.filter (fun j -> j <> i)
+  in
+  let state = Array.make (Array.length arr) `New in
+  let rec visit i =
+    state.(i) <- `On_stack;
+    let cycle =
+      List.exists
+        (fun j ->
+          match state.(j) with
+          | `On_stack -> true
+          | `New -> visit j
+          | `Done -> false)
+        (succ i)
+    in
+    state.(i) <- `Done;
+    cycle
+  in
+  List.exists
+    (fun i -> state.(i) = `New && visit i)
+    (List.init (Array.length arr) Fun.id)
+
+(* Greedy leaves both ends of an edge single only when contracting the
+   edge into its pairing would close a cycle. *)
+let prop_greedy_maximal =
+  qtest ~count:60 "greedy leaves no admissible pair unpaired"
+    QCheck2.Gen.(
+      quad (int_range 2 5) (int_range 1 4) (int_range 1 16)
+        (int_range 0 10_000))
+    (fun (layers, per_layer, num_flows, seed) ->
+      let net =
+        Randomnet.generate
+          { Randomnet.default with layers; per_layer; num_flows; seed }
+      in
+      let p = Pairing.build net Pairing.Greedy in
+      let single s = List.mem (Pairing.Single s) p in
+      List.for_all
+        (fun (u, v) ->
+          (not (single u && single v))
+          || contraction_has_cycle net
+               (Pairing.Pair (u, v)
+               :: List.filter
+                    (fun s -> s <> Pairing.Single u && s <> Pairing.Single v)
+                    p))
+        (Network.edges net))
+
+(* The Greedy, Singletons and Along_route (first flow) pairings, and the
+   bit patterns of Integrated's (Greedy) delays, per-subnet delays and
+   backlogs, as one digest. *)
+let fingerprint net =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.bprintf buf fmt in
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  List.iter
+    (fun strategy ->
+      match Pairing.build net strategy with
+      | p -> add "%s\n" (Format.asprintf "%a" Pairing.pp p)
+      | exception Network.Cyclic -> add "cyclic\n")
+    [
+      Pairing.Greedy;
+      Pairing.Singletons;
+      Pairing.Along_route (List.hd (Network.flows net)).id;
+    ];
+  let a = Integrated.analyze ~strategy:Pairing.Greedy net in
+  List.iter
+    (fun (f : Flow.t) ->
+      add "f%d %s %s [%s] {%s}\n" f.id
+        (bits (Integrated.flow_delay a f.id))
+        (bits (Integrated.flow_backlog a f.id))
+        (String.concat ","
+           (List.map
+              (fun s -> bits (Integrated.local_backlog a ~flow:f.id ~server:s))
+              f.route))
+        (String.concat ","
+           (List.map
+              (fun (subnet, d) ->
+                Format.asprintf "%a:%s" Pairing.pp [ subnet ] (bits d))
+              (Integrated.subnet_delays a f.id))))
+    (Network.flows net);
+  List.iter
+    (fun (s : Server.t) ->
+      add "s%d %s\n" s.id (bits (Integrated.server_backlog a s.id)))
+    (Network.servers net);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* [fingerprint]s of the tandems, which no random draw shapes, recorded
+   with a reference implementation that re-sorted the whole contracted
+   graph for each candidate pair and scanned the pairing for each
+   flow's delay.  The search-based pairing and the per-hop contribution
+   table must match it bit for bit. *)
+let pinned_tandems =
+  let tandem ?discipline n u digest =
+    ( Printf.sprintf "tandem n=%d u=%g" n u,
+      (Tandem.make ?discipline ~n ~utilization:u ()).network,
+      digest )
+  in
+  [
+    tandem 2 0.3 "e47b8d8926a2485d8082e48b00d15c80";
+    tandem 4 0.6 "5da5fc1f61e77b2f8a198e200b7ab0fc";
+    tandem 5 0.9 "9863252f1714c24ee2dff2e6e5fbaf76";
+    tandem 8 0.6 "0fd3571a3dcb28306e5695947f34399a";
+    tandem ~discipline:Discipline.Static_priority 4 0.6
+      "6fc5eeb66fb822adcc3b577bbc29466b";
+  ]
+
+let test_pairing_fingerprints () =
+  List.iter
+    (fun (name, net, digest) ->
+      Alcotest.(check string) name digest (fingerprint net))
+    pinned_tandems
+
+(* Kahn's order of the contracted graph, kept apart from [Network]'s:
+   sources in list order, and the subnets a subnet releases, sorted,
+   ahead of the ones ready before. *)
+let reference_order net subnets =
+  let arr = Array.of_list subnets in
+  let node = Hashtbl.create 64 in
+  Array.iteri
+    (fun i subnet ->
+      List.iter (fun s -> Hashtbl.replace node s i) (Pairing.servers_of subnet))
+    arr;
+  let edges =
+    Network.edges net
+    |> List.filter_map (fun (a, b) ->
+           let i = Hashtbl.find node a and j = Hashtbl.find node b in
+           if i = j then None else Some (i, j))
+    |> List.sort_uniq compare
+  in
+  let indegree = Array.make (Array.length arr) 0 in
+  List.iter (fun (_, j) -> indegree.(j) <- indegree.(j) + 1) edges;
+  let rec go = function
+    | [] -> []
+    | i :: rest ->
+        let released =
+          List.filter
+            (fun j ->
+              indegree.(j) <- indegree.(j) - 1;
+              indegree.(j) = 0)
+            (List.filter_map
+               (fun (a, j) -> if a = i then Some j else None)
+               edges)
+        in
+        arr.(i) :: go (List.sort compare released @ rest)
+  in
+  go
+    (List.filter
+       (fun i -> indegree.(i) = 0)
+       (List.init (Array.length arr) Fun.id))
+
+(* [Pairing.build] as a re-check of the whole contraction for each
+   candidate pair: the Greedy candidates of u are its unpaired
+   successors, the most flows riding u -> v first, counted per edge
+   over every flow. *)
+let reference_pairing net strategy =
+  let ids = List.map (fun (s : Server.t) -> s.id) (Network.servers net) in
+  let singles_except covered =
+    List.filter_map
+      (fun s -> if List.mem s covered then None else Some (Pairing.Single s))
+      ids
+  in
+  let with_singles chosen =
+    chosen @ singles_except (List.concat_map Pairing.servers_of chosen)
+  in
+  let admissible chosen u v =
+    not
+      (contraction_has_cycle net
+         (with_singles (Pairing.Pair (u, v) :: chosen)))
+  in
+  match strategy with
+  | Pairing.Singletons -> reference_order net (with_singles [])
+  | Pairing.Along_route id ->
+      let route = (Network.flow net id).route in
+      let rec walk chosen = function
+        | u :: v :: rest when admissible chosen u v ->
+            Pairing.Pair (u, v) :: walk (Pairing.Pair (u, v) :: chosen) rest
+        | u :: rest -> Pairing.Single u :: walk chosen rest
+        | [] -> []
+      in
+      reference_order net (walk [] route @ singles_except route)
+  | Pairing.Greedy ->
+      let riding u v =
+        List.length
+          (List.filter
+             (fun (f : Flow.t) -> List.mem (u, v) (Flow.hop_pairs f))
+             (Network.flows net))
+      in
+      let step chosen u =
+        let paired = List.concat_map Pairing.servers_of chosen in
+        if List.mem u paired then chosen
+        else
+          Network.edges net
+          |> List.filter_map (fun (a, v) ->
+                 if a = u && not (List.mem v paired) then Some v else None)
+          |> List.stable_sort (fun v w -> compare (riding u w) (riding u v))
+          |> List.find_opt (admissible chosen u)
+          |> function
+          | Some v -> Pairing.Pair (u, v) :: chosen
+          | None -> chosen
+      in
+      let order =
+        List.concat_map Pairing.servers_of
+          (reference_order net (with_singles []))
+      in
+      reference_order net
+        (reference_order net (with_singles (List.fold_left step [] order)))
+
+(* Networks from the seeded generators.  Their shape follows the
+   compiler's [Random], so they are checked against [reference_pairing]
+   and the pairing-order sum of their subnet delays, not pinned. *)
+let generated_nets =
+  List.init 5 (fun i ->
+      let seed = i + 1 in
+      ( Printf.sprintf "randomnet seed=%d" seed,
+        fun () ->
+          Randomnet.generate
+            {
+              Randomnet.default with
+              layers = 4;
+              per_layer = 3;
+              num_flows = 14;
+              seed;
+            }
+      ))
+  @ List.concat_map
+      (fun family ->
+        List.map
+          (fun seed ->
+            ( Printf.sprintf "%s 250 seed=%d" (Corpus.to_string family) seed,
+              fun () -> Corpus.generate ~family ~target_servers:250 ~seed ))
+          [ 1; 2 ])
+      Corpus.all
+
+let test_pairing_matches_reference () =
+  List.iter
+    (fun (name, mk) ->
+      let net = mk () in
+      List.iter
+        (fun strategy ->
+          let pp = Format.asprintf "%a" Pairing.pp in
+          Alcotest.(check string)
+            name
+            (pp (reference_pairing net strategy))
+            (pp (Pairing.build net strategy)))
+        [
+          Pairing.Greedy;
+          Pairing.Singletons;
+          Pairing.Along_route (List.hd (Network.flows net)).id;
+        ];
+      check_subnet_delays (Integrated.analyze ~strategy:Pairing.Greedy net))
+    generated_nets
 
 let test_pairing_validate_cover () =
   let t = tandem 2 0.5 in
@@ -278,20 +597,12 @@ let test_off_route_lookups () =
   let i = Integrated.analyze t.network in
   expect_invalid "Integrated.local_backlog" (fun () ->
       Integrated.local_backlog i ~flow:0 ~server:999);
-  let off_route = ref 0 in
-  List.iter
-    (fun subnet ->
-      match Integrated.subnet_delay_opt i ~flow:0 ~subnet with
-      | Some d ->
-          approx "subnet_delay agrees with _opt" d
-            (Integrated.subnet_delay i ~flow:0 ~subnet)
-      | None ->
-          incr off_route;
-          expect_invalid "Integrated.subnet_delay off-route" (fun () ->
-              Integrated.subnet_delay i ~flow:0 ~subnet))
-    (Integrated.pairing i);
+  expect_invalid "Integrated.subnet_delays unknown flow" (fun () ->
+      Integrated.subnet_delays i 999);
+  check_subnet_delays i;
   check_bool "some subnet is off-route for the through flow" true
-    (!off_route > 0)
+    (List.compare_lengths (Integrated.subnet_delays i 0) (Integrated.pairing i)
+    < 0)
 
 let test_service_curve_matches_closed_form () =
   List.iter
@@ -388,10 +699,13 @@ let test_integrated_rejects_non_fifo () =
 let test_integrated_subnet_delay_bookkeeping () =
   let t = tandem 4 0.5 in
   let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) t.network in
-  let d01 = Integrated.subnet_delay integ ~flow:0 ~subnet:(Pairing.Pair (0, 1)) in
-  let d23 = Integrated.subnet_delay integ ~flow:0 ~subnet:(Pairing.Pair (2, 3)) in
-  approx "contributions sum to the bound" (d01 +. d23)
-    (Integrated.flow_delay integ 0)
+  (match Integrated.subnet_delays integ 0 with
+  | [ (Pairing.Pair (0, 1), d01); (Pairing.Pair (2, 3), d23) ] ->
+      approx "contributions sum to the bound" (d01 +. d23)
+        (Integrated.flow_delay integ 0)
+  | _ -> Alcotest.fail "conn0 crosses the pairs (0, 1) and (2, 3)");
+  check_subnet_delays integ;
+  check_subnet_delays (Integrated.analyze ~strategy:Pairing.Greedy t.network)
 
 let test_link_cap_option_tightens () =
   let t = tandem 6 0.8 in
@@ -674,4 +988,11 @@ let suite =
       test "admission rejects deadline-less flows"
         test_admission_rejects_no_deadline;
       test "admission is FCFS (ordering matters)" test_admission_is_fcfs;
+      test "pairing along route skips cycle-closing pairs"
+        test_pairing_along_route_skips_cycle;
+      prop_greedy_maximal;
+      test "pairings and integrated bits pinned on tandems"
+        test_pairing_fingerprints;
+      test "pairings match a re-sorting reference on generated nets"
+        test_pairing_matches_reference;
     ] )

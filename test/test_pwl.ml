@@ -393,6 +393,17 @@ let prop_busy_period_is_crossing =
       Float.is_finite b
       && Pwl.eval agg (b +. 1e-6) <= (rate *. (b +. 1e-6)) +. 1e-4)
 
+(* Past 2^53 neighbouring floats are 2 apart, and (1e16 + 2) + 1 rounds
+   up onto 1e16 + 4: tail probes at x + 1 and x + 2 would coincide and
+   divide by zero. *)
+let test_of_sampler_far_candidate () =
+  let f =
+    Pwl.of_sampler ~candidates:[ 0.; 1e16 +. 2. ]
+      ~eval:(fun t -> 0.5 *. t)
+      ()
+  in
+  List.iter (fun (_, _, slope) -> approx "slope" 0.5 slope) (Pwl.segments f)
+
 let suite =
   ( "pwl",
     [
@@ -434,4 +445,5 @@ let suite =
       test "sum: 2000-curve hub is one construction" test_sum_hub;
       test "sum/add: zero operands found by content" test_zero_by_content;
       test "pwl.segments metrics record workload" test_segment_metrics;
+      test "of_sampler past 2^53" test_of_sampler_far_candidate;
     ] )
