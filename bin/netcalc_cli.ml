@@ -40,6 +40,18 @@ let link_cap_arg =
 let options_of link_cap =
   if link_cap then Options.sharpened else Options.default
 
+(* The library refused the user's input: an input error, reported on
+   stderr with exit 1, where an uncaught exception (exit 125) means a
+   bug. *)
+let refused report f =
+  try f ()
+  with Invalid_argument reason ->
+    report reason;
+    exit 1
+
+(* A generator refused the user's parameters. *)
+let build f = refused (Printf.eprintf "netcalc: %s\n") f
+
 let methods_table net ~flow ~options =
   let tbl =
     Table.create ~header:[ "method"; "delay bound"; "R vs Decomposed" ]
@@ -69,7 +81,9 @@ let methods_table net ~flow ~options =
 
 let tandem_cmd =
   let run n u sigma peak link_cap () =
-    let t = Tandem.make ~n ~utilization:u ~sigma ~peak () in
+    let t =
+      build (fun () -> Tandem.make ~n ~utilization:u ~sigma ~peak ())
+    in
     Printf.printf
       "Tandem of %d switches (Fig. 3), U = %g, sigma = %g, peak = %g\n\
        Connection 0 end-to-end delay bounds:\n\n"
@@ -88,7 +102,9 @@ let sweep_cmd =
     in
     List.iter
       (fun u ->
-        let t = Tandem.make ~n ~utilization:u ~sigma ~peak () in
+        let t =
+          build (fun () -> Tandem.make ~n ~utilization:u ~sigma ~peak ())
+        in
         let c =
           Engine.compare_all ~options ~strategy:(Pairing.Along_route 0)
             t.network 0
@@ -114,7 +130,10 @@ let simulate_cmd =
   let run n u sigma horizon packet_size () =
     (* Packetized sources cannot meet a finite fluid peak-rate envelope;
        simulate against peak-free sources (see Validate). *)
-    let t = Tandem.make ~n ~utilization:u ~sigma ~peak:infinity () in
+    let t =
+      build (fun () ->
+          Tandem.make ~n ~utilization:u ~sigma ~peak:infinity ())
+    in
     let net = t.network in
     let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
     let config = { Sim.default_config with horizon; packet_size } in
@@ -158,9 +177,10 @@ let random_cmd =
   in
   let run seed flows layers u link_cap () =
     let net =
-      Randomnet.generate
-        { Randomnet.default with seed; num_flows = flows; layers;
-          utilization = u }
+      build (fun () ->
+          Randomnet.generate
+            { Randomnet.default with seed; num_flows = flows; layers;
+              utilization = u })
     in
     let options = options_of link_cap in
     let dd = Decomposed.analyze ~options net in
@@ -200,6 +220,10 @@ let not_applicable oc method_ reason =
   in
   Printf.fprintf oc "%s: not applicable: %s\n" name reason
 
+(* Decomposed, or its fixed point on cyclic routing, refused the
+   scenario (an EDF server carries a flow without a deadline). *)
+let decomposed f = refused (not_applicable stderr Engine.Decomposed) f
+
 let analyze_cmd =
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -227,16 +251,17 @@ let analyze_cmd =
     in
     let not_applicable = not_applicable stdout Engine.Integrated in
     if report && Network.is_feedforward net then begin
-      print_string (Report.decomposed (Decomposed.analyze ~options net));
+      print_string
+        (Report.decomposed
+           (decomposed (fun () -> Decomposed.analyze ~options net)));
       print_newline ();
       match integrated () with
       | Ok integ -> print_string (Report.integrated integ)
       | Error reason -> not_applicable reason
     end
-    else begin
-    Format.printf "%a@.@." Network.pp net;
-    if Network.is_feedforward net then begin
-      let dd = Decomposed.analyze ~options net in
+    else if Network.is_feedforward net then begin
+      let dd = decomposed (fun () -> Decomposed.analyze ~options net) in
+      Format.printf "%a@.@." Network.pp net;
       let integ = integrated () in
       let tbl =
         Table.create
@@ -268,9 +293,10 @@ let analyze_cmd =
       Result.iter_error not_applicable integ
     end
     else begin
+      let fp = decomposed (fun () -> Fixed_point.analyze ~options net) in
+      Format.printf "%a@.@." Network.pp net;
       print_endline
         "Routing graph has cycles: using the fixed-point (feedback) engine.";
-      let fp = Fixed_point.analyze ~options net in
       Printf.printf "Converged: %b after %d iteration(s)\n\n"
         (Fixed_point.converged fp) (Fixed_point.iterations fp);
       let tbl = Table.create ~header:[ "flow"; "hops"; "bound" ] in
@@ -285,7 +311,6 @@ let analyze_cmd =
         (Network.flows net);
       Table.print tbl
     end
-    end
   in
   ("analyze", "Analyze a network described in a scenario file",
    Term.(const run $ file_arg $ report_arg $ link_cap_arg))
@@ -299,7 +324,7 @@ let ring_cmd =
            ~doc:"Hops each flow travels around the ring.")
   in
   let run n hops u () =
-    let r = Ring.make ~n ~hops ~utilization:u () in
+    let r = build (fun () -> Ring.make ~n ~hops ~utilization:u ()) in
     let fp = Fixed_point.analyze r.network in
     Printf.printf
       "Ring of %d servers, %d hops per flow, U = %g\nConverged: %b after %d \
@@ -319,7 +344,9 @@ let ring_cmd =
 let sp_cmd =
   let run n u () =
     let t =
-      Tandem.make ~n ~utilization:u ~discipline:Discipline.Static_priority ()
+      build (fun () ->
+          Tandem.make ~n ~utilization:u
+            ~discipline:Discipline.Static_priority ())
     in
     let net = t.network in
     let dd = Decomposed.analyze net in
@@ -357,7 +384,9 @@ let fluid_cmd =
            ~doc:"Number of phase-randomized fluid scenarios.")
   in
   let run n u tries () =
-    let t = Tandem.make ~n ~utilization:u ~peak:infinity () in
+    let t =
+      build (fun () -> Tandem.make ~n ~utilization:u ~peak:infinity ())
+    in
     let net = t.network in
     let observed = Fluid.phase_search ~tries net in
     let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
@@ -421,7 +450,8 @@ let dot_cmd =
   let run n u family servers seed max_servers () =
     let net =
       match family with
-      | None -> (Tandem.make ~n ~utilization:u ()).Tandem.network
+      | None ->
+          (build (fun () -> Tandem.make ~n ~utilization:u ())).Tandem.network
       | Some family -> Corpus.generate ~family ~target_servers:servers ~seed
     in
     let size = Network.size net in
@@ -549,17 +579,14 @@ let admit_cmd =
     let base = List.filter (fun (f : Flow.t) -> f.deadline = None) all in
     let candidates = List.filter (fun (f : Flow.t) -> f.deadline <> None) all in
     let outcome, admitted =
-      try
-        let outcome =
-          Admission.run ~options ~servers ~base ~candidates ~method_ ()
-        in
-        ( outcome,
-          Engine.analyze ~options
-            (Network.make ~servers ~flows:(base @ outcome.admitted))
-            method_ )
-      with Invalid_argument reason ->
-        not_applicable stderr method_ reason;
-        exit 1
+      refused (not_applicable stderr method_) (fun () ->
+          let outcome =
+            Admission.run ~options ~servers ~base ~candidates ~method_ ()
+          in
+          ( outcome,
+            Engine.analyze ~options
+              (Network.make ~servers ~flows:(base @ outcome.admitted))
+              method_ ))
     in
     let rejected_reason (c : Flow.t) =
       List.find_opt (fun ((f : Flow.t), _) -> f.id = c.id) outcome.rejections
@@ -640,7 +667,9 @@ let serve_cmd =
     let net =
       match file with
       | Some f -> load_scenario f
-      | None -> (Tandem.make ~n ~utilization:u ~sigma ~peak ()).Tandem.network
+      | None ->
+          (build (fun () -> Tandem.make ~n ~utilization:u ~sigma ~peak ()))
+            .Tandem.network
     in
     let t =
       Serve.create ~options:(options_of link_cap) ~mode:engine

@@ -10,7 +10,9 @@
 
     The per-server step and every accessor below are {!Forward}'s; this
     engine is its full-topological-order driver plus a memo over
-    structurally equal (network, options) inputs.
+    structurally equal (network, options) inputs.  [t] stays abstract
+    so that no caller can mutate a memoized result through
+    {!Forward.set_network} or {!Forward.apply}.
 
     FIFO servers use the aggregate bound [sup (G t / C - t)]; static
     priority, EDF and GPS servers use the corresponding substrate
@@ -25,8 +27,8 @@ val analyze : ?options:Options.t -> Network.t -> t
     unstable server are unconstrained; flows that avoid unstable
     servers keep finite bounds).
     @raise Network.Cyclic on non-feedforward routing.
-    @raise Invalid_argument when an EDF server carries a flow without a
-    deadline. *)
+    @raise Invalid_argument naming the flow and the server when an EDF
+    server carries a flow without a deadline. *)
 
 val network : t -> Network.t
 
@@ -59,9 +61,9 @@ val server_backlog : t -> int -> float
 
 val server_flow_backlogs : t -> int -> (int * float) list
 (** Per-flow backlog bounds at a server, [(flow id, bound)] in id
-    order ({!Backlog.per_flow}: the minimal FIFO split, class-level
-    for static priority, share-based for GPS, discipline-agnostic for
-    EDF).  Empty for an idle server, all [infinity] past an unstable
+    order ({!Forward.server_flow_backlogs}: the minimal FIFO split,
+    class-level for static priority, share-based for GPS,
+    discipline-agnostic for EDF).  Empty for an idle server, all [infinity] past an unstable
     one. *)
 
 val local_backlog : t -> flow:int -> server:int -> float

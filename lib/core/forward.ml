@@ -34,6 +34,111 @@ let poison_rest t (f : Flow.t) ~from =
   in
   mark f.route
 
+(* ---- The per-server arithmetic ---- *)
+
+(* Every bound at a server reads its flows' input envelopes there: the
+   delay (horizontal deviation) and the backlog (vertical deviation)
+   of the paper's Eq. (1) share the helpers below. *)
+
+let env t sid (f : Flow.t) = Propagation.get t.envs ~flow:f.id ~server:sid
+let rate_line rate = Pwl.affine ~y0:0. ~slope:rate
+
+let aggregate t sid flows =
+  if not t.options.Options.link_cap then Pwl.sum (List.map (env t sid) flows)
+  else begin
+    (* Group flows by upstream server; cap each transit group by the
+       upstream link rate (output over any window of length I is at
+       most C_upstream * I). *)
+    let groups = Hashtbl.create 8 in
+    List.iter
+      (fun (f : Flow.t) ->
+        let key = Flow.prev_hop f sid in
+        let cur = try Hashtbl.find groups key with Not_found -> [] in
+        Hashtbl.replace groups key (env t sid f :: cur))
+      flows;
+    (* Sum the groups in sorted-key order: hash-table iteration order
+       is unspecified, and float addition is not associative, so
+       folding in table order would make the result depend on it. *)
+    let keys =
+      Hashtbl.fold (fun key _ acc -> key :: acc) groups []
+      |> List.sort_uniq (Option.compare Int.compare)
+    in
+    List.fold_left
+      (fun acc key ->
+        let group_env = Pwl.sum (Hashtbl.find groups key) in
+        let capped =
+          match key with
+          | None -> group_env
+          | Some upstream ->
+              let rate = (Network.server t.net upstream).Server.rate in
+              Pwl.min_pw (rate_line rate) group_env
+        in
+        Pwl.add acc capped)
+      Pwl.zero keys
+  end
+
+(* Static priority: [per_class ~higher ~own] once for each class a
+   target belongs to, [higher] and [own] the aggregates of the more
+   urgent classes and of the class itself, summed over [present] in
+   its order; one entry per target, in order. *)
+let by_class t sid ~present ~targets per_class =
+  let of_class pred =
+    Pwl.sum
+      (List.filter_map
+         (fun (g : Flow.t) ->
+           if pred g.priority then Some (env t sid g) else None)
+         present)
+  in
+  let values =
+    List.sort_uniq Int.compare
+      (List.map (fun (f : Flow.t) -> f.priority) targets)
+    |> List.map (fun p ->
+           ( p,
+             per_class
+               ~higher:(of_class (fun q -> q < p))
+               ~own:(of_class (fun q -> q = p)) ))
+  in
+  List.map (fun (f : Flow.t) -> (f, List.assoc f.priority values)) targets
+
+let total_weight present =
+  List.fold_left (fun acc (f : Flow.t) -> acc +. f.weight) 0. present
+
+(* Each present flow's local delay, by discipline as the .mli header
+   lists them. *)
+let local_delays t sid present =
+  let srv = Network.server t.net sid in
+  let rate = srv.Server.rate in
+  match srv.Server.discipline with
+  | Discipline.Fifo ->
+      let d = Fifo.local_delay ~rate ~agg:(aggregate t sid present) in
+      List.map (fun f -> (f, d)) present
+  | Discipline.Static_priority ->
+      by_class t sid ~present ~targets:present (fun ~higher ~own ->
+          Static_priority.local_delay ~rate ~higher ~own
+            ~blocking:t.options.Options.sp_blocking)
+  | Discipline.Edf ->
+      let local_deadline (f : Flow.t) =
+        match f.deadline with
+        | Some d -> d /. float_of_int (List.length f.route)
+        | None ->
+            invalid_arg
+              (Printf.sprintf
+                 "flow %s has no deadline but crosses EDF server %s" f.name
+                 srv.Server.name)
+      in
+      let pairs = List.map (fun f -> (env t sid f, local_deadline f)) present in
+      List.map
+        (fun f -> (f, Edf.local_delay ~rate pairs ~deadline:(local_deadline f)))
+        present
+  | Discipline.Gps ->
+      let total_weight = total_weight present in
+      List.map
+        (fun (f : Flow.t) ->
+          ( f,
+            Gps.local_delay ~rate ~weight:f.weight ~total_weight
+              ~alpha:(env t sid f) ))
+        present
+
 type step = {
   sid : int;
   present : Flow.t list;
@@ -56,13 +161,10 @@ let compute t sid =
   else
     let next (f : Flow.t) d =
       if d = infinity || Flow.next_hop f sid = None then None
-      else
-        let env = Propagation.get t.envs ~flow:f.id ~server:sid in
-        Some (Pwl.shift_left env d)
+      else Some (Pwl.shift_left (env t sid f) d)
     in
     let bounds =
-      Local_bounds.at_server ~options:t.options t.net t.envs ~server:sid
-      |> List.map (fun (f, d) -> (f, d, next f d))
+      local_delays t sid present |> List.map (fun (f, d) -> (f, d, next f d))
     in
     { sid; present; bounds = Some bounds }
 
@@ -155,22 +257,62 @@ let of_aggregate t sid bound =
   else if poisoned_server t sid then infinity
   else
     bound ~rate:(Network.server t.net sid).Server.rate
-      ~agg:
-        (Propagation.aggregate_input ~options:t.options t.net t.envs
-           ~server:sid ~flows:present)
+      ~agg:(aggregate t sid present)
 
 let server_backlog t sid = of_aggregate t sid Fifo.backlog
 let server_busy_period t sid = of_aggregate t sid Fifo.busy_period
 
+(* The [targets]' backlog bounds at the server, one per target in
+   order, by discipline as [server_flow_backlogs] documents them; the
+   cap [b_agg] is the server's aggregate backlog bound. *)
 let hop_backlogs t sid ~targets =
-  let present = Network.flows_at t.net sid in
   if targets = [] then []
   else if poisoned_server t sid then
     List.map (fun (f : Flow.t) -> (f, infinity)) targets
   else
-    Backlog.per_flow ~options:t.options t.net t.envs ~server:sid
-      ~flows:present ~targets
-      ~local_delay:(fun ~flow -> local_delay t ~flow ~server:sid)
+    let srv = Network.server t.net sid in
+    let rate = srv.Server.rate in
+    let present = Network.flows_at t.net sid in
+    match srv.Server.discipline with
+    | Discipline.Fifo ->
+        let agg = aggregate t sid present and beta = rate_line rate in
+        List.map
+          (fun f ->
+            (f, Deviation.vdev_per_flow ~alpha_i:(env t sid f) ~agg ~beta))
+          targets
+    | Discipline.Static_priority ->
+        let b_agg = server_backlog t sid in
+        by_class t sid ~present ~targets (fun ~higher ~own ->
+            ( own,
+              Static_priority.class_service ~rate ~higher
+                ~blocking:t.options.Options.sp_blocking ))
+        |> List.map (fun (f, (own, beta)) ->
+               ( f,
+                 Float.min b_agg
+                   (Deviation.vdev_per_flow ~alpha_i:(env t sid f) ~agg:own
+                      ~beta) ))
+    | Discipline.Gps ->
+        let b_agg = server_backlog t sid
+        and total_weight = total_weight present in
+        List.map
+          (fun (f : Flow.t) ->
+            let share = rate *. f.weight /. total_weight in
+            ( f,
+              Float.min b_agg
+                (Deviation.vdev ~alpha:(env t sid f) ~beta:(rate_line share))
+            ))
+          targets
+    | Discipline.Edf ->
+        let b_agg = server_backlog t sid in
+        List.map
+          (fun (f : Flow.t) ->
+            let d = local_delay t ~flow:f.id ~server:sid in
+            let own =
+              if Float_ops.is_finite d then Pwl.eval (env t sid f) d
+              else infinity
+            in
+            (f, Float.min own b_agg))
+          targets
 
 let server_flow_backlogs t sid =
   hop_backlogs t sid ~targets:(Network.flows_at t.net sid)

@@ -2,8 +2,16 @@
 
     Algorithm Decomposed is one per-server step repeated in topological
     order: bound each flow's local delay from the server's aggregate
-    input ({!Local_bounds.at_server}), shift the flow's envelope by that
-    bound and install it at the next hop.
+    input, shift the flow's envelope by that bound and install it at
+    the next hop.  The local delay follows the server's discipline:
+    - FIFO: the aggregate bound [sup (G t / C - t)^+], the aggregate
+      honoring the link-cap option;
+    - static priority: the class's leftover-curve bound, with the
+      non-preemption blocking option;
+    - EDF: the flow's local deadline (its end-to-end deadline split
+      evenly across its hops) if the demand-bound test passes, else
+      infinity;
+    - GPS: the horizontal deviation from the flow's weighted share.
     Past an unstable server a flow's envelope is unconstrained, so its
     remaining hops are {e poisoned}: every flow meeting a poisoned hop
     gets an infinite local bound there and poisons its own remaining
@@ -11,8 +19,11 @@
 
     This module holds the state of that pass — the envelope table, the
     per-[(flow, server)] local bounds and the poison marks, each tagged
-    with the server whose step wrote it — the step itself, and one
-    accessor surface over the finished state.  Four drivers run it:
+    with the server whose step wrote it — the step itself with all of
+    its per-server arithmetic, and one accessor surface over the
+    finished state.  The delay and the backlog bounds at a server read
+    the same aggregate and, at a static-priority server, the same
+    per-class split.  Four drivers run it:
     {!Decomposed} (every server in topological order),
     {!Propagation_stream} (level by level, steps computed on the
     [netcalc.par] pool, then evicted), the serve delta engine (the
@@ -45,6 +56,14 @@ val set_network : t -> Network.t -> unit
 (** Replace the network (an online engine after admitting or tearing
     down a flow); the caller then re-runs the affected cone. *)
 
+val aggregate : t -> int -> Flow.t list -> Pwl.t
+(** [aggregate t server flows] is the aggregate envelope of [flows] at
+    the input of [server]: the sum of their envelopes there, except
+    that with the [link_cap] option the flows arriving from a common
+    upstream server are first summed and capped by that upstream
+    link's rate.  [Pwl.zero] for no flows.
+    @raise Not_found when an envelope is missing from the table. *)
+
 (** {1 The per-server step} *)
 
 type step
@@ -53,7 +72,9 @@ type step
 val compute : t -> int -> step
 (** Analyze one server from the current state without modifying it —
     safe to run concurrently for servers that do not depend on each
-    other, as long as no {!apply} runs meanwhile. *)
+    other, as long as no {!apply} runs meanwhile.
+    @raise Invalid_argument naming the flow and the server when an EDF
+    server carries a flow without a deadline. *)
 
 val apply : t -> step -> unit
 (** Write a computed step back: local bounds, next-hop envelopes and
@@ -104,7 +125,15 @@ val server_backlog : t -> int -> float
 val server_busy_period : t -> int -> float
 
 val server_flow_backlogs : t -> int -> (int * float) list
-(** {!Backlog.per_flow} for every flow at the server, in id order. *)
+(** Per-flow backlog bounds at the server, in id order.  FIFO takes the
+    minimal per-flow split {!Deviation.vdev_per_flow} of the aggregate;
+    static priority the same split within the class against its
+    leftover service; GPS the flow's vertical deviation from its
+    weighted share; EDF the discipline-agnostic
+    [min (alpha_i d_i) B_agg], [d_i] the flow's local delay bound.
+    The last three are capped by the aggregate bound [B_agg] (that of
+    {!server_backlog}).  Empty for an idle server, all [infinity] past
+    an unstable one. *)
 
 val local_backlog : t -> flow:int -> server:int -> float
 (** @raise Invalid_argument when the flow does not cross the server. *)

@@ -76,11 +76,7 @@ let poisoned t sid flows =
 let env_at t (f : Flow.t) sid =
   Propagation.get (Forward.envs t.fw) ~flow:f.id ~server:sid
 
-let aggregate t sid flows =
-  if flows = [] then Pwl.zero
-  else
-    Propagation.aggregate_input ~options:(Forward.options t.fw) (network t)
-      (Forward.envs t.fw) ~server:sid ~flows
+let aggregate t = Forward.aggregate t.fw
 
 (* A flow's delay [d] across [subnet], entered at [entry] and left
    after [last]: its envelope past [last] is the entry one shifted by
@@ -150,45 +146,38 @@ let split_pair net u v =
   in
   (s12, s1, s2)
 
+(* The pair's delays recorded for its flows; returns [d1], the
+   server-1 bound of the class.  The backlogs at each server are read
+   off the pair's window there, each transit flow's own envelope at v
+   being its upstream one shifted by [d1]. *)
 let pair_step t (u, v) ~s12 ~s1 ~s2 input =
-  let result =
-    match input with
-    | None ->
-        record_unbounded t u (s12 @ s1);
-        record_unbounded t v (s12 @ s2);
-        Pair_analysis.unbounded
-    | Some (input : Pair_analysis.general_input) ->
-        let result = Pair_analysis.analyze_general input in
-        let { Pair_analysis.link1; beta1; beta2; g12; g1; g2 } = input in
-        record_backlogs t u ~beta:beta1 ~agg:(Pwl.add g12 g1)
-          ~alphas:(own_envelopes t u (s12 @ s1));
-        (* At server v the transit aggregate is the integrated window
-           (link-capped, delay-inflated as a whole); each transit
-           flow's own envelope there is its upstream one shifted by the
-           server-1 class bound d1. *)
-        let d1 = result.Pair_analysis.d1 in
-        let link = Pwl.affine ~y0:0. ~slope:link1 in
-        let transit =
-          if d1 = infinity then link
-          else Pwl.min_pw link (Pwl.shift_left g12 d1)
-        in
-        record_backlogs t v ~beta:beta2 ~agg:(Pwl.add transit g2)
-          ~alphas:
-            (List.map
-               (fun f ->
-                 ( f,
-                   if Float_ops.is_finite d1 then
-                     Some (Pwl.shift_left (env_at t f u) d1)
-                   else None ))
-               s12
-            @ own_envelopes t v s2);
-        result
-  in
   let subnet = Pairing.Pair (u, v) in
-  List.iter (fun f -> record t subnet f ~entry:u ~last:v result.d_pair) s12;
-  List.iter (fun f -> record t subnet f ~entry:u ~last:u result.d1) s1;
-  List.iter (fun f -> record t subnet f ~entry:v ~last:v result.d2) s2;
-  result
+  let record_all ~d_pair ~d1 ~d2 =
+    List.iter (fun f -> record t subnet f ~entry:u ~last:v d_pair) s12;
+    List.iter (fun f -> record t subnet f ~entry:u ~last:u d1) s1;
+    List.iter (fun f -> record t subnet f ~entry:v ~last:v d2) s2;
+    d1
+  in
+  match input with
+  | None ->
+      record_unbounded t u (s12 @ s1);
+      record_unbounded t v (s12 @ s2);
+      record_all ~d_pair:infinity ~d1:infinity ~d2:infinity
+  | Some (input : Pair_analysis.general_input) ->
+      let r = Pair_analysis.analyze_general input in
+      record_backlogs t u ~beta:input.beta1 ~agg:r.window1
+        ~alphas:(own_envelopes t u (s12 @ s1));
+      record_backlogs t v ~beta:input.beta2 ~agg:r.window2
+        ~alphas:
+          (List.map
+             (fun f ->
+               ( f,
+                 if Float_ops.is_finite r.d1 then
+                   Some (Pwl.shift_left (env_at t f u) r.d1)
+                 else None ))
+             s12
+          @ own_envelopes t v s2);
+      record_all ~d_pair:r.d_pair ~d1:r.d1 ~d2:r.d2
 
 let c_pairs = Metrics.counter "integrated.subnets.pairs"
 let c_singles = Metrics.counter "integrated.subnets.singles"
@@ -279,15 +268,13 @@ let analyze_with_pairing ?(options = Options.default) net pairing_list =
                       g2 = aggregate t v s2;
                     }
               in
-              let result =
-                pair_step t (u, v) ~s12 ~s1 ~s2
-                  (if
-                     poisoned t u (s12 @ s1 @ higher_u)
-                     || poisoned t v (s2 @ higher_s2)
-                   then None
-                   else input ())
-              in
-              Hashtbl.replace d1_by_class p result.Pair_analysis.d1)
+              Hashtbl.replace d1_by_class p
+                (pair_step t (u, v) ~s12 ~s1 ~s2
+                   (if
+                      poisoned t u (s12 @ s1 @ higher_u)
+                      || poisoned t v (s2 @ higher_s2)
+                    then None
+                    else input ())))
             (classes su (at_u @ Network.flows_at net v)))
     t.pairing;
   t

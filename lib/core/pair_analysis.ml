@@ -21,16 +21,9 @@ type result = {
   d2 : float;
   busy1 : float;
   busy2 : float;
+  window1 : Pwl.t;
+  window2 : Pwl.t;
 }
-
-let unbounded =
-  {
-    d_pair = infinity;
-    d1 = infinity;
-    d2 = infinity;
-    busy1 = infinity;
-    busy2 = infinity;
-  }
 
 let single_general ~beta ~agg = Deviation.hdev ~alpha:agg ~beta
 
@@ -144,7 +137,7 @@ let analyze_general { link1; beta1; beta2; g12; g1; g2 } =
       Float.max d1 (Float_ops.max_list (List.map bound_at s_candidates))
     end
   in
-  { d_pair; d1; d2; busy1; busy2 }
+  { d_pair; d1; d2; busy1; busy2; window1 = g_server1; window2 = a2_window }
 
 let analyze { c1; c2; s12; s1; s2 } =
   if c1 <= 0. || c2 <= 0. then invalid_arg "Pair_analysis: nonpositive rate";

@@ -55,11 +55,11 @@ type result = {
   d2 : float;      (** server-2 bound for [s2] flows *)
   busy1 : float;   (** server-1 busy-period bound [B1] *)
   busy2 : float;   (** server-2 busy-period bound [B2] *)
+  window1 : Pwl.t; (** the class aggregate at server 1, [g12 + g1] *)
+  window2 : Pwl.t; (** the class window at server 2: the transit
+                       [g12], capped by [link1] and inflated by [d1]
+                       as a whole, plus [g2] *)
 }
-
-val unbounded : result
-(** Every field [infinity]: the result for a pair whose input is
-    unbounded (an unstable server upstream, or no long-run service). *)
 
 val analyze : input -> result
 (** FIFO servers of constant rates [c1], [c2]. *)

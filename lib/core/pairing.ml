@@ -50,7 +50,8 @@ let order_subnets net subnets =
         |> List.sort_uniq Int.compare)
       arr
   in
-  List.map (Array.get arr) (Network.kahn (Array.length arr) (Array.get succ))
+  List.map (Array.get arr)
+    (Network.kahn (Array.length arr) (fun i visit -> List.iter visit succ.(i)))
 
 (* A pair is only meaningful when some flow rides the edge u -> v. *)
 let check_pair_has_edge net = function

@@ -3,8 +3,8 @@
     Every end-to-end method in this library sweeps the servers (or
     subnetworks) in topological order, maintaining for each flow the
     envelope of its traffic {e at the input} of each server on its
-    route.  This module holds that table and the aggregate-input
-    computation, including the optional link-capacity sharpening. *)
+    route.  This module holds that table; the aggregate input a server
+    reads from it is {!Forward.aggregate}. *)
 
 module Hop_tbl : Hashtbl.S with type key = int * int
 (** Tables keyed by a pair of ids such as [(flow, server)], hashed and
@@ -47,18 +47,6 @@ val install_source : env_table -> Flow.t -> unit
 val set_next : env_table -> Flow.t -> after:int -> Pwl.t -> unit
 (** Install a flow's envelope at the hop following [after] on its
     route; no-op when [after] is the last hop. *)
-
-val aggregate_input :
-  ?options:Options.t ->
-  Network.t ->
-  env_table ->
-  server:int ->
-  flows:Flow.t list ->
-  Pwl.t
-(** Aggregate envelope of the given flows at the input of [server]:
-    the sum of their envelopes, except that with
-    [options.link_cap = true] the flows arriving from a common upstream
-    server are first summed and capped by that upstream link's rate. *)
 
 val total_rate : Flow.t list -> float
 (** Sum of long-run source rates. *)

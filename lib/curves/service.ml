@@ -21,17 +21,10 @@ let fifo_theta ~rate ~cross ~theta =
     (* Zero out [0, theta): the family member gives no service before
        theta.  The result may jump at theta; take its convex hull, which
        is a valid (<=) service curve. *)
-    let candidates = theta :: Pwl.breakpoints member in
-    let clip ts vs =
-      Array.iteri (fun i t -> if t < theta then vs.(i) <- 0.) ts;
-      vs
-    in
     let clipped =
       Pwl.of_sampler
-        ~eval_seq:(fun ts -> clip ts (Pwl.eval_seq member ts))
-        ~candidates
+        ~candidates:(theta :: Pwl.breakpoints member)
         ~eval:(fun t -> if t < theta then 0. else Pwl.eval member t)
-        ()
     in
     Pwl.lower_convex_hull clipped
 

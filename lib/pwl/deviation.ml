@@ -62,7 +62,6 @@ let vdev_per_flow ~alpha_i ~agg ~beta =
       let h1 =
         Pwl.of_sampler ~candidates
           ~eval:(fun tau -> Pwl.eval alpha_i (Pwl.eval gap tau))
-          ()
       in
       let m = Pwl.min_pw h1 (Pwl.sub agg beta) in
       Float.min naive (positive_part (Pwl.sup_diff m Pwl.zero))

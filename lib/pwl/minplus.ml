@@ -258,7 +258,7 @@ let deconv f g =
           done
         done;
         observed_bps d_deconv_bps
-          (Pwl.of_sampler ~candidates:!t_candidates ~eval:value_at ()))
+          (Pwl.of_sampler ~candidates:!t_candidates ~eval:value_at))
 
 let busy_period ~agg ~rate = Pwl.first_crossing_below agg ~rate
 

@@ -379,7 +379,7 @@ let dedup_sorted_into arr =
     !w + 1
   end
 
-let of_sampler ?eval_seq:batch ~candidates ~eval:sample () =
+let of_sampler ~candidates ~eval:sample =
   (* Sanitize into a sorted deduped array.  Array.sort with
      Float.compare beats the former List.sort_uniq with polymorphic
      compare by a wide margin on the O(|f|*|g|) candidate sets the
@@ -390,8 +390,7 @@ let of_sampler ?eval_seq:batch ~candidates ~eval:sample () =
   List.iteri (fun i x -> arr.(i + 1) <- Float.max 0. x) raw;
   Array.sort Float.compare arr;
   let n = dedup_sorted_into arr in
-  (* Probe points x_i < m1_i < m2_i < x_{i+1}, interleaved — globally
-     sorted, so a batch evaluator can run them in one monotone pass. *)
+  (* Probe points x_i < m1_i < m2_i < x_{i+1}, interleaved. *)
   let probes = Array.make (3 * n) 0. in
   for i = 0 to n - 1 do
     let x = arr.(i) in
@@ -409,13 +408,7 @@ let of_sampler ?eval_seq:batch ~candidates ~eval:sample () =
     probes.((3 * i) + 1) <- m1;
     probes.((3 * i) + 2) <- m2
   done;
-  let values =
-    match batch with
-    | Some eval_seq -> eval_seq probes
-    | None -> Array.map sample probes
-  in
-  if Array.length values <> 3 * n then
-    invalid_arg "Pwl.of_sampler: eval_seq returned a wrong-sized array";
+  let values = Array.map sample probes in
   make
     (List.init n (fun i ->
          let x = probes.(3 * i) and y = values.(3 * i) in

@@ -75,10 +75,8 @@ val constant : float -> t
 val affine : y0:float -> slope:float -> t
 (** [affine ~y0 ~slope] is [fun t -> y0 +. slope *. t]. *)
 
-val of_sampler :
-  ?eval_seq:(float array -> float array) ->
-  candidates:float list -> eval:(float -> float) -> unit -> t
-(** [of_sampler ~candidates ~eval ()] reconstructs a piecewise-linear
+val of_sampler : candidates:float list -> eval:(float -> float) -> t
+(** [of_sampler ~candidates ~eval] reconstructs a piecewise-linear
     function from an exact evaluator.  [candidates] must contain every
     true breakpoint of the function (extra points and duplicates are
     fine; points are clamped to [>= 0.]).  [eval] must be the
@@ -86,13 +84,7 @@ val of_sampler :
     operations (deconvolution, the FIFO-theta clipping): the structural
     operations below are exact segmentwise constructions instead, so
     probe noise cannot accumulate through chained uses (see DESIGN.md
-    §7).
-
-    [?eval_seq], when given, replaces the pointwise [eval] for the bulk
-    of the work: it receives the complete probe array (sorted
-    nondecreasing) and must return the values at those points, allowing
-    implementations backed by {!eval_seq}-style monotone cursors to
-    avoid a binary search per probe.  It must agree with [eval]. *)
+    §7). *)
 
 (** {1 Inspection} *)
 

@@ -206,22 +206,23 @@ let total_hop_count net =
     (fun acc (f : Flow.t) -> acc + List.length f.route)
     0 net.flow_list
 
-let kahn n succ =
+let kahn n iter_succ =
   let indegree = Array.make n 0 in
+  let count_in j = indegree.(j) <- indegree.(j) + 1 in
   for i = 0 to n - 1 do
-    List.iter (fun j -> indegree.(j) <- indegree.(j) + 1) (succ i)
+    iter_succ i count_in
   done;
-  let release i =
-    List.fold_left
-      (fun acc j ->
-        indegree.(j) <- indegree.(j) - 1;
-        if indegree.(j) = 0 then j :: acc else acc)
-      [] (succ i)
+  let released = ref [] in
+  let release j =
+    indegree.(j) <- indegree.(j) - 1;
+    if indegree.(j) = 0 then released := j :: !released
   in
   let rec go order count = function
     | [] -> if count < n then raise Cyclic else List.rev order
     | i :: rest ->
-        go (i :: order) (count + 1) (List.sort Int.compare (release i) @ rest)
+        released := [];
+        iter_succ i release;
+        go (i :: order) (count + 1) (List.sort Int.compare !released @ rest)
   in
   let sources = ref [] in
   for i = n - 1 downto 0 do
@@ -229,13 +230,22 @@ let kahn n succ =
   done;
   go [] 0 !sources
 
-(* Each slot's successors as slots. *)
-let slot_successors net = Array.map (List.map (slot net)) net.succ_by_slot
+(* [visit] on the slot of each server id of the list: successor ids
+   become slots as the sort reads them, with no per-call copy of the
+   lists and no closure per node. *)
+let rec visit_slots net visit = function
+  | [] -> ()
+  | b :: rest ->
+      visit (slot net b);
+      visit_slots net visit rest
+
+let iter_successor_slots net s visit =
+  visit_slots net visit net.succ_by_slot.(s)
 
 let topological_order ?servers net =
   match servers with
   | None ->
-      let order = kahn (size net) (Array.get (slot_successors net)) in
+      let order = kahn (size net) (iter_successor_slots net) in
       List.map (fun s -> net.servers.(s).id) order
   | Some ids ->
       (* only the listed servers are visited, so an online engine pays
@@ -249,21 +259,23 @@ let topological_order ?servers net =
             List.filter_map (Hashtbl.find_opt index) (successors net id))
           ids
       in
-      List.map (Array.get ids) (kahn (Array.length ids) (Array.get succ))
+      List.map (Array.get ids)
+        (kahn (Array.length ids) (fun i visit -> List.iter visit succ.(i)))
 
 let levels net =
   (* Longest-path layering: level 0 is the sources, and every edge goes
      from a strictly lower level to a strictly higher one, so each
      level is an antichain of the routing DAG.  One pass over a
      topological order, O(V + E). *)
-  let succ = slot_successors net in
+  let iter_succ = iter_successor_slots net in
   let depth = Array.make (size net) 0 in
+  let below = ref 0 in
+  let deepen b = depth.(b) <- Int.max depth.(b) !below in
   List.iter
     (fun s ->
-      List.iter
-        (fun b -> depth.(b) <- Int.max depth.(b) (depth.(s) + 1))
-        succ.(s))
-    (kahn (size net) (Array.get succ));
+      below := depth.(s) + 1;
+      iter_succ s deepen)
+    (kahn (size net) iter_succ);
   let ls = Array.make (Array.fold_left Int.max (-1) depth + 1) [] in
   for s = size net - 1 downto 0 do
     ls.(depth.(s)) <- net.servers.(s).id :: ls.(depth.(s))

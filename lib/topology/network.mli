@@ -93,12 +93,13 @@ val total_hop_count : t -> int
 (** Sum of route lengths over all flows — the number of
     [(flow, server)] pairs a table-based propagation materializes. *)
 
-val kahn : int -> (int -> int list) -> int list
-(** [kahn n succ] orders the nodes [0 .. n-1], node [i] having the
-    duplicate-free successors [succ i], by Kahn's algorithm: sources
-    first in ascending order, and the successors a node releases,
-    sorted, ahead of the nodes ready before.  The servers (in id order)
-    and Algorithm Integrated's contracted subnet graph share this rule.
+val kahn : int -> (int -> (int -> unit) -> unit) -> int list
+(** [kahn n iter_succ] orders the nodes [0 .. n-1], [iter_succ i visit]
+    calling [visit] once on each successor of node [i], by Kahn's
+    algorithm: sources first in ascending order, and the successors a
+    node releases, sorted, ahead of the nodes ready before.  The
+    servers (in id order) and Algorithm Integrated's contracted subnet
+    graph share this rule.
     @raise Cyclic when the graph has a cycle. *)
 
 val topological_order : ?servers:int list -> t -> int list

@@ -398,9 +398,7 @@ let prop_busy_period_is_crossing =
    divide by zero. *)
 let test_of_sampler_far_candidate () =
   let f =
-    Pwl.of_sampler ~candidates:[ 0.; 1e16 +. 2. ]
-      ~eval:(fun t -> 0.5 *. t)
-      ()
+    Pwl.of_sampler ~candidates:[ 0.; 1e16 +. 2. ] ~eval:(fun t -> 0.5 *. t)
   in
   List.iter (fun (_, _, slope) -> approx "slope" 0.5 slope) (Pwl.segments f)
 

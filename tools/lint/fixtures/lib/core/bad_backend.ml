@@ -7,7 +7,7 @@ let smooth alpha beta = Minplus.conv alpha beta
 let end_to_end curves = Minplus.conv_list curves
 let reich g = Minplus.conv_with_rate ~rate:1. g
 let output alpha beta = Minplus.deconv alpha beta
-let probe eval = Pwl.of_sampler ~candidates:[ 0. ] ~eval ()
+let probe eval = Pwl.of_sampler ~candidates:[ 0. ] ~eval
 
 (* Scalar kernels stay allowed too. *)
 let busy agg = Minplus.busy_period ~agg ~rate:1.
