@@ -49,7 +49,7 @@ let refused report f =
     report reason;
     exit 1
 
-(* A generator refused the user's parameters. *)
+(* A generator, or the packet source, refused the user's parameters. *)
 let build f = refused (Printf.eprintf "netcalc: %s\n") f
 
 let methods_table net ~flow ~options =
@@ -136,6 +136,12 @@ let simulate_cmd =
     in
     let net = t.network in
     let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
+    build (fun () ->
+        List.iter
+          (fun (f : Flow.t) ->
+            let sigma, rho, _ = Arrival.token_params f.arrival in
+            Source.check_packet_size ~sigma ~rho packet_size)
+          (Network.flows net));
     let config = { Sim.default_config with horizon; packet_size } in
     let reports =
       Validate.check ~config ~bounds:(Integrated.all_flow_delays integ) net

@@ -14,6 +14,12 @@
     so that no caller can mutate a memoized result through
     {!Forward.set_network} or {!Forward.apply}.
 
+    A per-hop backlog ({!local_backlog}, and so {!flow_backlog}) is
+    computed on its first read and kept in [t]: later reads, from any
+    domain, return the kept value.  Nothing changes the pass after
+    {!analyze}, so a kept value never goes stale.  The server-level
+    accessors compute on every call.
+
     FIFO servers use the aggregate bound [sup (G t / C - t)]; static
     priority, EDF and GPS servers use the corresponding substrate
     bounds ({!Static_priority}, {!Edf}, {!Gps}), making this engine a
@@ -67,7 +73,9 @@ val server_flow_backlogs : t -> int -> (int * float) list
     one. *)
 
 val local_backlog : t -> flow:int -> server:int -> float
-(** The flow's backlog bound at one of its hops.
+(** The flow's backlog bound at one of its hops, the per-flow split of
+    {!server_flow_backlogs}; computed on the first read of the hop and
+    kept.
     @raise Invalid_argument when the flow does not cross the server. *)
 
 val flow_backlog : t -> int -> float

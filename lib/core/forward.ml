@@ -335,8 +335,9 @@ let local_backlog t ~flow ~server =
       | [ (_, b) ] -> b
       | _ -> assert false)
 
-let flow_backlog t id =
-  let f = Network.flow t.net id in
+let route_max net id hop =
   List.fold_left
-    (fun acc s -> Float.max acc (local_backlog t ~flow:id ~server:s))
-    0. f.route
+    (fun acc s -> Float.max acc (hop ~flow:id ~server:s))
+    0. (Network.flow net id).route
+
+let flow_backlog t id = route_max t.net id (local_backlog t)

@@ -138,5 +138,11 @@ val server_flow_backlogs : t -> int -> (int * float) list
 val local_backlog : t -> flow:int -> server:int -> float
 (** @raise Invalid_argument when the flow does not cross the server. *)
 
+val route_max :
+  Network.t -> int -> (flow:int -> server:int -> float) -> float
+(** [route_max net id hop] is the largest [hop ~flow:id ~server:s] over
+    the flow's route, folded left from [0.] with [Float.max]: every
+    engine's [flow_backlog]. *)
+
 val flow_backlog : t -> int -> float
 (** Worst per-hop backlog bound over the flow's route. *)

@@ -1,5 +1,18 @@
 module Hop_tbl = Propagation.Hop_tbl
 
+(* One class queue at a server: the window it is bounded from and the
+   service it receives, kept once for all of its flows. *)
+type queue = { agg : Pwl.t; beta : Pwl.t }
+
+(* What a flow's minimal FIFO split at one hop reads: its queue and its
+   own envelope there. *)
+type hop =
+  | Own of queue (* the envelope the pass installed at the hop *)
+  | Shifted of queue * int * float
+      (* a transit flow at a pair's second server: its envelope at the
+         first one, shifted by the class's server-1 delay *)
+  | Unbounded
+
 type t = {
   fw : Forward.t; (* the envelope table and the poison marks *)
   pairing : Pairing.t;
@@ -7,16 +20,29 @@ type t = {
      flow's delay across it *)
   contributions : (Pairing.subnet * float) Hop_tbl.t;
   server_backlogs : (int, float) Hashtbl.t; (* sum over the server's queues *)
-  flow_backlogs : float Hop_tbl.t; (* (flow, server) *)
+  (* flow id -> one entry per hop of its route, each written by the
+     step of the hop's subnet *)
+  hops : (int, hop array) Hashtbl.t;
+  (* the splits, once read: the pass is finished before anything reads
+     them, so a kept value never goes stale *)
+  flow_backlogs : Propagation.hop_store;
 }
 
 let create ~options net pairing =
+  let hops = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Flow.t) ->
+      Hashtbl.replace hops f.id (Array.make (List.length f.route) Unbounded))
+    (Network.flows net);
   {
-    fw = Forward.create ~options net (Propagation.create net);
+    (* The pass writes no local bounds: [Forward]'s table of them stays
+       at its smallest size. *)
+    fw = Forward.create ~size_hint:1 ~options net (Propagation.create net);
     pairing;
     contributions = Hop_tbl.create 64;
     server_backlogs = Hashtbl.create 16;
-    flow_backlogs = Hop_tbl.create 64;
+    hops;
+    flow_backlogs = Propagation.hop_store ();
   }
 
 let network t = Forward.network t.fw
@@ -95,30 +121,33 @@ let add_server_backlog t sid b =
   let cur = Option.value ~default:0. (Hashtbl.find_opt t.server_backlogs sid) in
   Hashtbl.replace t.server_backlogs sid (cur +. b)
 
+let set_hops t sid flows hop =
+  List.iter
+    (fun (f : Flow.t) ->
+      (Hashtbl.find t.hops f.id).(Option.get (Flow.hop_index f sid)) <- hop)
+    flows
+
 (* One queue's backlog bounds at [sid]: its vertical deviation from the
    service [beta] it receives, added to the server's total (a
-   static-priority server sums its class queues), and each flow's
-   minimal FIFO split of it ([None]: the flow's envelope there is
-   unbounded). *)
-let record_backlogs t sid ~beta ~agg ~alphas =
+   static-priority server sums its class queues), and what each flow's
+   minimal FIFO split of it reads; [local_backlog] runs the split.
+   [transit] are the transit flows at a pair's second server [sid],
+   their envelope there the one at [from] shifted by [d1]. *)
+let record_backlogs t sid ~beta ~agg ?transit own =
   add_server_backlog t sid (Deviation.vdev ~alpha:agg ~beta);
-  List.iter
-    (fun ((f : Flow.t), alpha_i) ->
-      Hop_tbl.replace t.flow_backlogs (f.id, sid)
-        (match alpha_i with
-        | Some alpha_i -> Deviation.vdev_per_flow ~alpha_i ~agg ~beta
-        | None -> infinity))
-    alphas
+  let queue = { agg; beta } in
+  set_hops t sid own (Own queue);
+  Option.iter
+    (fun (flows, from, d1) ->
+      set_hops t sid flows
+        (if Float_ops.is_finite d1 then Shifted (queue, from, d1)
+         else Unbounded))
+    transit
 
 (* The same past an unstable server: every bound is infinite. *)
 let record_unbounded t sid flows =
   add_server_backlog t sid infinity;
-  List.iter
-    (fun (f : Flow.t) -> Hop_tbl.replace t.flow_backlogs (f.id, sid) infinity)
-    flows
-
-let own_envelopes t sid flows =
-  List.map (fun f -> (f, Some (env_at t f sid))) flows
+  set_hops t sid flows Unbounded
 
 let single_step t u flows queue =
   let d =
@@ -127,7 +156,7 @@ let single_step t u flows queue =
         record_unbounded t u flows;
         infinity
     | Some (beta, agg, d) ->
-        record_backlogs t u ~beta ~agg ~alphas:(own_envelopes t u flows);
+        record_backlogs t u ~beta ~agg flows;
         d
   in
   let subnet = Pairing.Single u in
@@ -148,8 +177,7 @@ let split_pair net u v =
 
 (* The pair's delays recorded for its flows; returns [d1], the
    server-1 bound of the class.  The backlogs at each server are read
-   off the pair's window there, each transit flow's own envelope at v
-   being its upstream one shifted by [d1]. *)
+   off the pair's window there. *)
 let pair_step t (u, v) ~s12 ~s1 ~s2 input =
   let subnet = Pairing.Pair (u, v) in
   let record_all ~d_pair ~d1 ~d2 =
@@ -165,18 +193,9 @@ let pair_step t (u, v) ~s12 ~s1 ~s2 input =
       record_all ~d_pair:infinity ~d1:infinity ~d2:infinity
   | Some (input : Pair_analysis.general_input) ->
       let r = Pair_analysis.analyze_general input in
-      record_backlogs t u ~beta:input.beta1 ~agg:r.window1
-        ~alphas:(own_envelopes t u (s12 @ s1));
+      record_backlogs t u ~beta:input.beta1 ~agg:r.window1 (s12 @ s1);
       record_backlogs t v ~beta:input.beta2 ~agg:r.window2
-        ~alphas:
-          (List.map
-             (fun f ->
-               ( f,
-                 if Float_ops.is_finite r.d1 then
-                   Some (Pwl.shift_left (env_at t f u) r.d1)
-                 else None ))
-             s12
-          @ own_envelopes t v s2);
+        ~transit:(s12, u, r.d1) s2;
       record_all ~d_pair:r.d_pair ~d1:r.d1 ~d2:r.d2
 
 let c_pairs = Metrics.counter "integrated.subnets.pairs"
@@ -307,17 +326,28 @@ let envelope_at t = Forward.envelope_at t.fw
 let server_backlog t sid =
   match Hashtbl.find_opt t.server_backlogs sid with Some b -> b | None -> 0.
 
+(* The split runs on the first read of a hop, on the curves the pass
+   recorded, so its bits are those of a split run during the pass. *)
 let local_backlog t ~flow ~server =
-  match Hop_tbl.find_opt t.flow_backlogs (flow, server) with
-  | Some b -> b
+  match
+    Option.bind (Network.flow_opt (network t) flow) (fun f ->
+        Option.map (fun i -> (f, i)) (Flow.hop_index f server))
+  with
   | None ->
       invalid_arg
         (Printf.sprintf
            "Integrated.local_backlog: flow %d does not cross server %d" flow
            server)
+  | Some (f, i) -> (
+      let env s = Propagation.get (Forward.envs t.fw) ~flow ~server:s in
+      let split { agg; beta } alpha_i =
+        Propagation.stored t.flow_backlogs f i (fun () ->
+            Deviation.vdev_per_flow ~alpha_i:(alpha_i ()) ~agg ~beta)
+      in
+      match (Hashtbl.find t.hops flow).(i) with
+      | Own queue -> split queue (fun () -> env server)
+      | Shifted (queue, from, d1) ->
+          split queue (fun () -> Pwl.shift_left (env from) d1)
+      | Unbounded -> infinity)
 
-let flow_backlog t id =
-  let f = Network.flow (network t) id in
-  List.fold_left
-    (fun acc s -> Float.max acc (local_backlog t ~flow:id ~server:s))
-    0. f.route
+let flow_backlog t id = Forward.route_max (network t) id (local_backlog t)

@@ -34,7 +34,17 @@
 
     Every server must be FIFO, or every server static priority: mixing
     the two is rejected because a flow's class would not be consistent
-    across a pair. *)
+    across a pair.
+
+    Each queue's aggregate backlog bound ({!server_backlog}) is computed
+    by the pass.  A flow's per-hop backlog, the minimal FIFO split of
+    its queue's bound ({!Deviation.vdev_per_flow}), is not: the pass
+    keeps each queue's window and service, and {!local_backlog} (and
+    so {!flow_backlog}) runs the split on the first read of a hop and
+    keeps the value in [t].  Later reads, from any domain, return the
+    kept value.  Nothing changes the pass after {!analyze}, so a kept
+    value never goes stale, and it has the bits a split during the pass
+    would have had. *)
 
 type t
 
@@ -77,7 +87,8 @@ val server_backlog : t -> int -> float
     one. *)
 
 val local_backlog : t -> flow:int -> server:int -> float
-(** The flow's backlog bound at one of its hops.
+(** The flow's backlog bound at one of its hops: computed on the first
+    read of the hop and kept; [infinity] past an unstable server.
     @raise Invalid_argument when the flow does not cross the server. *)
 
 val flow_backlog : t -> int -> float

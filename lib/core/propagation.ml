@@ -13,6 +13,40 @@ end)
 
 type env_table = Pwl.t Hop_tbl.t
 
+(* For each flow read so far, one value per hop of its route; [nan]
+   where none is kept yet. *)
+type hop_store = {
+  lock : Obs_sync.mutex;
+  values : (int, float array) Hashtbl.t;
+}
+
+let hop_store () = { lock = Obs_sync.create (); values = Hashtbl.create 16 }
+
+let stored s (f : Flow.t) hop compute =
+  let kept =
+    Obs_sync.with_lock s.lock (fun () ->
+        match Hashtbl.find_opt s.values f.id with
+        | Some values -> values.(hop)
+        | None -> nan)
+  in
+  if not (Float.is_nan kept) then kept
+  else begin
+    (* Computed outside the lock: a reader racing on the same hop
+       computes the same bits, and the first to store them wins. *)
+    let v = compute () in
+    Obs_sync.with_lock s.lock (fun () ->
+        let values =
+          match Hashtbl.find_opt s.values f.id with
+          | Some values -> values
+          | None ->
+              let values = Array.make (List.length f.route) nan in
+              Hashtbl.add s.values f.id values;
+              values
+        in
+        if Float.is_nan values.(hop) then values.(hop) <- v);
+    v
+  end
+
 let install_source table (f : Flow.t) =
   Hop_tbl.replace table (f.id, Flow.first_hop f) (Flow.source_curve f)
 

@@ -10,7 +10,23 @@ module Hop_tbl : Hashtbl.S with type key = int * int
 (** Tables keyed by a pair of ids such as [(flow, server)], hashed and
     compared as two ints.  The envelope table is one; {!Forward} keeps
     its local bounds and poison marks in two more, and {!Integrated} its
-    per-subnet delays and per-hop backlogs. *)
+    per-subnet delays. *)
+
+type hop_store
+(** The per-hop values a finished analysis computes as they are read,
+    behind a lock of its own: domains that share a memoized analysis
+    may read through it at once.  Each flow read so far holds one float
+    per hop of its route. *)
+
+val hop_store : unit -> hop_store
+
+val stored : hop_store -> Flow.t -> int -> (unit -> float) -> float
+(** [stored s f hop compute] is the value kept for the flow's hop at
+    position [hop] of its route ({!Flow.hop_index}), or [compute ()],
+    kept.  [compute] runs outside the lock, so two readers of a new hop
+    may both run it; the first to finish stores its value, and both
+    must compute the same bits.  Nothing is kept when [compute] raises,
+    and a [nan] is computed again on every read. *)
 
 type env_table
 

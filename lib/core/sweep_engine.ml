@@ -54,12 +54,15 @@ let per_load ~sigma ~peak ~hops u =
       dd_delay.(k) +. Decomposed.local_delay dd ~flow:0 ~server:k
   done;
   (* Buffer requirement is a running prefix {e max} (the same left fold
-     as [Decomposed.flow_backlog]), over the same shared pass. *)
-  let dd_backlog = Array.make (n_max + 1) 0. in
-  for k = 0 to n_max - 1 do
-    dd_backlog.(k + 1) <-
-      Float.max dd_backlog.(k) (Decomposed.local_backlog dd ~flow:0 ~server:k)
-  done;
+     as [Forward.route_max]), each hop read once. *)
+  let prefix_max hop_backlog =
+    let m = Array.make (n_max + 1) 0. in
+    for k = 0 to n_max - 1 do
+      m.(k + 1) <- Float.max m.(k) (hop_backlog ~flow:0 ~server:k)
+    done;
+    m
+  in
+  let dd_backlog = prefix_max (Decomposed.local_backlog dd) in
   let sc_delay = Array.make (n_max + 1) infinity in
   let conv = ref None and saturated = ref false in
   for k = 0 to n_max - 1 do
@@ -98,17 +101,11 @@ let per_load ~sigma ~peak ~hops u =
         (Integrated.analyze ~strategy:(Pairing.Along_route 0) tp.network)
         0
   in
+  (* Per-server backlogs at servers [< n'] are shared with the max
+     pairing's first [n'/2] pairs. *)
+  let integ_prefix = prefix_max (Integrated.local_backlog integ) in
   let integ_backlog n' =
-    if n' mod 2 = 0 then begin
-      (* Per-server backlogs at servers [< n'] are shared with the max
-         pairing's first [n'/2] pairs; prefix max, as in
-         [Integrated.flow_backlog]. *)
-      let m = ref 0. in
-      for k = 0 to n' - 1 do
-        m := Float.max !m (Integrated.local_backlog integ ~flow:0 ~server:k)
-      done;
-      !m
-    end
+    if n' mod 2 = 0 then integ_prefix.(n')
     else
       let tp = Tandem.make ~n:n' ~utilization:u ~sigma ~peak () in
       Integrated.flow_backlog

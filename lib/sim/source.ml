@@ -3,6 +3,13 @@ type model =
   | Periodic of { start : float; interval : float }
   | On_off of { start : float; on : float; off : float }
 
+let check_packet_size ~sigma ~rho l =
+  if l <= 0. then invalid_arg "Source.check_packet_size: packet_size <= 0";
+  if l > sigma +. 1e-12 && rho <= 0. then
+    invalid_arg "Source.check_packet_size: packet larger than bucket, no refill";
+  if l > sigma +. 1e-12 then
+    invalid_arg "Source.check_packet_size: packet_size must not exceed sigma"
+
 (* Token-bucket state machine.  Tokens fill at [rho] up to [sigma];
    each packet consumes [l] tokens and respects the peak spacing
    [l / peak].  Consuming at emission time guarantees the packetized
@@ -10,11 +17,7 @@ type model =
    (the peak branch of the fluid envelope cannot be met by impulses;
    validation therefore analyzes against the peak-free envelope). *)
 let emission_times model ~sigma ~rho ~peak ~packet_size:l ~horizon =
-  if l <= 0. then invalid_arg "Source.emission_times: packet_size <= 0";
-  if l > sigma +. 1e-12 && rho <= 0. then
-    invalid_arg "Source.emission_times: packet larger than bucket, no refill";
-  if l > sigma +. 1e-12 then
-    invalid_arg "Source.emission_times: packet_size must not exceed sigma";
+  check_packet_size ~sigma ~rho l;
   let start =
     match model with
     | Greedy { start } | Periodic { start; _ } | On_off { start; _ } -> start

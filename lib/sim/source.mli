@@ -18,6 +18,11 @@ type model =
           silences (bucket refills during silences, re-creating
           bursts). *)
 
+val check_packet_size : sigma:float -> rho:float -> float -> unit
+(** [check_packet_size ~sigma ~rho l] accepts the packets of size [l] a
+    [(sigma, rho)] token bucket can emit.
+    @raise Invalid_argument when [l <= 0] or [l] exceeds [sigma]. *)
+
 val emission_times :
   model ->
   sigma:float ->

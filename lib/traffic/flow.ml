@@ -39,6 +39,13 @@ let prev_hop f s = next_in_list s (List.rev f.route)
 
 let first_hop f = List.hd f.route
 
+let hop_index f s =
+  let rec find i = function
+    | [] -> None
+    | s' :: rest -> if s' = s then Some i else find (i + 1) rest
+  in
+  find 0 f.route
+
 let hop_pairs f =
   let rec pairs = function
     | a :: (b :: _ as rest) -> (a, b) :: pairs rest

@@ -47,5 +47,9 @@ val next_hop : t -> int -> int option
 val prev_hop : t -> int -> int option
 val first_hop : t -> int
 
+val hop_index : t -> int -> int option
+(** [hop_index f s] is the position of [s] on the route, from [0]
+    ([None] when [s] is not on it). *)
+
 val hop_pairs : t -> (int * int) list
 (** Consecutive pairs of the route, in order. *)

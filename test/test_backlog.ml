@@ -261,6 +261,66 @@ let test_undersized_buffers_drop () =
   in
   check_bool "halved buffers cause drops" true (Sim.total_drops res > 0)
 
+(* Every (flow, server) hop of the network. *)
+let hops net =
+  List.concat_map
+    (fun (f : Flow.t) -> List.map (fun s -> (f.id, s)) f.route)
+    (Network.flows net)
+
+(* Integrated's pass records what each per-flow split reads and runs
+   none of them; the splits run when the backlogs are read, and an
+   analysis keeps a backlog once it has computed it.  Counted in curve
+   constructions, with the memo off so that each analysis is fresh. *)
+let test_backlogs_on_first_read () =
+  let made () = Metrics.value (Metrics.counter "pwl.make.calls") in
+  let net = (Tandem.make ~n:8 ~utilization:0.6 ()).network in
+  let hops = hops net in
+  let read_all local_backlog =
+    List.iter (fun (flow, server) -> ignore (local_backlog ~flow ~server)) hops
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  Incremental.with_enabled false @@ fun () ->
+  let m0 = made () in
+  let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
+  ignore (Integrated.all_flow_delays integ);
+  let pass = made () - m0 in
+  let m1 = made () in
+  read_all (Integrated.local_backlog integ);
+  let first_read = made () - m1 in
+  check_bool
+    (Printf.sprintf "pass and delays (%d curves) < first backlog read (%d)"
+       pass first_read)
+    true (pass < first_read);
+  let dd = Decomposed.analyze net in
+  read_all (Decomposed.local_backlog dd);
+  let m2 = made () in
+  read_all (Integrated.local_backlog integ);
+  read_all (Decomposed.local_backlog dd);
+  Alcotest.(check int) "a second read makes no curve" 0 (made () - m2)
+
+(* The network of [netcalc random --layers 200 --flows 1000], which
+   once died where [Pwl.of_sampler]'s fixed tail probes collided on
+   breakpoints past 2^53.  That command reads only delays, so the
+   per-flow splits run here.  [Randomnet] draws from [Random.State],
+   whose generator OCaml 5 replaced: the 2^53 breakpoints are only
+   known to be reached with OCaml 5's, and the net (its hop count
+   included) differs on 4.14. *)
+let test_deep_random_backlogs () =
+  let net =
+    Randomnet.generate
+      { Randomnet.default with seed = 42; num_flows = 1000; layers = 200;
+        utilization = 0.6 }
+  in
+  let a = Integrated.analyze ~strategy:Pairing.Greedy net in
+  let hops = hops net in
+  check_bool "some hop to read" true (hops <> []);
+  List.iter
+    (fun (flow, server) ->
+      let b = Integrated.local_backlog a ~flow ~server in
+      if Float.is_nan b || b < 0. then
+        Alcotest.failf "flow %d at server %d: backlog %g" flow server b)
+    hops
 
 let suite =
   ( "backlog",
@@ -278,6 +338,10 @@ let suite =
       test "per-flow refinement hand example"
         test_per_flow_refinement_hand_example;
       prop_per_flow_below_naive;
+      test "per-hop backlogs computed on first read, then kept"
+        test_backlogs_on_first_read;
+      test "every per-hop backlog of a deep random net"
+        test_deep_random_backlogs;
       test "per-flow accessors consistent" test_per_flow_accessors_consistent;
       test "dominates simulation on random DAGs"
         test_backlog_dominates_random_dags;

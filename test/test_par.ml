@@ -299,6 +299,66 @@ let test_incremental_concurrent_clear () =
   Alcotest.(check int) "post-storm memoize" 7
     (Incremental.memoize t keys.(0) (fun () -> 7))
 
+(* A memoized analysis is shared by every reader in the process, Par
+   workers included ([Engine.compare_all] reads one Decomposed pass from
+   four legs at once), and it keeps each per-hop backlog once a read
+   has computed it.  Four domains read every per-hop backlog of one
+   shared analysis at once, two in route order and two in reverse: no
+   read may raise, and each must return the bits of a sequential read
+   of a fresh analysis.  Ten shared analyses per network and engine,
+   and enough flows that the store grows while the domains fill it: a
+   store without its lock fails this test in some runs (a read raises
+   [Invalid_argument "index out of bounds"]), or hangs. *)
+let test_concurrent_backlog_reads () =
+  let nets =
+    [
+      ( "randomnet",
+        Randomnet.generate
+          { Randomnet.default with layers = 6; per_layer = 4; num_flows = 96;
+            seed = 7 } );
+      ( "sp tandem",
+        (Tandem.make ~n:4 ~utilization:0.6
+           ~discipline:Discipline.Static_priority ())
+          .network );
+    ]
+  in
+  List.iter
+    (fun (name, net) ->
+      let hops =
+        List.concat_map
+          (fun (f : Flow.t) -> List.map (fun s -> (f.id, s)) f.route)
+          (Network.flows net)
+      in
+      let check engine analyze local_backlog =
+        (* With the memo off every analysis is fresh. *)
+        let fresh () = Incremental.with_enabled false analyze in
+        let read a hops =
+          List.map
+            (fun (flow, server) ->
+              ((flow, server), Int64.bits_of_float (local_backlog a ~flow ~server)))
+            hops
+          |> List.sort compare
+        in
+        let want = read (fresh ()) hops in
+        for round = 1 to 10 do
+          let shared = fresh () in
+          with_jobs 4 (fun () ->
+              Par.map
+                (fun d -> read shared (if d < 2 then hops else List.rev hops))
+                [ 0; 1; 2; 3 ])
+          |> List.iteri (fun d got ->
+                 Alcotest.(check (list (pair (pair int int) int64)))
+                   (Printf.sprintf "%s %s, round %d, domain %d" name engine
+                      round d)
+                   want got)
+        done
+      in
+      check "decomposed" (fun () -> Decomposed.analyze net) Decomposed.local_backlog;
+      check "integrated"
+        (fun () -> Integrated.analyze ~strategy:Pairing.Greedy net)
+        Integrated.local_backlog)
+    nets
+
 let suite =
   ( "par",
     [
@@ -317,6 +377,8 @@ let suite =
       test "obs safe under concurrent recording" test_obs_concurrent;
       test "incremental memoize races clear (4 domains)"
         test_incremental_concurrent_clear;
+      test "shared analyses read their backlogs from 4 domains at once"
+        test_concurrent_backlog_reads;
       qtest_cache_conv;
       qtest_cache_deconv;
       test "repeated deconv hits the cache" test_cache_hits;
