@@ -10,7 +10,6 @@
      dune exec bench/main.exe -- --obs        -- per-experiment obs profiles
      dune exec bench/main.exe -- --jobs 4     -- netcalc.par pool size
      dune exec bench/main.exe -- --json out.json -- perf-trajectory JSON
-     dune exec bench/main.exe -- --no-incremental -- per-cell scratch sweeps
 
    Any other argument is an error (exit 1).
 
@@ -73,10 +72,9 @@ let rec chunks k xs =
 (* Shared layout for the three figures: a delay table with two series
    per hop count, then a relative-improvement table.  The (U, n) grid
    goes through the incremental sweep engine: one shared forward pass
-   per load serves every hop-count prefix (and repeated figures reuse
-   the memoized passes); with --no-incremental it degrades to one
-   scratch analysis per cell on the pool.  Both paths emit cells in
-   the same row-major order, byte-identical (pinned by tests). *)
+   per load serves every hop-count prefix, and a figure over the same
+   largest tandem as an earlier one reuses its memoized passes.  Each
+   cell has the bits of a per-cell analysis (pinned by tests). *)
 let figure ~name ~hops ~left ~right ~left_name ~right_name ~note () =
   let results = Sweep_engine.tandem_grid ~hops ~loads () in
   let cache =
@@ -438,8 +436,6 @@ let burst_propagation () =
   let n = 8 and u = 0.7 in
   let t = tandem n u in
   let net = t.network in
-  (* Both analyses are memo hits when the figure sweeps already ran
-     (fig4's (0.7, 8) pass is this exact network). *)
   let dd = Decomposed.analyze net in
   let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
   let tbl =
@@ -692,15 +688,12 @@ let randomnet () =
 (* ------------------------------------------------------------------ *)
 
 let timing () =
-  section "Timing — analysis cost vs tandem size, and the incremental sweep";
-  (* Per-method single-analysis wall time, n in {4, 8, 16, 32}.  The
-     memo engine is disabled around the staged runs: this times the
-     analyses themselves, not a table lookup.  FIFO-theta's coordinate
+  section "Timing — analysis cost vs tandem size";
+  (* Per-method single-analysis wall time, n in {4, 8, 16, 32}; every
+     staged run analyzes the network afresh.  FIFO-theta's coordinate
      descent re-convolves the whole path per candidate, so its large
      sizes are skipped rather than letting one cell dominate the
      bench's runtime (noted in the table as "-"). *)
-  let was_incremental = Incremental.enabled () in
-  Incremental.set_enabled false;
   let open Bechamel in
   let sizes = [ 4; 8; 16; 32 ] in
   let theta_sizes = [ 4; 8 ] in
@@ -778,45 +771,9 @@ let timing () =
              cells))
     [ "decomposed"; "service-curve"; "integrated"; "fifo-theta" ];
   output ~name:"timing" tbl;
-  (* The acceptance measurement: the whole Figure 4-6 grid family,
-     incremental engine (one shared pass per load + cross-figure memo)
-     vs the per-cell from-scratch path.  Both start from cold memo and
-     kernel caches; the produced tables are byte-identical (tested), so
-     this is a pure wall-time comparison. *)
-  print_endline
-    "\nIncremental sweep engine vs from-scratch (fig4 + fig5 + fig6 grids):";
-  let fig_grids = [ [ 2; 4; 6; 8 ]; [ 2; 4; 8 ]; [ 2; 4; 6; 8 ] ] in
-  let run_grids () =
-    List.iter
-      (fun hops -> ignore (Sweep_engine.tandem_grid ~hops ~loads ()))
-      fig_grids
-  in
-  let timed f =
-    let t0 = Trace.now_s () in
-    f ();
-    Trace.now_s () -. t0
-  in
-  Minplus.cache_clear ();
-  let scratch_s = timed run_grids in
-  Incremental.set_enabled true (* the toggle clears the memo: cold start *);
-  Minplus.cache_clear ();
-  let incremental_s = timed run_grids in
-  Incremental.set_enabled was_incremental;
-  let speedup = scratch_s /. incremental_s in
-  record_value "timing.sweep.scratch_s" scratch_s;
-  record_value "timing.sweep.incremental_s" incremental_s;
-  record_value "timing.sweep.speedup" speedup;
-  let tbl2 = Table.create ~header:[ "sweep path"; "wall (s)" ] in
-  Table.add_row tbl2 [ "from-scratch"; Printf.sprintf "%.3f" scratch_s ];
-  Table.add_row tbl2 [ "incremental"; Printf.sprintf "%.3f" incremental_s ];
-  Table.add_row tbl2 [ "speedup"; Printf.sprintf "%.2fx" speedup ];
-  output ~name:"timing-sweep" tbl2;
   print_endline
     "\nSingle analyses run in milliseconds even at n = 32 (96 servers) — \
-     fast enough\nfor the online admission-control use the paper targets — \
-     and the sweep engine\nserves the paper's whole evaluation grid several \
-     times faster than per-cell\nrecomputation (the speedup lands in the \
-     --json trajectory)."
+     fast enough\nfor the online admission-control use the paper targets."
 
 (* ------------------------------------------------------------------ *)
 (* Serve churn: delta re-analysis vs full re-analysis                  *)
@@ -832,10 +789,7 @@ let serve_churn () =
      arrivals.  The delta leg runs the Delta_engine; the full leg runs
      the same script through Admission.decide_one (admit) and
      Admission.bounds_for (teardown refresh) — a service that keeps its
-     bound table current by re-analyzing the whole network each time.
-     The sweep memo is disabled around both legs: churn revisits
-     equal-keyed network states, and a memo hit on the full leg would
-     time a table lookup instead of an analysis. *)
+     bound table current by re-analyzing the whole network each time. *)
   let sizes = [ 8; 16; 32 ] in
   let n_ops = 48 in
   let window = 8 in
@@ -902,45 +856,44 @@ let serve_churn () =
         done;
         (!flows, !ops)
       in
-      Incremental.with_enabled false (fun () ->
-          let (e, d_ops), delta_s = timed delta_run in
-          let (final_flows, _), full_s = timed full_run in
-          (* Same script, same decisions (tested), same final population:
-             the delta engine's bound table must match a from-scratch
-             analysis of it bit for bit. *)
-          let scratch =
-            Decomposed.all_flow_delays
-              (Decomposed.analyze (Network.make ~servers ~flows:final_flows))
-          in
-          let mine = Delta_engine.all_flow_delays e in
-          let identical =
-            List.length scratch = List.length mine
-            && List.for_all2
-                 (fun (i, a) (j, b) ->
-                   i = j && Int64.bits_of_float a = Int64.bits_of_float b)
-                 scratch mine
-          in
-          let s = 3 * n in
-          let delta_ops_s = float_of_int d_ops /. delta_s in
-          let full_ops_s = float_of_int d_ops /. full_s in
-          let speedup = delta_ops_s /. full_ops_s in
-          record_value (Printf.sprintf "serve.churn.s%d.delta_ops_s" s)
-            delta_ops_s;
-          record_value (Printf.sprintf "serve.churn.s%d.full_ops_s" s)
-            full_ops_s;
-          record_value (Printf.sprintf "serve.churn.s%d.speedup" s) speedup;
-          record_value
-            (Printf.sprintf "serve.churn.s%d.identical" s)
-            (if identical then 1. else 0.);
-          Table.add_row tbl
-            [
-              string_of_int s;
-              string_of_int d_ops;
-              Printf.sprintf "%.1f" delta_ops_s;
-              Printf.sprintf "%.1f" full_ops_s;
-              Printf.sprintf "%.2fx" speedup;
-              (if identical then "yes" else "NO");
-            ]))
+      let (e, d_ops), delta_s = timed delta_run in
+      let (final_flows, _), full_s = timed full_run in
+      (* Same script, same decisions (tested), same final population:
+         the delta engine's bound table must match a from-scratch
+         analysis of it bit for bit. *)
+      let scratch =
+        Decomposed.all_flow_delays
+          (Decomposed.analyze (Network.make ~servers ~flows:final_flows))
+      in
+      let mine = Delta_engine.all_flow_delays e in
+      let identical =
+        List.length scratch = List.length mine
+        && List.for_all2
+             (fun (i, a) (j, b) ->
+               i = j && Int64.bits_of_float a = Int64.bits_of_float b)
+             scratch mine
+      in
+      let s = 3 * n in
+      let delta_ops_s = float_of_int d_ops /. delta_s in
+      let full_ops_s = float_of_int d_ops /. full_s in
+      let speedup = delta_ops_s /. full_ops_s in
+      record_value (Printf.sprintf "serve.churn.s%d.delta_ops_s" s)
+        delta_ops_s;
+      record_value (Printf.sprintf "serve.churn.s%d.full_ops_s" s)
+        full_ops_s;
+      record_value (Printf.sprintf "serve.churn.s%d.speedup" s) speedup;
+      record_value
+        (Printf.sprintf "serve.churn.s%d.identical" s)
+        (if identical then 1. else 0.);
+      Table.add_row tbl
+        [
+          string_of_int s;
+          string_of_int d_ops;
+          Printf.sprintf "%.1f" delta_ops_s;
+          Printf.sprintf "%.1f" full_ops_s;
+          Printf.sprintf "%.2fx" speedup;
+          (if identical then "yes" else "NO");
+        ])
     sizes;
   output ~name:"serve-churn" tbl;
   print_endline
@@ -1083,7 +1036,8 @@ let experiments =
    cache and memo hits/misses) of that experiment alone, the
    curve-workload summary (peak live-curve size and segments processed
    per second, from the pwl.segments.* metrics), and any named scalar
-   values it recorded (the timing sweeps). *)
+   values it recorded (buffer cells, timings, churn rates, scale
+   figures). *)
 type perf_record = {
   id : string;
   wall_s : float;
@@ -1246,9 +1200,6 @@ let () =
         parse rest
     | "--obs" :: rest ->
         obs := true;
-        parse rest
-    | "--no-incremental" :: rest ->
-        Incremental.set_enabled false;
         parse rest
     | "--only" :: id :: rest ->
         only := Some id;

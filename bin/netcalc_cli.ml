@@ -584,15 +584,9 @@ let admit_cmd =
     let all = Network.flows net in
     let base = List.filter (fun (f : Flow.t) -> f.deadline = None) all in
     let candidates = List.filter (fun (f : Flow.t) -> f.deadline <> None) all in
-    let outcome, admitted =
+    let outcome =
       refused (not_applicable stderr method_) (fun () ->
-          let outcome =
-            Admission.run ~options ~servers ~base ~candidates ~method_ ()
-          in
-          ( outcome,
-            Engine.analyze ~options
-              (Network.make ~servers ~flows:(base @ outcome.admitted))
-              method_ ))
+          Admission.run ~options ~servers ~base ~candidates ~method_ ())
     in
     let rejected_reason (c : Flow.t) =
       List.find_opt (fun ((f : Flow.t), _) -> f.id = c.id) outcome.rejections
@@ -611,17 +605,21 @@ let admit_cmd =
         let budget =
           match c.buffer with Some b -> Table.float_cell b | None -> "-"
         in
-        match rejected_reason c with
-        | Some (_, reason) ->
+        (* An admitted candidate's bound and backlog come from the
+           analysis that accepted the last one: it covers the whole
+           admitted population. *)
+        match (rejected_reason c, outcome.analysis) with
+        | Some (_, reason), _ ->
             Table.add_row tbl
               [ c.name; deadline; budget; "rejected"; "-"; "-";
                 Admission.reason_to_string reason ]
-        | None ->
+        | None, Some admitted ->
             Table.add_row tbl
               [ c.name; deadline; budget; "admitted";
                 Table.float_cell (Engine.flow_delay admitted c.id);
                 Table.float_cell (Engine.flow_backlog admitted c.id);
-                "-" ])
+                "-" ]
+        | None, None -> assert false (* admitted, so analyzed *))
       candidates;
     Printf.printf
       "Admission control (%s): %d candidate(s), %d admitted, %d rejected, \
@@ -650,7 +648,8 @@ let serve_cmd =
              ~doc:"$(b,delta) (default) re-analyzes only the affected \
                    downstream cone per operation; a method name \
                    ($(b,decomposed), $(b,integrated), ...) re-analyzes the \
-                   whole network per operation with that method.")
+                   whole network per admit with that method, and keeps the \
+                   analysis for queries until a teardown.")
   in
   let stdin_arg =
     Arg.(value & flag & info [ "stdin" ]

@@ -18,6 +18,7 @@ type outcome = {
   rejected : Flow.t list;
   rejections : (Flow.t * reject_reason) list;
   admitted_rate : float;
+  analysis : Engine.analysis option;
 }
 
 let deadline_ok ~bound ~deadline =
@@ -82,15 +83,18 @@ let decide_one ?options ?strategy ~servers ~flows ~candidate ~method_ () =
           | Some reason -> Rejected reason))
 
 let run ?options ?strategy ~servers ~base ~candidates ~method_ () =
-  let step (admitted_rev, rejections_rev) (cand : Flow.t) =
+  let step (admitted_rev, rejections_rev, last) (cand : Flow.t) =
     let flows = base @ List.rev admitted_rev in
     match
       decide_one ?options ?strategy ~servers ~flows ~candidate:cand ~method_ ()
     with
-    | Accepted _ -> (cand :: admitted_rev, rejections_rev)
-    | Rejected reason -> (admitted_rev, (cand, reason) :: rejections_rev)
+    | Accepted { analysis; _ } ->
+        (cand :: admitted_rev, rejections_rev, Some analysis)
+    | Rejected reason -> (admitted_rev, (cand, reason) :: rejections_rev, last)
   in
-  let admitted_rev, rejections_rev = List.fold_left step ([], []) candidates in
+  let admitted_rev, rejections_rev, analysis =
+    List.fold_left step ([], [], None) candidates
+  in
   let admitted = List.rev admitted_rev in
   let rejections = List.rev rejections_rev in
   {
@@ -98,6 +102,7 @@ let run ?options ?strategy ~servers ~base ~candidates ~method_ () =
     rejected = List.map fst rejections;
     rejections;
     admitted_rate = Propagation.total_rate admitted;
+    analysis;
   }
 
 let reason_to_string = function

@@ -47,6 +47,11 @@ type outcome = {
   rejections : (Flow.t * reject_reason) list;
       (** [rejected], each with the reason the analysis refused it *)
   admitted_rate : float;       (** sum of admitted long-run rates *)
+  analysis : Engine.analysis option;
+      (** the analysis that accepted the last admitted candidate: it
+          covers [base @ admitted], in that order, so it answers every
+          admitted flow's bound and backlog without a further pass;
+          [None] when no candidate was admitted *)
 }
 
 val decide_one :

@@ -3,22 +3,14 @@
    stale. *)
 type t = { fw : Forward.t; backlogs : Propagation.hop_store }
 
-let analyze_raw ~options net =
+(* The pass is only mutated here and the backlog store is locked, so
+   sharing the result between callers (Par workers, the sweep memo) is
+   safe. *)
+let analyze ?(options = Options.default) net =
   Prof.span "decomposed.analyze" @@ fun () ->
   let fw = Forward.create ~options net (Propagation.create net) in
   Forward.run fw (Network.topological_order net);
   { fw; backlogs = Propagation.hop_store () }
-
-(* The sweep-engine memo: one entry per structurally distinct
-   (network, options).  The pass is only mutated during [analyze_raw]
-   and the backlog store is locked, so sharing the result between
-   callers is safe. *)
-let memo : t Incremental.table = Incremental.table ()
-
-let analyze ?(options = Options.default) net =
-  Incremental.memoize memo
-    (Incremental.net_key ~options net)
-    (fun () -> analyze_raw ~options net)
 
 let network t = Forward.network t.fw
 let options t = Forward.options t.fw

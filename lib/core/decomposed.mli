@@ -9,9 +9,9 @@
     because it charges every flow the worst case at {e every} hop.
 
     The per-server step and every accessor below are {!Forward}'s; this
-    engine is its full-topological-order driver plus a memo over
-    structurally equal (network, options) inputs.  [t] stays abstract
-    so that no caller can mutate a memoized result through
+    engine is its full-topological-order driver.  Each {!analyze} call
+    runs the pass.  [t] stays abstract so that no caller can mutate a
+    shared result (the sweep memo's, a {!Par} worker's) through
     {!Forward.set_network} or {!Forward.apply}.
 
     A per-hop backlog ({!local_backlog}, and so {!flow_backlog}) is

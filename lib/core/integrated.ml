@@ -298,12 +298,8 @@ let analyze_with_pairing ?(options = Options.default) net pairing_list =
     t.pairing;
   t
 
-let memo : t Incremental.table = Incremental.table ()
-
 let analyze ?(options = Options.default) ?(strategy = Pairing.Greedy) net =
-  Incremental.memoize memo
-    (Incremental.net_key ~options ~strategy net)
-    (fun () -> analyze_with_pairing ~options net (Pairing.build net strategy))
+  analyze_with_pairing ~options net (Pairing.build net strategy)
 
 (* A flow meets each subnet once, entering it at one server, and meets
    them in pairing order, as the pairing orders the contracted graph

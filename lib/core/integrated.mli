@@ -50,7 +50,8 @@ type t
 
 val analyze :
   ?options:Options.t -> ?strategy:Pairing.strategy -> Network.t -> t
-(** [strategy] defaults to [Pairing.Greedy].
+(** Builds the pairing and runs the pass, on every call.  [strategy]
+    defaults to [Pairing.Greedy].
     @raise Network.Cyclic on non-feedforward routing.
     @raise Invalid_argument when a server is neither FIFO nor static
     priority, or the network mixes the two. *)

@@ -14,8 +14,8 @@ module Hop_tbl : Hashtbl.S with type key = int * int
 
 type hop_store
 (** The per-hop values a finished analysis computes as they are read,
-    behind a lock of its own: domains that share a memoized analysis
-    may read through it at once.  Each flow read so far holds one float
+    behind a lock of its own: domains that share an analysis may read
+    through it at once.  Each flow read so far holds one float
     per hop of its route. *)
 
 val hop_store : unit -> hop_store

@@ -25,26 +25,34 @@
      back to a direct analysis — every figure in the paper uses even
      hop counts.
 
-   Cells served from the shared pass count as [incremental.reuse]; the
-   underlying max-tandem analyses go through the per-method memo tables
-   ({!Incremental}), so repeated figures over the same grid (fig4 vs
-   fig6, delay vs improvement tables) reuse even the shared passes.
-   With the engine disabled the grid falls back to one scratch
-   [Engine.compare_all] per cell — the determinism tests pin that both
-   paths produce byte-identical tables. *)
+   Cells served from the shared pass count as [incremental.reuse].
+   The two max-tandem analyses are memoized ({!Incremental}) under the
+   bit patterns of (sigma, peak, load) and the largest hop count, so
+   repeated figures over the same grid (fig4 vs fig6, fig5's hops on
+   fig4's largest tandem) reuse the shared passes.  The Service-Curve
+   analysis and the prefix arrays are rebuilt per call: their repeated
+   convolutions are what the [Minplus] cache serves. *)
 
-let scratch ~sigma ~peak u n =
-  let t = Tandem.make ~n ~utilization:u ~sigma ~peak () in
-  Engine.compare_all ~strategy:(Pairing.Along_route 0) ~with_theta:false
-    t.network 0
+(* The key determines the value: the compute reads only the key's
+   components and constants ([Options.default], [Along_route 0]). *)
+let memo = Incremental.table ()
+
+let max_tandem ~sigma ~peak ~n_max u =
+  let key =
+    ( Int64.bits_of_float sigma,
+      Int64.bits_of_float peak,
+      Int64.bits_of_float u,
+      n_max )
+  in
+  Incremental.memoize memo key (fun () ->
+      let net = (Tandem.make ~n:n_max ~utilization:u ~sigma ~peak ()).network in
+      ( Decomposed.analyze net,
+        Integrated.analyze ~strategy:(Pairing.Along_route 0) net ))
 
 let per_load ~sigma ~peak ~hops u =
   let n_max = List.fold_left max 2 hops in
-  let t = Tandem.make ~n:n_max ~utilization:u ~sigma ~peak () in
-  let net = t.network in
-  let alpha = Flow.source_curve t.conn0 in
-  let dd = Decomposed.analyze net in
-  let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
+  let dd, integ = max_tandem ~sigma ~peak ~n_max u in
+  let alpha = Flow.source_curve (Network.flow (Decomposed.network dd) 0) in
   let scm = Service_curve_method.analyze dd in
   (* Running prefix sums/convolutions over the middle servers, indexed
      by prefix length. *)
@@ -85,52 +93,39 @@ let per_load ~sigma ~peak ~hops u =
          | None -> infinity)
   done;
   (* conn0 meets the max pairing's pairs (0, 1), (2, 3), ... first, in
-     route order. *)
+     route order; per-server backlogs at servers [< n'] are shared with
+     the max pairing's first [n'/2] pairs.  An odd prefix pairs
+     differently, so it runs its own analysis, read for both. *)
   let integ_pairs = Array.of_list (Integrated.subnet_delays integ 0) in
-  let integ_delay n' =
+  let integ_prefix = prefix_max (Integrated.local_backlog integ) in
+  let integ_cell n' =
     if n' mod 2 = 0 then begin
       let total = ref 0. in
       for i = 0 to (n' / 2) - 1 do
         total := !total +. snd integ_pairs.(i)
       done;
-      !total
+      (!total, integ_prefix.(n'))
     end
     else
       let tp = Tandem.make ~n:n' ~utilization:u ~sigma ~peak () in
-      Integrated.flow_delay
-        (Integrated.analyze ~strategy:(Pairing.Along_route 0) tp.network)
-        0
-  in
-  (* Per-server backlogs at servers [< n'] are shared with the max
-     pairing's first [n'/2] pairs. *)
-  let integ_prefix = prefix_max (Integrated.local_backlog integ) in
-  let integ_backlog n' =
-    if n' mod 2 = 0 then integ_prefix.(n')
-    else
-      let tp = Tandem.make ~n:n' ~utilization:u ~sigma ~peak () in
-      Integrated.flow_backlog
-        (Integrated.analyze ~strategy:(Pairing.Along_route 0) tp.network)
-        0
+      let a = Integrated.analyze ~strategy:(Pairing.Along_route 0) tp.network in
+      (Integrated.flow_delay a 0, Integrated.flow_backlog a 0)
   in
   List.map
     (fun n' ->
       Incremental.note_reuse ();
+      let integrated, integrated_backlog = integ_cell n' in
       {
         Engine.flow = 0;
         decomposed = dd_delay.(n');
         service_curve = sc_delay.(n');
-        integrated = integ_delay n';
+        integrated;
         fifo_theta = nan;
         decomposed_backlog = dd_backlog.(n');
-        integrated_backlog = integ_backlog n';
+        integrated_backlog;
       })
     hops
 
 let tandem_grid ?(sigma = 1.) ?(peak = 1.) ~hops ~loads () =
   if hops = [] || loads = [] then []
-  else if not (Incremental.enabled ()) then
-    let cells =
-      List.concat_map (fun u -> List.map (fun n -> (u, n)) hops) loads
-    in
-    Par.map (fun (u, n) -> scratch ~sigma ~peak u n) cells
   else List.concat (Par.map (per_load ~sigma ~peak ~hops) loads)

@@ -4,10 +4,12 @@
     family at every hop count; because the family is prefix-closed and
     propagation is feedforward, one analysis of the largest tandem per
     load determines the bounds of every prefix bit-for-bit.  This
-    module serves a whole grid from those shared passes (plus the
-    {!Incremental} memo across figures), falling back to one scratch
-    {!Engine.compare_all} per cell when the engine is disabled —
-    producing byte-identical tables either way. *)
+    module serves a whole grid from those shared passes.  It keeps the
+    Decomposed and Integrated analyses of each largest tandem in an
+    {!Incremental} table keyed by the bit patterns of (sigma, peak,
+    load) and the largest hop count, so a repeated grid, or another
+    grid on the same largest tandem, runs no new pass.  Every cell has
+    the bits of {!Engine.compare_all} on its own tandem (tested). *)
 
 val tandem_grid :
   ?sigma:float ->
@@ -23,4 +25,6 @@ val tandem_grid :
     strategy is the paper's [Pairing.Along_route 0], the options are
     {!Options.default}, and the FIFO-theta extension is not run: its
     cells are [nan], as in the figures.  [sigma] and [peak] (defaults
-    [1.]) are passed to {!Tandem.make}. *)
+    [1.]) are passed to {!Tandem.make}.  An odd hop count pairs
+    differently from the largest tandem, so its cells run one
+    Integrated analysis of their own. *)

@@ -19,7 +19,7 @@ let observed_bps d r =
    round, and neighbouring sweep cells share most of their curves), so
    even a small exact-match cache removes a large fraction of the
    kernel work.  Keys are the operands' uids ({!Pwl.uid}, interned on
-   demand; this cache and [Incremental.net_key] are its only readers):
+   demand; this cache is their only reader):
    equal uids mean bit-identical segments, so two separately-built but
    equal curves share an entry, and the stored key is two machine
    words instead of the segments.  Values are immutable [Pwl.t], so

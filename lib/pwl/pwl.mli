@@ -26,8 +26,8 @@ type t
     lock.  Content identity is decided on the exact bit patterns of the
     segments ([0.] and [-0.] differ), and it is paid for only where it
     is read:
-    - {!uid} interns on demand, giving the operation caches ({!Minplus},
-      the incremental sweep engine) an O(1) content key;
+    - {!uid} interns on demand, giving the {!Minplus} operation cache
+      an O(1) content key;
     - the fast paths of {!equal}, {!add}, {!min_pw} and friends test
       for bit-identical operands (physical equality first), so they fire
       however and whenever the operands were built. *)

@@ -1,12 +1,15 @@
 type mode = Delta | Full of Engine.method_
 
-(* Full re-analysis fallback: every operation re-derives the complete
-   bound table through the batch admission kernel. *)
+(* Full re-analysis fallback: every admit re-derives the complete
+   bound table through the batch admission kernel.  The analysis of
+   the current population is kept until a teardown changes it, so a
+   query after an accepted admit reads the admit's pass. *)
 type full = {
   f_options : Options.t;
   f_servers : Server.t list;
   f_method : Engine.method_;
   mutable f_flows : Flow.t list; (* base ++ admitted, admission order *)
+  mutable f_analysis : Engine.analysis option; (* of [f_flows], once run *)
   mutable f_admits : int;
   mutable f_rejects : int;
   mutable f_teardowns : int;
@@ -33,6 +36,7 @@ let create ?(options = Options.default) ~mode ~servers ~flows () =
               f_servers = servers;
               f_method = method_;
               f_flows = flows;
+              f_analysis = None;
               f_admits = 0;
               f_rejects = 0;
               f_teardowns = 0;
@@ -157,6 +161,7 @@ let do_admit t (cand : Flow.t) =
         with
         | Admission.Accepted { bounds; analysis } ->
             f.f_flows <- f.f_flows @ [ cand ];
+            f.f_analysis <- Some analysis;
             f.f_admits <- f.f_admits + 1;
             let bound = List.assoc cand.id bounds in
             let backlog = Engine.flow_backlog analysis cand.id in
@@ -185,6 +190,7 @@ let do_teardown t id =
       if not (flow_present t id) then unknown_flow "teardown" id
       else begin
         f.f_flows <- List.filter (fun (g : Flow.t) -> g.Flow.id <> id) f.f_flows;
+        f.f_analysis <- None;
         f.f_teardowns <- f.f_teardowns + 1;
         obj
           ((ok true :: [ str "op" "teardown"; int "flow" id ])
@@ -217,9 +223,16 @@ let do_query t id =
       | None -> unknown_flow "query" id
       | Some flow ->
           let a =
-            Engine.analyze ~options:f.f_options
-              (Network.make ~servers:f.f_servers ~flows:f.f_flows)
-              f.f_method
+            match f.f_analysis with
+            | Some a -> a
+            | None ->
+                let a =
+                  Engine.analyze ~options:f.f_options
+                    (Network.make ~servers:f.f_servers ~flows:f.f_flows)
+                    f.f_method
+                in
+                f.f_analysis <- Some a;
+                a
           in
           query_response flow (Engine.flow_delay a id) (Engine.flow_backlog a id))
 

@@ -29,7 +29,10 @@
 
 type mode =
   | Delta  (** incremental cone re-analysis (decomposed method) *)
-  | Full of Engine.method_  (** from-scratch re-analysis per operation *)
+  | Full of Engine.method_
+      (** from-scratch re-analysis per admit; the analysis of the
+          current population is kept, for queries, until a teardown
+          changes the population *)
 
 type t
 

@@ -270,7 +270,7 @@ let hops net =
 (* Integrated's pass records what each per-flow split reads and runs
    none of them; the splits run when the backlogs are read, and an
    analysis keeps a backlog once it has computed it.  Counted in curve
-   constructions, with the memo off so that each analysis is fresh. *)
+   constructions; each analysis is fresh. *)
 let test_backlogs_on_first_read () =
   let made () = Metrics.value (Metrics.counter "pwl.make.calls") in
   let net = (Tandem.make ~n:8 ~utilization:0.6 ()).network in
@@ -280,7 +280,6 @@ let test_backlogs_on_first_read () =
   in
   Obs.enable ();
   Fun.protect ~finally:Obs.disable @@ fun () ->
-  Incremental.with_enabled false @@ fun () ->
   let m0 = made () in
   let integ = Integrated.analyze ~strategy:(Pairing.Along_route 0) net in
   ignore (Integrated.all_flow_delays integ);

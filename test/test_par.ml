@@ -111,34 +111,42 @@ let test_jobs_invariance () =
   let t4 = with_jobs 4 mini_fig5_table in
   Alcotest.(check string) "table identical at jobs 1 and 4" t1 t4
 
-(* The bench figures now route through the incremental sweep engine:
-   the printed table must not care whether the engine is on or off, nor
-   how many workers serve the grid — all four combinations must render
-   the same bytes. *)
-let with_incremental b f =
-  let prev = Incremental.enabled () in
-  Incremental.set_enabled b;
-  Fun.protect ~finally:(fun () -> Incremental.set_enabled prev) f
+(* The bench figures route through the incremental sweep engine: the
+   printed table must not care how many workers serve the grid, nor
+   whether its cells come from the shared passes or from one
+   compare_all per cell.  The grid's sigma is one no other test sweeps,
+   so the jobs=4 grid runs cold and the jobs=1 one is served from the
+   memo. *)
+let sweep_hops = [ 2; 4 ] and sweep_loads = [ 0.2; 0.5; 0.8 ]
+let sweep_sigma = 1.0625
 
-let sweep_table () =
-  let hops = [ 2; 4 ] and loads = [ 0.2; 0.5; 0.8 ] in
-  let cells = Sweep_engine.tandem_grid ~hops ~loads () in
+let sweep_table cells =
   let tbl = Table.create ~header:[ "U"; "n"; "D_D"; "D_SC"; "D_I" ] in
   List.iter2
     (fun (u, n) (c : Engine.comparison) ->
       Table.add_floats tbl
         [ u; float_of_int n; c.decomposed; c.service_curve; c.integrated ])
-    (List.concat_map (fun u -> List.map (fun n -> (u, n)) hops) loads)
+    (List.concat_map (fun u -> List.map (fun n -> (u, n)) sweep_hops)
+       sweep_loads)
     cells;
   Table.to_string tbl
+
+let grid_table () =
+  sweep_table
+    (Sweep_engine.tandem_grid ~sigma:sweep_sigma ~hops:sweep_hops
+       ~loads:sweep_loads ())
+
+let per_cell_table () =
+  sweep_table
+    (per_cell_grid ~sigma:sweep_sigma ~hops:sweep_hops ~loads:sweep_loads ())
 
 let test_sweep_engine_invariance () =
   let variants =
     [
-      ("incremental jobs=1", fun () -> with_incremental true (fun () -> with_jobs 1 sweep_table));
-      ("incremental jobs=4", fun () -> with_incremental true (fun () -> with_jobs 4 sweep_table));
-      ("scratch jobs=1", fun () -> with_incremental false (fun () -> with_jobs 1 sweep_table));
-      ("scratch jobs=4", fun () -> with_incremental false (fun () -> with_jobs 4 sweep_table));
+      ("grid jobs=4", fun () -> with_jobs 4 grid_table);
+      ("grid jobs=1", fun () -> with_jobs 1 grid_table);
+      ("per-cell jobs=1", fun () -> with_jobs 1 per_cell_table);
+      ("per-cell jobs=4", fun () -> with_jobs 4 per_cell_table);
     ]
   in
   match List.map (fun (name, f) -> (name, f ())) variants with
@@ -262,47 +270,35 @@ let qtest_eval_seq =
       Array.for_all2 (fun t v -> v = Pwl.eval f t) ts vs
       && Array.for_all2 (fun t v -> v = Pwl.eval_left f t) ts vls)
 
-(* The Incremental registry (clearers/sizers lists, the [on] flag) and
-   each analysis memo table are shared across netcalc.par domains: a
-   storm of memoize calls racing concurrent clears must only ever cause
-   recomputation, never a wrong value, a lost registration, or a crash.
-   On 4.14 Par degrades to sequential and this pins the same
-   contract. *)
-let test_incremental_concurrent_clear () =
-  let t = Incremental.table () in
-  let net = (Tandem.make ~n:2 ~utilization:0.5 ()).network in
-  (* 64 distinct structural keys from one network: the sp_blocking
-     option enters the fingerprint. *)
-  let keys =
-    Array.init 64 (fun i ->
-        Incremental.net_key
-          ~options:(Options.with_blocking (float_of_int i) Options.default)
-          net)
+(* The sweep memo is one table shared by netcalc.par workers.  Four
+   domains run a grid whose loads repeat, on a sigma no other test
+   sweeps, so the first lookups of each load race on misses.  A
+   concurrent duplicate compute is allowed; a wrong, lost or torn value
+   is not: the grid must have the bits of the same call at jobs 1 and
+   of one compare_all per cell. *)
+let test_sweep_memo_concurrent_lookups () =
+  let sigma = 1.1875 and hops = [ 2; 4 ] in
+  let loads = [ 0.3; 0.6; 0.3; 0.6; 0.3; 0.6 ] in
+  let bits_of cells =
+    List.concat_map
+      (fun (c : Engine.comparison) ->
+        List.map Int64.bits_of_float
+          [ c.decomposed; c.service_curve; c.integrated; c.decomposed_backlog;
+            c.integrated_backlog ])
+      cells
   in
-  let results =
-    with_jobs 4 (fun () ->
-        Par.map
-          (fun i ->
-            if i mod 16 = 0 then begin
-              Incremental.clear ();
-              -1
-            end
-            else Incremental.memoize t keys.(i mod 64) (fun () -> i mod 64))
-          (List.init 256 Fun.id))
-  in
-  List.iteri
-    (fun i v ->
-      if i mod 16 <> 0 then
-        Alcotest.(check int) (Printf.sprintf "memoize i=%d" i) (i mod 64) v)
-    results;
-  (* The table survived the clears and is still functional. *)
-  Alcotest.(check int) "post-storm memoize" 7
-    (Incremental.memoize t keys.(0) (fun () -> 7))
+  let grid () = bits_of (Sweep_engine.tandem_grid ~sigma ~hops ~loads ()) in
+  let raced = with_jobs 4 grid in
+  let sequential = with_jobs 1 grid in
+  let per_cell = bits_of (per_cell_grid ~sigma ~hops ~loads ()) in
+  Alcotest.(check (list int64)) "jobs 4 = jobs 1" sequential raced;
+  Alcotest.(check (list int64)) "jobs 4 = per-cell compare_all" per_cell raced
 
-(* A memoized analysis is shared by every reader in the process, Par
-   workers included ([Engine.compare_all] reads one Decomposed pass from
-   four legs at once), and it keeps each per-hop backlog once a read
-   has computed it.  Four domains read every per-hop backlog of one
+(* An analysis is shared by every reader that holds it, Par workers
+   included ([Engine.compare_all] reads one Decomposed pass from four
+   legs at once, and the sweep memo hands one pass to every grid on its
+   tandem), and it keeps each per-hop backlog once a read has computed
+   it.  Four domains read every per-hop backlog of one
    shared analysis at once, two in route order and two in reverse: no
    read may raise, and each must return the bits of a sequential read
    of a fresh analysis.  Ten shared analyses per network and engine,
@@ -329,9 +325,7 @@ let test_concurrent_backlog_reads () =
           (fun (f : Flow.t) -> List.map (fun s -> (f.id, s)) f.route)
           (Network.flows net)
       in
-      let check engine analyze local_backlog =
-        (* With the memo off every analysis is fresh. *)
-        let fresh () = Incremental.with_enabled false analyze in
+      let check engine fresh local_backlog =
         let read a hops =
           List.map
             (fun (flow, server) ->
@@ -370,13 +364,13 @@ let suite =
         test_exception_smallest_index;
       test "nested maps" test_nested;
       test "table byte-identical across jobs" test_jobs_invariance;
-      test "sweep engine invariant across jobs and on/off"
+      test "sweep engine invariant across jobs, = per-cell compare_all"
         test_sweep_engine_invariance;
       test "compare_all identical across jobs" test_compare_all_invariance;
       test "fixed point identical across jobs" test_fixed_point_invariance;
       test "obs safe under concurrent recording" test_obs_concurrent;
-      test "incremental memoize races clear (4 domains)"
-        test_incremental_concurrent_clear;
+      test "sweep memo: concurrent lookups of one table (4 domains)"
+        test_sweep_memo_concurrent_lookups;
       test "shared analyses read their backlogs from 4 domains at once"
         test_concurrent_backlog_reads;
       qtest_cache_conv;

@@ -23,12 +23,9 @@ let same_bounds msg expected actual =
 
 let tb ?peak ~sigma ~rho () = Arrival.token_bucket ?peak ~sigma ~rho ()
 
-(* Fresh decomposed bounds with the sweep memo off, so the comparison
-   is against genuine from-scratch work, not a cache hit. *)
+(* Fresh decomposed bounds: every analysis runs its own pass. *)
 let scratch_bounds ~servers ~flows =
-  Incremental.with_enabled false (fun () ->
-      Decomposed.all_flow_delays
-        (Decomposed.analyze (Network.make ~servers ~flows)))
+  Decomposed.all_flow_delays (Decomposed.analyze (Network.make ~servers ~flows))
 
 (* ------------------------------------------------------------------ *)
 (* Admission: decide_one vs run, rejection reasons                     *)
@@ -146,10 +143,8 @@ let check_matches_scratch msg e =
      bounds, the per-flow split at every server, and the flow-level
      buffer needs. *)
   let a =
-    Incremental.with_enabled false (fun () ->
-        Decomposed.analyze
-          (Network.make ~servers:(Network.servers net)
-             ~flows:(Network.flows net)))
+    Decomposed.analyze
+      (Network.make ~servers:(Network.servers net) ~flows:(Network.flows net))
   in
   List.iter
     (fun (s : Server.t) ->

@@ -15,6 +15,20 @@ let approx ?(tol = 1e-6) msg expected actual =
 let check_bool = Alcotest.(check bool)
 let test name f = Alcotest.test_case name `Quick f
 
+(* The reference a [Sweep_engine.tandem_grid] is checked against: one
+   compare_all per cell, on that cell's own tandem, in the grid's
+   row-major order. *)
+let per_cell_grid ?(sigma = 1.) ?(peak = 1.) ~hops ~loads () =
+  List.concat_map
+    (fun u ->
+      List.map
+        (fun n ->
+          let t = Tandem.make ~n ~utilization:u ~sigma ~peak () in
+          Engine.compare_all ~with_theta:false
+            ~strategy:(Pairing.Along_route 0) t.network 0)
+        hops)
+    loads
+
 (* QCheck generators used across suites. *)
 
 let gen_rate = QCheck2.Gen.float_range 0.05 4.0
