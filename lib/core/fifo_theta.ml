@@ -45,10 +45,18 @@ let hop_curve hop theta =
   | Theta (rate, cross) -> Service.fifo_theta ~rate ~cross ~theta
   | Fixed beta -> beta
 
+(* [infinity] also when a member curve, the end-to-end convolution or
+   its deviation cannot be computed: past about 2^53 a member's shifted
+   breakpoints round onto one another, and float noise can read a
+   member as non-convex or the convolution as decreasing.  An infinite
+   bound is valid, and [tune] keeps the zero vector, Service Curve's
+   bound, whenever that is tighter. *)
 let end_to_end alpha hops thetas =
-  let curves = List.map2 hop_curve hops thetas in
-  if List.exists (fun b -> Pwl.final_slope b <= 0.) curves then infinity
-  else Deviation.hdev ~alpha ~beta:(Minplus.conv_list curves)
+  try
+    let curves = List.map2 hop_curve hops thetas in
+    if List.exists (fun b -> Pwl.final_slope b <= 0.) curves then infinity
+    else Deviation.hdev ~alpha ~beta:(Minplus.conv_list curves)
+  with Invalid_argument _ -> infinity
 
 (* The analytic optimum for token-bucket cross traffic (burst / rate);
    0 at a hop without a theta. *)
@@ -95,10 +103,7 @@ let flow_delay t id =
   | hops -> fst (tune (Flow.source_curve f) hops)
   | exception Invalid_argument _ -> infinity
 
-let all_flow_delays t =
-  Network.flows t.net
-  |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort compare
+let all_flow_delays t = Network.by_flow t.net (flow_delay t)
 
 let thetas t ~flow =
   let f = Network.flow t.net flow in

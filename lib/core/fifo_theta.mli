@@ -29,7 +29,7 @@ val flow_delay : t -> int -> float
 (** Delay bound for a flow after tuning thetas.  Never worse than the
     Algorithm Service Curve bound, because theta = 0 at every FIFO hop
     is always among the candidates.  [infinity] when a hop is
-    saturated. *)
+    saturated, or when no theta vector's bound can be computed. *)
 
 val all_flow_delays : t -> (int * float) list
 

@@ -69,7 +69,4 @@ let analyze ?(options = Options.default) ?(max_iter = 200) net =
 let flow_delay t id =
   if t.converged then Forward.flow_delay t.pass id else infinity
 
-let all_flow_delays t =
-  Network.flows (Forward.network t.pass)
-  |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort compare
+let all_flow_delays t = Network.by_flow (Forward.network t.pass) (flow_delay t)

@@ -230,10 +230,7 @@ let flow_delay t id =
   List.fold_left (fun acc s -> acc +. local_delay t ~flow:id ~server:s) 0.
     f.route
 
-let all_flow_delays t =
-  Network.flows t.net
-  |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let all_flow_delays t = Network.by_flow t.net (flow_delay t)
 
 let envelope_at t ~flow ~server =
   if is_poisoned t ~flow ~server then

@@ -312,10 +312,7 @@ let subnet_delays t id =
 let flow_delay t id =
   List.fold_left (fun acc (_, d) -> acc +. d) 0. (subnet_delays t id)
 
-let all_flow_delays t =
-  Network.flows (network t)
-  |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort compare
+let all_flow_delays t = Network.by_flow (network t) (flow_delay t)
 
 let envelope_at t = Forward.envelope_at t.fw
 

@@ -57,7 +57,4 @@ let flow_delay t id =
   | beta -> Deviation.hdev ~alpha:(Flow.source_curve f) ~beta
   | exception Invalid_argument _ -> infinity
 
-let all_flow_delays t =
-  Network.flows t.net
-  |> List.map (fun (f : Flow.t) -> (f.id, flow_delay t f.id))
-  |> List.sort compare
+let all_flow_delays t = Network.by_flow t.net (flow_delay t)

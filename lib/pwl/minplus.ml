@@ -4,32 +4,23 @@
    recording is branch-guarded by Obs and free when disabled. *)
 let c_conv = Metrics.counter "pwl.conv.calls"
 let c_conv_rate = Metrics.counter "pwl.conv_with_rate.calls"
-let c_deconv = Metrics.counter "pwl.deconv.calls"
 let d_conv_bps = Metrics.dist "pwl.conv.breakpoints"
-let d_deconv_bps = Metrics.dist "pwl.deconv.breakpoints"
 
-let observed_bps d r =
-  if Prof.enabled () then
-    Metrics.observe d (float_of_int (List.length (Pwl.breakpoints r)));
-  r
-
-(* Memo cache for [conv] and [deconv].  The fixed-point iteration and
-   the figure sweeps recompute the same small set of curve pairs many
-   times over (the Jacobi step re-derives every server's inputs each
-   round, and neighbouring sweep cells share most of their curves), so
-   even a small exact-match cache removes a large fraction of the
-   kernel work.  Keys are the operands' uids ({!Pwl.uid}, interned on
-   demand; this cache is their only reader):
-   equal uids mean bit-identical segments, so two separately-built but
-   equal curves share an entry, and the stored key is two machine
-   words instead of the segments.  Values are immutable [Pwl.t], so
-   returning the cached value is indistinguishable from recomputing:
-   results stay byte-identical whether or not the cache is on, which
-   the determinism tests pin.  (After an intern-table reset, equal
-   curves get fresh uids and the lookup misses — a recompute of the
-   identical value, never a wrong hit: uids are not reused.)  Guarded
-   by one lock: netcalc.par worker domains hit these tables
-   concurrently. *)
+(* Memo cache for [conv].  The figure sweeps rebuild the same
+   Service-Curve prefix convolutions many times over (neighbouring
+   sweep cells share most of their curves), so even a small
+   exact-match cache removes a large fraction of the kernel work.
+   Keys are the operands' uids ({!Pwl.uid}, interned on demand; this
+   cache is their only reader): equal uids mean bit-identical
+   segments, so two separately-built but equal curves share an entry,
+   and the stored key is two machine words instead of the segments.
+   Values are immutable [Pwl.t], so returning the cached value is
+   indistinguishable from recomputing: a hit is byte-identical to a
+   miss, which the determinism tests pin.  (After an intern-table
+   reset, equal curves get fresh uids and the lookup misses — a
+   recompute of the identical value, never a wrong hit: uids are not
+   reused.)  Guarded by one lock: netcalc.par worker domains hit this
+   table concurrently. *)
 module Cache_key = struct
   type t = { a : int; b : int }
 
@@ -41,15 +32,9 @@ module Cache_tbl = Hashtbl.Make (Cache_key)
 
 let cache_lock = Obs_sync.create ()
 let cache_cap = 4096
-let cache_on = ref true
 let conv_cache : Pwl.t Cache_tbl.t = Cache_tbl.create 256
 [@@lint.domain_safe
-  "only passed by reference into [cached], which performs every table \
-   operation under cache_lock"]
-
-let deconv_cache : Pwl.t Cache_tbl.t = Cache_tbl.create 256
-[@@lint.domain_safe
-  "only passed by reference into [cached], which performs every table \
+  "[cached], [cache_clear] and [cache_stats] perform every table \
    operation under cache_lock"]
 
 (* Hit/miss counters are recorded unconditionally (not Prof-guarded):
@@ -61,45 +46,37 @@ let c_cache_miss = Metrics.counter "pwl.cache.misses"
 
 type cache_stats = { hits : int; misses : int; entries : int }
 
-let cache_enabled () = Obs_sync.with_lock cache_lock (fun () -> !cache_on)
-
-let set_cache_enabled b =
-  Obs_sync.with_lock cache_lock (fun () -> cache_on := b)
-
 let cache_clear () =
-  Obs_sync.with_lock cache_lock (fun () ->
-      Cache_tbl.reset conv_cache;
-      Cache_tbl.reset deconv_cache)
+  Obs_sync.with_lock cache_lock (fun () -> Cache_tbl.reset conv_cache)
 
 let cache_stats () =
   let entries =
-    Obs_sync.with_lock cache_lock (fun () ->
-        Cache_tbl.length conv_cache + Cache_tbl.length deconv_cache)
+    Obs_sync.with_lock cache_lock (fun () -> Cache_tbl.length conv_cache)
   in
   { hits = Metrics.value c_cache_hit;
     misses = Metrics.value c_cache_miss;
     entries }
 
-let cached tbl f g compute =
-  if not (Obs_sync.with_lock cache_lock (fun () -> !cache_on)) then compute ()
-  else begin
-    let key = { Cache_key.a = Pwl.uid f; b = Pwl.uid g } in
-    match Obs_sync.with_lock cache_lock (fun () -> Cache_tbl.find_opt tbl key)
-    with
-    | Some r ->
-        Metrics.incr c_cache_hit;
-        r
-    | None ->
-        Metrics.incr c_cache_miss;
-        (* Compute outside the lock: kernels are the expensive part,
-           and a concurrent duplicate computation of the same key is
-           harmless (both produce the identical value). *)
-        let r = compute () in
-        Obs_sync.with_lock cache_lock (fun () ->
-            if Cache_tbl.length tbl >= cache_cap then Cache_tbl.reset tbl;
-            if not (Cache_tbl.mem tbl key) then Cache_tbl.add tbl key r);
-        r
-  end
+let cached f g compute =
+  let key = { Cache_key.a = Pwl.uid f; b = Pwl.uid g } in
+  match
+    Obs_sync.with_lock cache_lock (fun () -> Cache_tbl.find_opt conv_cache key)
+  with
+  | Some r ->
+      Metrics.incr c_cache_hit;
+      r
+  | None ->
+      Metrics.incr c_cache_miss;
+      (* Compute outside the lock: kernels are the expensive part, and
+         a concurrent duplicate computation of the same key is harmless
+         (both produce the identical value). *)
+      let r = compute () in
+      Obs_sync.with_lock cache_lock (fun () ->
+          if Cache_tbl.length conv_cache >= cache_cap then
+            Cache_tbl.reset conv_cache;
+          if not (Cache_tbl.mem conv_cache key) then
+            Cache_tbl.add conv_cache key r);
+      r
 
 (* Convex (x) convex: sort the slope pieces of both operands by
    increasing slope and concatenate, starting from the sum of the
@@ -129,7 +106,7 @@ let conv_convex f g =
 
 let conv f g =
   Prof.count c_conv;
-  cached conv_cache f g (fun () ->
+  cached f g (fun () ->
       let fail () =
         invalid_arg
           "Minplus.conv: unsupported shape combination (need concave x \
@@ -141,7 +118,10 @@ let conv f g =
         | (`Convex | `Affine), (`Convex | `Affine) -> conv_convex f g
         | _ -> fail ()
       in
-      observed_bps d_conv_bps r)
+      if Prof.enabled () then
+        Metrics.observe d_conv_bps
+          (float_of_int (List.length (Pwl.breakpoints r)));
+      r)
 
 let conv_list = function
   | [] -> invalid_arg "Minplus.conv_list: empty list"
@@ -178,87 +158,6 @@ let conv_with_rate ~rate g =
   in
   let m = Pwl.make (List.rev steps) in
   Pwl.min_pw g (Pwl.add (Pwl.affine ~y0:0. ~slope:rate) m)
-
-let final_slope_exceeds f g =
-  let open Float_ops in
-  Pwl.final_slope g <~ Pwl.final_slope f
-
-let deconv f g =
-  Prof.count c_deconv;
-  if final_slope_exceeds f g then
-    invalid_arg "Minplus.deconv: infinite (f grows faster than g)"
-  else
-    cached deconv_cache f g (fun () ->
-        let bps_f = Array.of_list (Pwl.breakpoints f) in
-        let bps_g = Array.of_list (Pwl.breakpoints g) in
-        let nf = Array.length bps_f and ng = Array.length bps_g in
-        let far = Float.max bps_f.(nf - 1) bps_g.(ng - 1) +. 1. in
-        (* Candidate maximizers s of f (t + s) - g s: the breakpoints
-           of g, the breakpoints of f shifted to the s-axis, and a
-           point beyond every breakpoint (both functions are affine
-           from there on).  [s_base] — the t-independent part — is
-           built once; breakpoint lists start at 0 and increase, so it
-           is sorted and contains 0 already. *)
-        let s_base = Array.append bps_g [| far |] in
-        let nbase = ng + 1 in
-        (* Reused per-t scratch; [value_at] is only ever called
-           sequentially (from [of_sampler] below), never from worker
-           domains, so sharing is safe. *)
-        let sc = Array.make (nbase + nf) 0. in
-        let ts_f = Array.make (nbase + nf) 0. in
-        let value_at t =
-          (* Merge [s_base] with the sorted shifted tail
-             { x - t : x breakpoint of f, x >= t }. *)
-          let i = ref 0 in
-          let j = ref 0 in
-          while !j < nf && bps_f.(!j) -. t < 0. do Stdlib.incr j done;
-          let k = ref 0 in
-          while !i < nbase || !j < nf do
-            let take_base =
-              !j >= nf || (!i < nbase && s_base.(!i) <= bps_f.(!j) -. t)
-            in
-            if take_base then begin
-              sc.(!k) <- s_base.(!i);
-              Stdlib.incr i
-            end
-            else begin
-              sc.(!k) <- bps_f.(!j) -. t;
-              Stdlib.incr j
-            end;
-            Stdlib.incr k
-          done;
-          let ns = !k in
-          for i = 0 to ns - 1 do
-            ts_f.(i) <- t +. sc.(i)
-          done;
-          let scv = Array.sub sc 0 ns and tsv = Array.sub ts_f 0 ns in
-          let vf = Pwl.eval_seq f tsv in
-          let vfl = Pwl.eval_left_seq f tsv in
-          let vg = Pwl.eval_seq g scv in
-          let vgl = Pwl.eval_left_seq g scv in
-          let best = ref neg_infinity in
-          for i = 0 to ns - 1 do
-            let v = Float.max (vf.(i) -. vg.(i)) (vfl.(i) -. vgl.(i)) in
-            if v > !best then best := v
-          done;
-          !best
-        in
-        (* Candidate breakpoints t of the result: pairwise differences
-           of the operand breakpoints (plus the breakpoints of f
-           themselves, i.e. the differences against g's origin).
-           Built flat and deduped once inside [of_sampler]'s single
-           array sort — no per-candidate list surgery. *)
-        let t_candidates = ref [] in
-        for i = nf - 1 downto 0 do
-          let xf = bps_f.(i) in
-          t_candidates := xf :: !t_candidates;
-          for j = ng - 1 downto 0 do
-            let d = xf -. bps_g.(j) in
-            if d > 0. then t_candidates := d :: !t_candidates
-          done
-        done;
-        observed_bps d_deconv_bps
-          (Pwl.of_sampler ~candidates:!t_candidates ~eval:value_at))
 
 let busy_period ~agg ~rate = Pwl.first_crossing_below agg ~rate
 

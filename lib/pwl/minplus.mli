@@ -1,8 +1,10 @@
 (** Min-plus (network-calculus) operations on piecewise-linear functions.
 
-    Conventions follow Cruz and Le Boudec:
-    - convolution   [(f (x) g)(t) = inf_{0 <= s <= t} f(s) + g(t - s)]
-    - deconvolution [(f (/) g)(t) = sup_{s >= 0} f(t + s) - g(s)]
+    Convolution follows Cruz and Le Boudec:
+    [(f (x) g)(t) = inf_{0 <= s <= t} f(s) + g(t - s)].  No analysis
+    here deconvolves: a flow's output envelope is its input envelope
+    shifted left by the local delay bound ({!Pwl.shift_left}, the
+    paper's Step 3.2).
 
     Convolution is implemented for the two shape classes the analyses
     need, both with well-known exact forms:
@@ -38,33 +40,21 @@ val conv_with_rate : rate:float -> Pwl.t -> Pwl.t
     [min (g t, rate * t + min_{b <= t} (g b - rate b))] over
     breakpoints. *)
 
-val deconv : Pwl.t -> Pwl.t -> Pwl.t
-(** [deconv f g = f (/) g].  Used to bound the output of a server:
-    the traffic of a flow with arrival curve [alpha] leaving a server
-    with service curve [beta] is constrained by [alpha (/) beta].
-    Requires [Pwl.final_slope f <= Pwl.final_slope g], otherwise the
-    deconvolution is infinite everywhere.
-    @raise Invalid_argument when it would be infinite. *)
-
 (** {1 Result cache}
 
-    [conv] and [deconv] memoize their results in a cache keyed by the
-    operands' uids ({!Pwl.uid}, interned on demand: equal uids mean
-    bit-identical segments, so the key is two machine words instead of
-    the segments themselves) — because the fixed-point iteration and
-    the figure sweeps re-derive the same curve pairs many times over.
-    Cached values are immutable, so a hit is indistinguishable from
-    recomputation and results are byte-identical with the cache on or
-    off.  The cache is enabled by
-    default, bounded (wholesale reset past a few thousand entries), and
-    safe to use from netcalc.par worker domains.  Hits and misses are
-    also published as the [pwl.cache.hits] / [pwl.cache.misses]
-    observability counters. *)
+    [conv] memoizes its results in a cache keyed by the operands' uids
+    ({!Pwl.uid}, interned on demand: equal uids mean bit-identical
+    segments, so the key is two machine words instead of the segments
+    themselves) — because the figure sweeps rebuild the same
+    Service-Curve prefix convolutions many times over.  Cached values
+    are immutable, so a hit is indistinguishable from recomputation and
+    results are byte-identical whether a call hits or misses.  The
+    cache is always on, bounded (wholesale reset past a few thousand
+    entries), and safe to use from netcalc.par worker domains.  Hits
+    and misses are also published as the [pwl.cache.hits] /
+    [pwl.cache.misses] observability counters. *)
 
 type cache_stats = { hits : int; misses : int; entries : int }
-
-val cache_enabled : unit -> bool
-val set_cache_enabled : bool -> unit
 
 val cache_clear : unit -> unit
 (** Drop every cached entry (keeps the hit/miss counters; those are

@@ -238,58 +238,6 @@ let eval_left f t =
       p.y +. (p.slope *. (t -. p.x))
     else s.y +. (s.slope *. (t -. s.x))
 
-(* Batch evaluation over sorted abscissae with a monotone segment
-   cursor: one pass over the points and one over the segments, instead
-   of a binary search (and its per-call float boxing) per point.  The
-   deconvolution inner loop and conv_with_rate evaluate thousands of
-   sorted points per call, which is where this matters. *)
-
-let check_sorted_step name prev t =
-  if t < prev then
-    invalid_arg (name ^ ": abscissae must be sorted nondecreasing")
-
-let eval_seq f ts =
-  let n = Array.length ts in
-  let out = Array.make n 0. in
-  let segs = f.segs in
-  let nsegs = Array.length segs in
-  let j = ref 0 in
-  let prev = ref neg_infinity in
-  for i = 0 to n - 1 do
-    let t = Float.max ts.(i) 0. in
-    check_sorted_step "Pwl.eval_seq" !prev t;
-    prev := t;
-    while !j + 1 < nsegs && segs.(!j + 1).x <= t do
-      incr j
-    done;
-    let s = segs.(!j) in
-    out.(i) <- s.y +. (s.slope *. (t -. s.x))
-  done;
-  out
-
-let eval_left_seq f ts =
-  let n = Array.length ts in
-  let out = Array.make n 0. in
-  let segs = f.segs in
-  let nsegs = Array.length segs in
-  let j = ref 0 in
-  let prev = ref neg_infinity in
-  for i = 0 to n - 1 do
-    let t = Float.max ts.(i) 0. in
-    check_sorted_step "Pwl.eval_left_seq" !prev t;
-    prev := t;
-    while !j + 1 < nsegs && segs.(!j + 1).x <= t do
-      incr j
-    done;
-    let s = segs.(!j) in
-    out.(i) <-
-      (if s.x = t && !j > 0 then
-         let p = segs.(!j - 1) in
-         p.y +. (p.slope *. (t -. p.x))
-       else s.y +. (s.slope *. (t -. s.x)))
-  done;
-  out
-
 let segments f = Array.to_list (Array.map (fun s -> (s.x, s.y, s.slope)) f.segs)
 let breakpoints f = Array.to_list (Array.map (fun s -> s.x) f.segs)
 let final_slope f = f.segs.(Array.length f.segs - 1).slope
@@ -382,8 +330,9 @@ let dedup_sorted_into arr =
 let of_sampler ~candidates ~eval:sample =
   (* Sanitize into a sorted deduped array.  Array.sort with
      Float.compare beats the former List.sort_uniq with polymorphic
-     compare by a wide margin on the O(|f|*|g|) candidate sets the
-     deconvolution feeds through here. *)
+     compare by a wide margin on the candidate sets the per-flow
+     deviation feeds through here (one preimage per (kink, gap
+     segment) pair). *)
   let keep x = Float.is_finite x (* drops nan and both infinities *) in
   let raw = List.filter keep candidates in
   let arr = Array.make (1 + List.length raw) 0. in

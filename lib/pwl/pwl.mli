@@ -81,7 +81,8 @@ val of_sampler : candidates:float list -> eval:(float -> float) -> t
     true breakpoint of the function (extra points and duplicates are
     fine; points are clamped to [>= 0.]).  [eval] must be the
     right-continuous evaluation.  Reserved for genuinely search-like
-    operations (deconvolution, the FIFO-theta clipping): the structural
+    operations (the per-flow composition in
+    {!Deviation.vdev_per_flow}, the FIFO-theta clipping): the structural
     operations below are exact segmentwise constructions instead, so
     probe noise cannot accumulate through chained uses (see DESIGN.md
     §7). *)
@@ -94,19 +95,6 @@ val eval : t -> float -> float
 val eval_left : t -> float -> float
 (** Left limit [f (t-)]; equals [eval f t] except at upward jumps.
     [eval_left f 0. = eval f 0.]. *)
-
-val eval_seq : t -> float array -> float array
-(** [eval_seq f ts] evaluates [f] at every point of [ts], which must be
-    sorted nondecreasing (negative points are clamped to [0.] first).
-    Semantically [Array.map (eval f) ts], but a single monotone cursor
-    walks the segments once instead of binary-searching per point —
-    O(|ts| + |f|) instead of O(|ts| log |f|).  This is the batch
-    evaluator behind the min-plus kernels ({!Minplus.deconv},
-    [conv_with_rate]) whose probe sets are sorted by construction.
-    @raise Invalid_argument if [ts] decreases. *)
-
-val eval_left_seq : t -> float array -> float array
-(** Batch {!eval_left} under the same contract as {!eval_seq}. *)
 
 val segments : t -> (float * float * float) list
 (** The segments as given to {!make}, normalized. *)

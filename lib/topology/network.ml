@@ -181,6 +181,10 @@ let flow net id =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Network.flow: unknown flow id %d" id)
 
+let by_flow net f =
+  List.map (fun (fl : Flow.t) -> (fl.id, f fl.id)) net.flow_list
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 let size net = Array.length net.servers
 
 let flows_at net sid =

@@ -71,6 +71,11 @@ val flow_opt : t -> int -> Flow.t option
 (** [None] for an unknown id: for callers that treat absence as data
     (the serve teardown path) rather than as a usage error. *)
 
+val by_flow : t -> (int -> 'a) -> (int * 'a) list
+(** [by_flow net f] pairs every flow id with [f id], in increasing id
+    order; [f] runs once per flow, in flow-list order.  Every analysis's
+    [all_flow_delays] is this fold over its [flow_delay]. *)
+
 val size : t -> int
 (** Number of servers; O(1). *)
 

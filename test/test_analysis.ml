@@ -752,17 +752,33 @@ let test_service_curve_blowup_at_high_load () =
 
 let test_fifo_theta_beats_service_curve () =
   List.iter
-    (fun (n, u) ->
+    (fun (n, u, options) ->
       let t = tandem n u in
       let dsc =
         Service_curve_method.flow_delay
-          (Service_curve_method.analyze (Decomposed.analyze t.network))
+          (Service_curve_method.analyze (Decomposed.analyze ~options t.network))
           0
       in
-      let dth = Fifo_theta.flow_delay (Fifo_theta.analyze (Decomposed.analyze t.network)) 0 in
+      let dth =
+        Fifo_theta.flow_delay
+          (Fifo_theta.analyze (Decomposed.analyze ~options t.network))
+          0
+      in
       check_bool (Printf.sprintf "theta <= SFA at n=%d U=%g" n u) true
         (dth <= dsc +. 1e-9))
-    [ (2, 0.5); (4, 0.8); (6, 0.9) ]
+    (* On the three long tandems some theta vectors give no bound: past
+       2^53 a member's breakpoints round together, and float noise can
+       read a member as non-convex or the end-to-end curve as
+       decreasing.  Those vectors bound nothing, and the tuning still
+       returns a valid bound. *)
+    [
+      (2, 0.5, Options.default);
+      (4, 0.8, Options.default);
+      (6, 0.9, Options.default);
+      (160, 0.9, Options.default);
+      (250, 0.6, Options.default);
+      (100, 0.8, Options.sharpened);
+    ]
 
 (* One static-priority server of rate 1: an urgent flow ahead of a
    small tagged one.  The FIFO theta family does not hold here; an

@@ -1,6 +1,6 @@
 (* netcalc.par: the pool must behave exactly like List.map whatever the
    jobs count — same order, same exceptions, byte-identical downstream
-   tables — and the pwl conv/deconv cache must be invisible except for
+   tables — and the pwl conv cache must be invisible except for
    speed.  These are the guarantees that let the bench sweeps and the
    engines parallelize without a determinism audit per call site. *)
 
@@ -213,62 +213,53 @@ let test_obs_concurrent () =
   Metrics.reset ();
   Trace.clear ()
 
-(* Cache transparency: conv/deconv with the cache on must equal the
-   uncached computation segment for segment (same floats), on random
-   token-bucket / rate-latency curve pairs. *)
-let with_cache b f =
-  let prev = Minplus.cache_enabled () in
-  Minplus.set_cache_enabled b;
-  Fun.protect ~finally:(fun () -> Minplus.set_cache_enabled prev) f
-
-let same_curve a b = Pwl.segments a = Pwl.segments b
+(* Cache transparency: a hit must return the bits of the miss that
+   filled it, on random concave curve pairs.  After [cache_clear] the
+   first conv misses and the second hits; after an intern-table reset
+   both operands get fresh uids (uids are never reused), so a third
+   call misses and recomputes the same segments. *)
+let same_curve a b =
+  let bits f =
+    List.map
+      (fun (x, y, s) -> List.map Int64.bits_of_float [ x; y; s ])
+      (Pwl.segments f)
+  in
+  bits a = bits b
 
 let qtest_cache_conv =
   qtest ~count:100 "cached conv = uncached conv"
     QCheck2.Gen.(pair gen_concave gen_concave)
     (fun (f, g) ->
-      let cached = with_cache true (fun () -> Minplus.conv f g) in
-      let fresh =
-        with_cache false (fun () -> Minplus.cache_clear (); Minplus.conv f g)
+      let stats () =
+        let s = Minplus.cache_stats () in
+        (s.hits, s.misses)
       in
-      same_curve cached fresh)
-
-let qtest_cache_deconv =
-  qtest ~count:100 "cached deconv = uncached deconv"
-    QCheck2.Gen.(pair gen_concave gen_convex)
-    (fun (alpha, beta) ->
-      QCheck2.assume (Pwl.final_slope alpha <= Pwl.final_slope beta);
-      let cached = with_cache true (fun () -> Minplus.deconv alpha beta) in
-      let fresh =
-        with_cache false (fun () ->
-            Minplus.cache_clear ();
-            Minplus.deconv alpha beta)
+      let call () =
+        let h0, m0 = stats () in
+        let r = Minplus.conv f g in
+        let h1, m1 = stats () in
+        (r, (h1 - h0, m1 - m0))
       in
-      same_curve cached fresh)
+      Pwl.intern_clear ();
+      Minplus.cache_clear ();
+      let fresh, first = call () in
+      let hit, second = call () in
+      Pwl.intern_clear ();
+      let recomputed, third = call () in
+      (first, second, third) = ((0, 1), (1, 0), (0, 1))
+      && same_curve fresh hit
+      && same_curve fresh recomputed)
 
 let test_cache_hits () =
-  with_cache true @@ fun () ->
   Minplus.cache_clear ();
   let before = (Minplus.cache_stats ()).hits in
-  let f = Pwl.min_list [ Pwl.affine ~y0:2. ~slope:1.; Pwl.affine ~y0:5. ~slope:0.3 ] in
+  let f = Testutil.rate_latency ~rate:1.5 ~latency:2. in
   let g = Testutil.rate_latency ~rate:2. ~latency:1. in
-  let a = Minplus.deconv f g in
-  let b = Minplus.deconv f g in
+  let a = Minplus.conv f g in
+  let b = Minplus.conv f g in
   Alcotest.(check bool) "identical results" true (same_curve a b);
   let after = (Minplus.cache_stats ()).hits in
   Alcotest.(check bool) "repeat lookup hit" true (after > before)
-
-(* eval_seq is the batch kernel under deconv: must agree with pointwise
-   eval on sorted probe sets, including breakpoints (jump points). *)
-let qtest_eval_seq =
-  qtest ~count:200 "eval_seq/eval_left_seq = pointwise eval"
-    QCheck2.Gen.(pair gen_concave (list_size (int_range 0 20) gen_time))
-    (fun (f, ts) ->
-      let ts = Array.of_list (List.sort Float.compare (0. :: Pwl.breakpoints f @ ts)) in
-      let vs = Pwl.eval_seq f ts in
-      let vls = Pwl.eval_left_seq f ts in
-      Array.for_all2 (fun t v -> v = Pwl.eval f t) ts vs
-      && Array.for_all2 (fun t v -> v = Pwl.eval_left f t) ts vls)
 
 (* The sweep memo is one table shared by netcalc.par workers.  Four
    domains run a grid whose loads repeat, on a sigma no other test
@@ -374,7 +365,5 @@ let suite =
       test "shared analyses read their backlogs from 4 domains at once"
         test_concurrent_backlog_reads;
       qtest_cache_conv;
-      qtest_cache_deconv;
-      test "repeated deconv hits the cache" test_cache_hits;
-      qtest_eval_seq;
+      test "repeated conv hits the cache" test_cache_hits;
     ] )

@@ -1,6 +1,6 @@
 (* Tests for the piecewise-linear algebra: construction, pointwise
    operations, transformations, pseudo-inverse, suprema, min-plus
-   convolution/deconvolution and deviations. *)
+   convolution and deviations. *)
 
 open Testutil
 
@@ -278,23 +278,6 @@ let test_conv_convex_general () =
     (fun t -> approx ~tol:1e-3 "convex conv vs brute force" (brute t) (Pwl.eval c t))
     [ 0.5; 1.; 2.; 3.; 6.; 12. ]
 
-let test_deconv_token_bucket_rate_latency () =
-  (* alpha (/) beta_{R,T} for alpha = sigma + rho t is sigma + rho (t + T):
-     the output burst grows by rho * T. *)
-  let alpha = token_bucket ~sigma:2. ~rho:1. in
-  let beta = rate_latency ~rate:3. ~latency:2. in
-  let out = Minplus.deconv alpha beta in
-  let expect = token_bucket ~sigma:4. ~rho:1. in
-  Alcotest.(check bool) "output envelope" true (Pwl.equal out expect)
-
-let test_deconv_unstable () =
-  let alpha = token_bucket ~sigma:1. ~rho:2. in
-  let beta = rate_latency ~rate:1. ~latency:0. in
-  (try
-     ignore (Minplus.deconv alpha beta);
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ())
-
 (* ------------------------------------------------------------------ *)
 (* Deviations                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -359,13 +342,6 @@ let prop_conv_below_operand =
     (fun (f, g, t) ->
       Pwl.eval (Minplus.conv f g) t <= Pwl.eval f t +. 1e-6)
 
-let prop_deconv_dominates =
-  qtest "alpha (/) beta >= alpha (when beta 0 = 0)"
-    QCheck2.Gen.(triple gen_concave gen_convex gen_time)
-    (fun (alpha, beta, t) ->
-      QCheck2.assume (Pwl.final_slope alpha <= Pwl.final_slope beta -. 1e-6);
-      Pwl.eval (Minplus.deconv alpha beta) t >= Pwl.eval alpha t -. 1e-6)
-
 let prop_hdev_token_bucket_formula =
   qtest "hdev(token bucket, rate-latency) = T + sigma/R"
     QCheck2.Gen.(quad gen_burst gen_rate gen_rate gen_latency)
@@ -424,9 +400,6 @@ let suite =
       test "conv concave = min" test_conv_concave_is_min;
       test "conv rate-latency" test_conv_rate_latency;
       test "conv convex vs brute force" test_conv_convex_general;
-      test "deconv token bucket / rate-latency"
-        test_deconv_token_bucket_rate_latency;
-      test "deconv unstable rejected" test_deconv_unstable;
       test "hdev classic formula" test_hdev_classic;
       test "hdev unstable" test_hdev_unstable;
       test "vdev at equal final slopes" test_vdev_equal_final_slope;
@@ -435,7 +408,6 @@ let suite =
       prop_add_pointwise;
       prop_conv_commutative;
       prop_conv_below_operand;
-      prop_deconv_dominates;
       prop_hdev_token_bucket_formula;
       prop_inverse_roundtrip;
       prop_busy_period_is_crossing;

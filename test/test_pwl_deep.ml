@@ -86,32 +86,6 @@ let prop_crossing_under_is_sound =
 (* Brute-force differential checks                                     *)
 (* ------------------------------------------------------------------ *)
 
-let brute_deconv f g t =
-  (* sup over s >= 0 of f (t + s) - g s: on a generous grid, at g's
-     breakpoints, and where t + s meets one of f's.  The sup can sit at
-     a breakpoint of f far beyond the grid. *)
-  let at_f =
-    List.filter_map
-      (fun x -> if x >= t then Some (x -. t) else None)
-      (Pwl.breakpoints f)
-  in
-  List.fold_left
-    (fun acc s -> Float.max acc (Pwl.eval f (t +. s) -. Pwl.eval g s))
-    neg_infinity
-    (grid 0. 60. 600 @ Pwl.breakpoints g @ at_f)
-
-let prop_deconv_matches_brute_force =
-  qtest ~count:60 "deconvolution matches brute force"
-    QCheck2.Gen.(triple gen_concave gen_convex gen_time)
-    (fun (alpha, beta, t) ->
-      QCheck2.assume (Pwl.final_slope alpha <= Pwl.final_slope beta -. 1e-2);
-      let exact = Pwl.eval (Minplus.deconv alpha beta) t in
-      let brute = brute_deconv alpha beta t in
-      (* The grid under-approximates the sup, so exact >= brute, and
-         they must be close. *)
-      exact >= brute -. 1e-6
-      && exact -. brute <= 0.05 *. Float.max 1. (Float.abs exact) +. 0.2)
-
 let brute_hdev alpha beta =
   (* sup over t of inf over d of { alpha t <= beta (t + d) }, with t at
      0, at either curve's breakpoints and on the grid.  The sup can sit
@@ -209,7 +183,6 @@ let suite =
       test "crossing under rate-latency" test_crossing_under_rate_latency;
       test "crossing never happens" test_crossing_under_never;
       prop_crossing_under_is_sound;
-      prop_deconv_matches_brute_force;
       prop_hdev_matches_brute_force;
       prop_vdev_matches_brute_force;
       prop_compose_pointwise;

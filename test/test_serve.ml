@@ -682,6 +682,32 @@ let test_full_engine_agrees () =
         (strip (Serve.handle_line delta request)))
     requests
 
+(* FIFO-theta on a long tandem: past about 2^53 some theta-family
+   members cannot be built, and the method bounds them by [infinity]
+   instead of raising.  An admit with a large deadline is answered with
+   a typed rejection, not a [bad_request]. *)
+let test_full_fifo_theta_long_tandem () =
+  let t = Tandem.make ~n:160 ~utilization:0.9 () in
+  let full =
+    Serve.create ~mode:(Serve.Full Engine.Fifo_theta)
+      ~servers:(Network.servers t.Tandem.network)
+      ~flows:(Network.flows t.Tandem.network) ()
+  in
+  let response =
+    Serve.handle_line full
+      {|{"op":"admit","flow":{"id":900,"sigma":1,"rho":0.001,"route":[158,159],"deadline":1e9}}|}
+  in
+  let field k =
+    match Sjson.parse response with
+    | Sjson.Obj fields -> (
+        match List.assoc_opt k fields with Some (Sjson.Str s) -> s | _ -> "")
+    | _ -> ""
+  in
+  Alcotest.(check (pair string string))
+    response
+    ("rejected", "deadline_violated")
+    (field "error", field "reason")
+
 let suite =
   ( "serve",
     [
@@ -707,4 +733,6 @@ let suite =
         test_handle_line_is_a_barrier;
       test "protocol: non-finite sentinels" test_unstable_sentinels;
       test "protocol: delta/full engine parity" test_full_engine_agrees;
+      test "protocol: full FIFO-theta on a long tandem rejects, typed"
+        test_full_fifo_theta_long_tandem;
     ] )

@@ -202,7 +202,7 @@ let pwl_ctors =
     "min_pw"; "max_pw"; "nonneg"; "min_list"; "shift_left"; "shift_right";
     "compose"; "pseudo_inverse"; "running_max"; "lower_convex_hull" ]
 
-let minplus_ctors = [ "conv"; "conv_list"; "conv_with_rate"; "deconv" ]
+let minplus_ctors = [ "conv"; "conv_list"; "conv_with_rate" ]
 
 let is_pwl_type ty =
   match ty.ptyp_desc with
